@@ -53,15 +53,22 @@ fn exact_transpose_walk(c: &mut Criterion) {
 }
 
 fn engine_victim_selection(c: &mut Criterion) {
-    use popt_core::NextRefEngine;
-    let engine = NextRefEngine::new();
-    let ways: Vec<popt_core::WayClass> = (0..14)
-        .map(|i| popt_core::WayClass::Irregular {
-            next_ref: (i * 37) % 97,
-        })
-        .collect();
+    use popt_core::{NextRefEngine, NextRefSource};
+    /// A 14-way all-irregular eviction set; line `w` is way `w`.
+    struct Fixed(Vec<u32>);
+    impl NextRefSource for Fixed {
+        fn is_streaming(&self, _line: u64) -> bool {
+            false
+        }
+        fn next_ref(&mut self, line: u64) -> u32 {
+            usize::try_from(line).map_or(0, |i| self.0[i])
+        }
+    }
+    let mut engine = NextRefEngine::new();
+    let mut refs = Fixed((0..14).map(|i| (i * 37) % 97).collect());
+    let lines: Vec<u64> = (0..14).collect();
     c.bench_function("next_ref/engine_14way", |b| {
-        b.iter(|| black_box(engine.choose(&ways)))
+        b.iter(|| black_box(engine.choose(&lines, &mut refs)))
     });
 }
 

@@ -338,7 +338,29 @@ pub fn simulate_cached(
 /// cell replays it instead of re-executing the kernel. Results are
 /// bit-identical on every path — recording tees the same events the
 /// hierarchy consumes, and replay reproduces them exactly.
+///
+/// # Panics
+///
+/// Panics if the returned statistics break a conservation law of
+/// [`HierarchyStats::check`] — a simulator bug, reported loudly rather
+/// than written into a result table.
 pub fn simulate_traced(
+    app: App,
+    g: &Graph,
+    cfg: &HierarchyConfig,
+    policy: &PolicySpec,
+    ctx: Option<&MatrixCtx>,
+    trace_ctx: Option<&TraceCtx>,
+) -> HierarchyStats {
+    let stats = run_cell(app, g, cfg, policy, ctx, trace_ctx);
+    if let Err(violation) = stats.check() {
+        panic!("{app} under {policy:?}: {violation}");
+    }
+    stats
+}
+
+/// The simulation behind [`simulate_traced`], before its stats check.
+fn run_cell(
     app: App,
     g: &Graph,
     cfg: &HierarchyConfig,

@@ -55,7 +55,7 @@ mod reref;
 pub mod serialize;
 mod topt;
 
-pub use engine::{NextRefEngine, VictimChoice, WayClass};
+pub use engine::{NextRefEngine, NextRefSource, VictimChoice};
 pub use entry::{Encoding, RawEntry};
 pub use epoch::Quantization;
 pub use policy::{Popt, PoptConfig, StreamBinding, TieBreak};

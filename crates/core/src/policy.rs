@@ -21,8 +21,8 @@
 //!   Figure 15 tie-rate analysis.
 
 use crate::cast;
-use crate::engine::{NextRefEngine, TieBreaker, WayClass};
-use crate::RerefMatrix;
+use crate::engine::{NextRefEngine, NextRefSource, TieBreaker};
+use crate::{RerefMatrix, INFINITE_DISTANCE};
 use popt_graph::VertexId;
 use popt_sim::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};
 use std::sync::Arc;
@@ -100,7 +100,6 @@ pub struct Popt {
     engine: NextRefEngine,
     tie_break: TieBreaker,
     overheads: PolicyOverheads,
-    scratch: Vec<WayClass>,
 }
 
 impl std::fmt::Debug for Popt {
@@ -142,7 +141,6 @@ impl Popt {
             engine: NextRefEngine::new(),
             tie_break: TieBreaker::new(sets, ways),
             overheads: PolicyOverheads::default(),
-            scratch: Vec::with_capacity(ways),
         };
         // Initial fill of the resident columns.
         policy.charge_columns(1);
@@ -162,25 +160,38 @@ impl Popt {
         let per_boundary: u64 = self.streams.iter().map(|s| s.matrix.column_bytes()).sum();
         self.overheads.streamed_bytes += per_boundary * epochs_crossed as u64;
     }
+}
 
-    fn classify(&self, line: u64) -> WayClass {
-        match self.streams.iter().find(|s| s.contains_line(line)) {
-            Some(stream) => {
-                let line_id = stream.line_id(line);
-                if line_id >= stream.matrix.num_lines() {
-                    // A base/bound hit without matrix coverage can only
-                    // happen when software misconfigured the registers
-                    // (e.g. irregData not on a huge page, Section V-B);
-                    // treat the line as streaming rather than read out of
-                    // bounds.
-                    return WayClass::Streaming;
-                }
-                WayClass::Irregular {
-                    next_ref: stream.matrix.next_ref(line_id, self.current_vertex),
-                }
-            }
-            None => WayClass::Streaming,
-        }
+/// P-OPT's next-reference metadata during one victim search: every
+/// stream's resident columns, read at the `currVertex` register.
+struct ResidentColumns<'a> {
+    streams: &'a [StreamBinding],
+    current_vertex: VertexId,
+}
+
+impl ResidentColumns<'_> {
+    /// The stream whose matrix covers `line`, with the line's matrix row.
+    fn locate(&self, line: u64) -> Option<(&StreamBinding, usize)> {
+        let stream = self.streams.iter().find(|s| s.contains_line(line))?;
+        let line_id = stream.line_id(line);
+        // A base/bound hit without matrix coverage can only happen when
+        // software misconfigured the registers (e.g. irregData not on a
+        // huge page, Section V-B); treat the line as streaming rather than
+        // read out of bounds.
+        (line_id < stream.matrix.num_lines()).then_some((stream, line_id))
+    }
+}
+
+impl NextRefSource for ResidentColumns<'_> {
+    fn is_streaming(&self, line: u64) -> bool {
+        self.locate(line).is_none()
+    }
+
+    fn next_ref(&mut self, line: u64) -> u32 {
+        self.locate(line)
+            .map_or(INFINITE_DISTANCE, |(stream, line_id)| {
+                stream.matrix.next_ref(line_id, self.current_vertex)
+            })
     }
 }
 
@@ -198,21 +209,22 @@ impl ReplacementPolicy for Popt {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.scratch.clear();
-        for w in ctx.ways {
-            self.scratch.push(self.classify(w.line));
-        }
-        let choice = self.engine.choose(&self.scratch);
+        let mut columns = ResidentColumns {
+            streams: &self.streams,
+            current_vertex: self.current_vertex,
+        };
+        let choice = self.engine.choose(ctx.ways, &mut columns);
         self.overheads.decisions += 1;
         self.overheads.matrix_lookups += choice.lookups;
-        if choice.is_tie() {
-            self.overheads.ties += 1;
-            match self.tie_break_mode {
-                TieBreak::Rrip => self.tie_break.break_tie(ctx.set, &choice.candidates),
-                TieBreak::FirstCandidate => choice.candidates[0],
-            }
-        } else {
-            choice.candidates[0]
+        if !choice.is_tie() {
+            return choice.way;
+        }
+        self.overheads.ties += 1;
+        match self.tie_break_mode {
+            TieBreak::Rrip => self
+                .tie_break
+                .break_tie(ctx.set, self.engine.candidates(&choice)),
+            TieBreak::FirstCandidate => choice.way,
         }
     }
 
@@ -255,7 +267,6 @@ mod tests {
     use super::*;
     use crate::{Encoding, Quantization};
     use popt_graph::Graph;
-    use popt_sim::LineView;
     use popt_trace::{AccessKind, RegionClass, SiteId};
 
     fn figure1() -> Graph {
@@ -310,16 +321,7 @@ mod tests {
         // with epoch size 1; evaluate at the next outer vertex as the paper
         // does for its distances.
         popt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let ways = [1, 2];
         let victim = popt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -358,16 +360,7 @@ mod tests {
         let g = figure1();
         let mut popt = Popt::new(PoptConfig::new(vec![unit_binding(&g)]), 1, 2);
         popt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let ways = [1, 2];
         let _ = popt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -381,16 +374,7 @@ mod tests {
     fn streaming_lines_evicted_before_matrix_is_consulted() {
         let g = figure1();
         let mut popt = Popt::new(PoptConfig::new(vec![unit_binding(&g)]), 1, 2);
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1000,
-            },
-            LineView {
-                valid: true,
-                line: 1,
-            },
-        ];
+        let ways = [1000, 1];
         let victim = popt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -416,9 +400,16 @@ mod tests {
             )),
         };
         let popt = Popt::new(PoptConfig::new(vec![data, frontier]), 1, 2);
-        assert!(matches!(popt.classify(1), WayClass::Irregular { .. }));
-        assert!(matches!(popt.classify(1024), WayClass::Irregular { .. }));
-        assert_eq!(popt.classify(500), WayClass::Streaming);
+        let columns = ResidentColumns {
+            streams: &popt.streams,
+            current_vertex: 0,
+        };
+        assert!(!columns.is_streaming(1));
+        assert!(!columns.is_streaming(1024));
+        assert!(columns.is_streaming(500));
+        let row = |line| columns.locate(line).map(|(s, id)| (s.base, id));
+        assert_eq!(row(1), Some((0, 1)));
+        assert_eq!(row(1024), Some((64 * 1024, 0)));
         assert!(popt.resident_bytes() > 0);
     }
 

@@ -2,12 +2,19 @@
 //!
 //! T-OPT consults the graph's transpose directly: the next reference of
 //! `srcData[v]` while the pull loop processes destination `d` is `v`'s
-//! first out-neighbor greater than `d` — an `O(log degree)` binary search
-//! per vertex in the line. The paper treats T-OPT as the idealized upper
-//! bound ("incurs no overhead for tracking next references"), and so does
-//! our timing model: the policy reports no metadata overheads.
+//! first out-neighbor greater than `d`. The paper treats T-OPT as the
+//! idealized upper bound ("incurs no overhead for tracking next
+//! references"), and so does our timing model: the policy reports no
+//! metadata overheads.
+//!
+//! The lookup is amortized `O(1)`: kernels visit destinations in
+//! ascending order within an iteration, so each vertex keeps a cursor into
+//! its sorted transpose row that only moves forward. The cursors reset at
+//! every `IterationBegin`; if the order ever goes backwards (a reordered
+//! traversal), lookups fall back to an `O(log degree)` binary search until
+//! the next `IterationBegin`.
 
-use crate::engine::{NextRefEngine, TieBreaker, WayClass};
+use crate::engine::{NextRefEngine, NextRefSource, TieBreaker};
 use crate::INFINITE_DISTANCE;
 use popt_graph::{Csr, VertexId};
 use popt_sim::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};
@@ -46,11 +53,17 @@ pub struct Topt {
     transpose: Arc<Csr>,
     streams: Vec<IrregularStream>,
     current_vertex: VertexId,
+    /// Per vertex, a position in its transpose row at or before the first
+    /// neighbor beyond `current_vertex`. `None` disables the cursor
+    /// ([`Topt::without_cursor`]).
+    cursor: Option<Vec<u32>>,
+    /// Whether `current_vertex` has never decreased since the last
+    /// `IterationBegin` — the condition under which the cursor is valid.
+    monotone: bool,
     engine: NextRefEngine,
     tie_break: TieBreaker,
     ties: u64,
     decisions: u64,
-    scratch: Vec<WayClass>,
 }
 
 impl std::fmt::Debug for Topt {
@@ -73,30 +86,68 @@ impl Topt {
         ways: usize,
     ) -> Self {
         Topt {
+            cursor: Some(vec![0; transpose.num_vertices()]),
             transpose,
             streams,
             current_vertex: 0,
+            monotone: true,
             engine: NextRefEngine::new(),
             tie_break: TieBreaker::new(sets, ways),
             ties: 0,
             decisions: 0,
-            scratch: Vec::with_capacity(ways),
         }
+    }
+
+    /// Drops the per-vertex cursor, so every next-reference lookup
+    /// binary-searches the transpose row. Decisions are identical either
+    /// way; this is the reference the cursor is differentially tested
+    /// against.
+    pub fn without_cursor(mut self) -> Self {
+        self.cursor = None;
+        self
+    }
+}
+
+/// T-OPT's next-reference oracle during one victim search.
+struct TransposeRefs<'a> {
+    transpose: &'a Csr,
+    streams: &'a [IrregularStream],
+    current_vertex: VertexId,
+    /// The per-vertex cursors while they are valid; `None` selects the
+    /// binary search.
+    cursor: Option<&'a mut [u32]>,
+}
+
+impl TransposeRefs<'_> {
+    /// `v`'s first transpose neighbor beyond the current vertex.
+    fn next_neighbor(&mut self, v: VertexId) -> Option<VertexId> {
+        let Some(pos) = self
+            .cursor
+            .as_deref_mut()
+            .and_then(|c| c.get_mut(v as usize))
+        else {
+            return self.transpose.next_neighbor_after(v, self.current_vertex);
+        };
+        let row = self.transpose.neighbors(v);
+        while row
+            .get(*pos as usize)
+            .is_some_and(|&n| n <= self.current_vertex)
+        {
+            *pos += 1;
+        }
+        row.get(*pos as usize).copied()
     }
 
     /// Exact next-reference distance of `line` within `stream`: the minimum
     /// over the line's vertices of (first transpose-neighbor beyond the
     /// current outer vertex) minus the current vertex.
-    fn exact_next_ref(&self, stream: &IrregularStream, line: u64) -> u32 {
+    fn exact_next_ref(&mut self, stream: &IrregularStream, line: u64) -> u32 {
         let first = stream.first_vertex(line);
         let last =
             (first + stream.vertices_per_line as u64).min(self.transpose.num_vertices() as u64);
         let mut best = INFINITE_DISTANCE;
         for v in first..last {
-            if let Some(next) = self
-                .transpose
-                .next_neighbor_after(v as VertexId, self.current_vertex)
-            {
+            if let Some(next) = self.next_neighbor(v as VertexId) {
                 best = best.min(next - self.current_vertex);
                 if best == 1 {
                     break; // cannot get closer
@@ -105,13 +156,17 @@ impl Topt {
         }
         best
     }
+}
 
-    fn classify(&self, line: u64) -> WayClass {
+impl NextRefSource for TransposeRefs<'_> {
+    fn is_streaming(&self, line: u64) -> bool {
+        !self.streams.iter().any(|s| s.contains_line(line))
+    }
+
+    fn next_ref(&mut self, line: u64) -> u32 {
         match self.streams.iter().find(|s| s.contains_line(line)) {
-            Some(stream) => WayClass::Irregular {
-                next_ref: self.exact_next_ref(stream, line),
-            },
-            None => WayClass::Streaming,
+            Some(&stream) => self.exact_next_ref(&stream, line),
+            None => INFINITE_DISTANCE,
         }
     }
 }
@@ -130,24 +185,35 @@ impl ReplacementPolicy for Topt {
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        self.scratch.clear();
-        for w in ctx.ways {
-            self.scratch.push(self.classify(w.line));
-        }
-        let choice = self.engine.choose(&self.scratch);
+        let mut refs = TransposeRefs {
+            transpose: &self.transpose,
+            streams: &self.streams,
+            current_vertex: self.current_vertex,
+            cursor: self.cursor.as_deref_mut().filter(|_| self.monotone),
+        };
+        let choice = self.engine.choose(ctx.ways, &mut refs);
         self.decisions += 1;
-        if choice.is_tie() {
-            self.ties += 1;
-            self.tie_break.break_tie(ctx.set, &choice.candidates)
-        } else {
-            choice.candidates[0]
+        if !choice.is_tie() {
+            return choice.way;
         }
+        self.ties += 1;
+        self.tie_break
+            .break_tie(ctx.set, self.engine.candidates(&choice))
     }
 
     fn on_control(&mut self, event: &ControlEvent) {
         match event {
-            ControlEvent::CurrentVertex(v) => self.current_vertex = *v,
-            ControlEvent::IterationBegin => self.current_vertex = 0,
+            ControlEvent::CurrentVertex(v) => {
+                self.monotone &= *v >= self.current_vertex;
+                self.current_vertex = *v;
+            }
+            ControlEvent::IterationBegin => {
+                self.current_vertex = 0;
+                self.monotone = true;
+                if let Some(cursor) = &mut self.cursor {
+                    cursor.fill(0);
+                }
+            }
             ControlEvent::EpochBoundary | ControlEvent::ContextSwitch => {}
         }
     }
@@ -167,7 +233,6 @@ impl ReplacementPolicy for Topt {
 mod tests {
     use super::*;
     use popt_graph::Graph;
-    use popt_sim::LineView;
     use popt_trace::{AccessKind, RegionClass, SiteId};
 
     /// Figure 1's example graph.
@@ -217,16 +282,7 @@ mod tests {
         let g = figure1();
         let mut topt = Topt::new(Arc::new(g.out_csr().clone()), vec![unit_stream()], 1, 2);
         topt.on_control(&ControlEvent::CurrentVertex(0));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 1,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let ways = [1, 2];
         let victim = topt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -242,16 +298,7 @@ mod tests {
         let g = figure1();
         let mut topt = Topt::new(Arc::new(g.out_csr().clone()), vec![unit_stream()], 1, 2);
         topt.on_control(&ControlEvent::CurrentVertex(1));
-        let ways = [
-            LineView {
-                valid: true,
-                line: 4,
-            },
-            LineView {
-                valid: true,
-                line: 2,
-            },
-        ];
+        let ways = [4, 2];
         let victim = topt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -267,16 +314,7 @@ mod tests {
         topt.on_control(&ControlEvent::CurrentVertex(0));
         // Line 100 is outside the stream: streaming, evicted first even
         // though the irregular line is never referenced again.
-        let ways = [
-            LineView {
-                valid: true,
-                line: 0,
-            },
-            LineView {
-                valid: true,
-                line: 100,
-            },
-        ];
+        let ways = [0, 100];
         let victim = topt.victim(&VictimCtx {
             set: 0,
             ways: &ways,
@@ -295,9 +333,16 @@ mod tests {
             bound: 5 * 64,
             vertices_per_line: 2,
         };
-        let topt = Topt::new(Arc::new(g.out_csr().clone()), vec![stream], 1, 2);
-        let d = topt.exact_next_ref(&stream, 0);
-        assert_eq!(d, 2);
+        let mut refs = TransposeRefs {
+            transpose: g.out_csr(),
+            streams: &[stream],
+            current_vertex: 0,
+            cursor: None,
+        };
+        assert_eq!(refs.exact_next_ref(&stream, 0), 2);
+        let mut cursor = vec![0; 5];
+        refs.cursor = Some(&mut cursor);
+        assert_eq!(refs.exact_next_ref(&stream, 0), 2);
     }
 
     #[test]
@@ -307,6 +352,41 @@ mod tests {
         topt.on_control(&ControlEvent::CurrentVertex(4));
         topt.on_control(&ControlEvent::IterationBegin);
         assert_eq!(topt.current_vertex, 0);
+    }
+
+    #[test]
+    fn cursor_tracks_ascending_vertices_and_falls_back_on_reversal() {
+        // Vertex 0's transpose row is [2], vertex 1's is [0, 4].
+        let g = figure1();
+        let mut topt = Topt::new(Arc::new(g.out_csr().clone()), vec![unit_stream()], 1, 2);
+        let next_ref_of = |topt: &mut Topt, line: u64| {
+            let mut refs = TransposeRefs {
+                transpose: &topt.transpose,
+                streams: &topt.streams,
+                current_vertex: topt.current_vertex,
+                cursor: topt.cursor.as_deref_mut().filter(|_| topt.monotone),
+            };
+            refs.next_ref(line)
+        };
+        topt.on_control(&ControlEvent::CurrentVertex(1));
+        assert_eq!(next_ref_of(&mut topt, 1), 3, "S1 next at D4");
+        assert_eq!(
+            topt.cursor.as_ref().map(|c| c[1]),
+            Some(1),
+            "cursor moved past D0"
+        );
+        topt.on_control(&ControlEvent::CurrentVertex(4));
+        assert_eq!(next_ref_of(&mut topt, 1), INFINITE_DISTANCE);
+        // Going backwards invalidates the cursor; lookups binary-search.
+        topt.on_control(&ControlEvent::CurrentVertex(0));
+        assert!(!topt.monotone);
+        assert_eq!(next_ref_of(&mut topt, 1), 4, "S1 next at D4 again");
+        assert_eq!(next_ref_of(&mut topt, 0), 2);
+        // The next iteration restores and rewinds the cursor.
+        topt.on_control(&ControlEvent::IterationBegin);
+        assert!(topt.monotone);
+        assert_eq!(topt.cursor.as_ref().map(|c| c[1]), Some(0));
+        assert_eq!(next_ref_of(&mut topt, 1), 4);
     }
 
     #[test]
@@ -323,16 +403,7 @@ mod tests {
         topt.on_fill(0, 0, &meta(0));
         topt.on_fill(0, 1, &meta(1));
         topt.on_hit(0, 0, &meta(0)); // way 0 recently re-referenced
-        let ways = [
-            LineView {
-                valid: true,
-                line: 0,
-            },
-            LineView {
-                valid: true,
-                line: 1,
-            },
-        ];
+        let ways = [0, 1];
         let victim = topt.victim(&VictimCtx {
             set: 0,
             ways: &ways,

@@ -14,8 +14,11 @@ use popt_trace::RecordingSink;
 use proptest::prelude::*;
 
 /// Cache geometries the sweeps run against: from a degenerate single-set
-/// bank up to a small LLC slice.
-const GEOMETRIES: [(usize, usize); 4] = [(1, 2), (2, 4), (4, 8), (8, 16)];
+/// bank up to a small LLC slice. The 3- and 48-set geometries are not
+/// powers of two, so the cache indexes their sets with `%` instead of a
+/// mask (like the paper's 3072-set Table I bank), and the Mattson and MIN
+/// exactness checks cover that path too.
+const GEOMETRIES: [(usize, usize); 6] = [(1, 2), (2, 4), (3, 4), (4, 8), (8, 16), (48, 8)];
 
 /// Every policy the harness can build without a graph: the full
 /// `PolicyKind::ALL` registry plus the trace-built Belady oracle and a
@@ -77,7 +80,7 @@ proptest! {
     /// harness's own delta-debugging minimizer supplies shrinking.
     #[test]
     fn random_traces_pass_every_oracle(
-        geometry in prop::sample::select(vec![(1usize, 2usize), (2, 2), (2, 4), (4, 4)]),
+        geometry in prop::sample::select(vec![(1usize, 2usize), (2, 2), (2, 4), (3, 2), (4, 4)]),
         universe in 3u64..48,
         raw in prop::collection::vec(0u64..4096, 32..320),
     ) {
@@ -160,7 +163,7 @@ fn extended_sweep() {
         let plan = app.plan(&g);
         let mut sink = RecordingSink::new();
         app.trace(&g, &plan, &mut sink);
-        for (sets, ways) in [(4, 4), (8, 8), (16, 16)] {
+        for (sets, ways) in [(4, 4), (8, 8), (16, 16), (48, 4)] {
             let name = format!("kernel/{app}/{sets}x{ways}");
             let case = TraceCase::from_events(&name, sets, ways, sink.events(), Some(&plan.space));
             let mut policies = full_zoo();

@@ -1,6 +1,4 @@
-use crate::{
-    AccessMeta, CacheConfig, CacheStats, ControlEvent, LineView, ReplacementPolicy, VictimCtx,
-};
+use crate::{AccessMeta, CacheConfig, CacheStats, ControlEvent, ReplacementPolicy, VictimCtx};
 use popt_trace::AccessKind;
 
 /// Result of a cache lookup.
@@ -26,29 +24,41 @@ impl AccessOutcome {
     }
 }
 
+/// Tag of an empty way. Line numbers are byte addresses shifted right by
+/// the line size, so no real placement can equal it, and one compare per
+/// way checks validity and tag together.
+const INVALID: u64 = u64::MAX;
+
 /// A single set-associative cache (or one NUCA bank of the LLC).
 ///
 /// Way partitioning: the last `reserved_ways` ways of every set are never
 /// offered for replacement, modeling Intel CAT-style reservation of LLC
 /// capacity for Rereference Matrix columns (paper Section V-A). The policy
 /// only ever sees the remaining *data ways*.
-pub struct SetAssocCache {
+///
+/// The policy type is a parameter so the private levels can inline their
+/// Bit-PLRU ([`SetAssocCache::with_policy`]); it defaults to a boxed
+/// policy, which is what [`SetAssocCache::new`] builds and the LLC banks
+/// use.
+pub struct SetAssocCache<P = Box<dyn ReplacementPolicy>> {
     sets: usize,
     ways: usize,
     data_ways: usize,
+    /// `sets - 1` when `sets` is a power of two (set index by mask);
+    /// `None` selects the `%` path, e.g. the 3072-set Table I bank.
+    set_mask: Option<u64>,
     // Flattened [set][way] arrays. `tags` holds the *placement* line (bank-
-    // local in a NUCA LLC); `global` holds the original global line number,
-    // which is what policies reason about (base/bound checks, matrix rows).
+    // local in a NUCA LLC), or `INVALID`; `global` holds the original
+    // global line number, which is what policies reason about (base/bound
+    // checks, matrix rows).
     tags: Vec<u64>,
     global: Vec<u64>,
-    valid: Vec<bool>,
     dirty: Vec<bool>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: P,
     stats: CacheStats,
-    scratch: Vec<LineView>,
 }
 
-impl std::fmt::Debug for SetAssocCache {
+impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SetAssocCache")
             .field("sets", &self.sets)
@@ -61,8 +71,8 @@ impl std::fmt::Debug for SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates a cache with the given geometry and policy, with no reserved
-    /// ways.
+    /// Creates a cache with the given geometry and boxed policy, with no
+    /// reserved ways.
     pub fn new(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
         Self::with_reserved_ways(config, policy, 0)
     }
@@ -77,6 +87,18 @@ impl SetAssocCache {
         policy: Box<dyn ReplacementPolicy>,
         reserved_ways: usize,
     ) -> Self {
+        Self::build(config, policy, reserved_ways)
+    }
+}
+
+impl<P: ReplacementPolicy> SetAssocCache<P> {
+    /// Creates a cache whose policy is a concrete type, so every policy
+    /// hook is a direct (inlinable) call — the private levels' Bit-PLRU.
+    pub fn with_policy(config: CacheConfig, policy: P) -> Self {
+        Self::build(config, policy, 0)
+    }
+
+    fn build(config: CacheConfig, policy: P, reserved_ways: usize) -> Self {
         let (sets, ways) = (config.num_sets(), config.ways());
         assert!(reserved_ways < ways, "at least one data way is required");
         let n = sets * ways;
@@ -84,13 +106,12 @@ impl SetAssocCache {
             sets,
             ways,
             data_ways: ways - reserved_ways,
-            tags: vec![0; n],
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            tags: vec![INVALID; n],
             global: vec![0; n],
-            valid: vec![false; n],
             dirty: vec![false; n],
             policy,
             stats: CacheStats::default(),
-            scratch: Vec::with_capacity(ways),
         }
     }
 
@@ -115,18 +136,40 @@ impl SetAssocCache {
     }
 
     /// The replacement policy (for overhead queries).
-    pub fn policy(&self) -> &dyn ReplacementPolicy {
-        &*self.policy
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
+    /// The set `placement` maps to: a mask when the set count is a power
+    /// of two, `%` otherwise. Both give `placement mod sets`.
+    #[inline]
+    fn set_of(&self, placement: u64) -> usize {
+        let set = match self.set_mask {
+            Some(mask) => placement & mask,
+            None => placement % self.sets as u64,
+        };
+        set as usize
+    }
+
+    /// The data way of `set` holding `placement`, if resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` is the empty-way tag, which no line number
+    /// can be.
+    #[inline]
+    fn probe(&self, set: usize, placement: u64) -> Option<usize> {
+        assert!(placement != INVALID, "{placement:#x} is not a line number");
+        let base = set * self.ways;
+        self.tags[base..base + self.data_ways]
+            .iter()
+            .position(|&t| t == placement)
     }
 
     /// Whether `line` is currently resident (diagnostic; does not touch
     /// replacement state).
     pub fn contains(&self, line: u64) -> bool {
-        let set = (line % self.sets as u64) as usize;
-        (0..self.data_ways).any(|w| {
-            let i = set * self.ways + w;
-            self.valid[i] && self.tags[i] == line
-        })
+        self.probe(self.set_of(line), line).is_some()
     }
 
     /// Forwards a software control event to the policy.
@@ -138,6 +181,7 @@ impl SetAssocCache {
     ///
     /// On a miss the line is installed (write-allocate); writes dirty the
     /// line.
+    #[inline]
     pub fn access(&mut self, meta: &AccessMeta) -> AccessOutcome {
         self.access_placed(meta, meta.line)
     }
@@ -151,67 +195,21 @@ impl SetAssocCache {
     /// Rereference Matrix rows are defined on global addresses, exactly as
     /// the paper's per-bank next-ref engines operate on physical
     /// addresses).
+    #[inline]
     pub fn access_placed(&mut self, meta: &AccessMeta, placement: u64) -> AccessOutcome {
-        let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let set = self.set_of(placement);
         self.policy.on_access(set, meta);
-
-        // Probe.
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.stats.record(true, meta.class);
-                if meta.kind == AccessKind::Write {
-                    self.dirty[i] = true;
-                }
-                self.policy.on_hit(set, w, meta);
-                return AccessOutcome::Hit;
+        if let Some(w) = self.probe(set, placement) {
+            self.stats.record(true, meta.class);
+            if meta.kind == AccessKind::Write {
+                self.dirty[set * self.ways + w] = true;
             }
+            self.policy.on_hit(set, w, meta);
+            return AccessOutcome::Hit;
         }
         self.stats.record(false, meta.class);
-
-        // Prefer an invalid way.
-        let way = (0..self.data_ways).find(|&w| !self.valid[base + w]);
-        let (way, evicted, evicted_dirty) = match way {
-            Some(w) => (w, None, false),
-            None => {
-                self.scratch.clear();
-                for w in 0..self.data_ways {
-                    let i = base + w;
-                    self.scratch.push(LineView {
-                        valid: true,
-                        line: self.global[i],
-                    });
-                }
-                let ctx = VictimCtx {
-                    set,
-                    ways: &self.scratch,
-                    incoming: meta,
-                };
-                let w = self.policy.victim(&ctx);
-                assert!(
-                    w < self.data_ways,
-                    "policy {} chose way {w} beyond data ways",
-                    self.policy.name()
-                );
-                let i = base + w;
-                let old = self.global[i];
-                let was_dirty = self.dirty[i];
-                self.policy.on_evict(set, w, old);
-                self.stats.evictions += 1;
-                if was_dirty {
-                    self.stats.writebacks += 1;
-                }
-                (w, Some(old), was_dirty)
-            }
-        };
-
-        let i = base + way;
-        self.tags[i] = placement;
-        self.global[i] = meta.line;
-        self.valid[i] = true;
-        self.dirty[i] = meta.kind == AccessKind::Write;
-        self.policy.on_fill(set, way, meta);
+        let (way, evicted, evicted_dirty) = self.make_room(set, meta);
+        self.install(set, way, placement, meta, meta.kind == AccessKind::Write);
         AccessOutcome::Miss {
             evicted,
             evicted_dirty,
@@ -222,56 +220,56 @@ impl SetAssocCache {
     /// Returns `true` if the line was newly installed, `false` if it was
     /// already resident. Evictions and writebacks are accounted normally.
     pub fn prefetch_placed(&mut self, meta: &AccessMeta, placement: u64) -> bool {
-        let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                return false;
-            }
+        let set = self.set_of(placement);
+        if self.probe(set, placement).is_some() {
+            return false;
         }
-        let way = (0..self.data_ways).find(|&w| !self.valid[base + w]);
-        let way = match way {
-            Some(w) => w,
-            None => {
-                self.scratch.clear();
-                for w in 0..self.data_ways {
-                    let i = base + w;
-                    self.scratch.push(LineView {
-                        valid: true,
-                        line: self.global[i],
-                    });
-                }
-                let ctx = VictimCtx {
-                    set,
-                    ways: &self.scratch,
-                    incoming: meta,
-                };
-                let w = self.policy.victim(&ctx);
-                // Same contract as the demand path: an out-of-range victim
-                // would silently overwrite a reserved way (or another set's
-                // line) here, with no stats trail to catch it.
-                assert!(
-                    w < self.data_ways,
-                    "policy {} chose way {w} beyond data ways",
-                    self.policy.name()
-                );
-                let i = base + w;
-                self.policy.on_evict(set, w, self.global[i]);
-                self.stats.evictions += 1;
-                if self.dirty[i] {
-                    self.stats.writebacks += 1;
-                }
-                w
-            }
+        let (way, _, _) = self.make_room(set, meta);
+        self.install(set, way, placement, meta, false);
+        true
+    }
+
+    /// Frees a data way of `set` for a fill: the first empty way, else the
+    /// policy's victim, which is evicted here (`on_evict`, eviction and
+    /// writeback counts). Returns the way plus the displaced global line
+    /// and whether it was dirty.
+    fn make_room(&mut self, set: usize, meta: &AccessMeta) -> (usize, Option<u64>, bool) {
+        let base = set * self.ways;
+        let data = base..base + self.data_ways;
+        if let Some(w) = self.tags[data.clone()].iter().position(|&t| t == INVALID) {
+            return (w, None, false);
+        }
+        let ctx = VictimCtx {
+            set,
+            ways: &self.global[data],
+            incoming: meta,
         };
-        let i = base + way;
+        let w = self.policy.victim(&ctx);
+        // An out-of-range victim would silently overwrite a reserved way
+        // (or another set's line), with no stats trail to catch it.
+        assert!(
+            w < self.data_ways,
+            "policy {} chose way {w} beyond data ways",
+            self.policy.name()
+        );
+        let i = base + w;
+        let old = self.global[i];
+        let was_dirty = self.dirty[i];
+        self.policy.on_evict(set, w, old);
+        self.stats.evictions += 1;
+        if was_dirty {
+            self.stats.writebacks += 1;
+        }
+        (w, Some(old), was_dirty)
+    }
+
+    /// Writes `meta`'s line into `way` of `set` and tells the policy.
+    fn install(&mut self, set: usize, way: usize, placement: u64, meta: &AccessMeta, dirty: bool) {
+        let i = set * self.ways + way;
         self.tags[i] = placement;
         self.global[i] = meta.line;
-        self.valid[i] = true;
-        self.dirty[i] = false;
+        self.dirty[i] = dirty;
         self.policy.on_fill(set, way, meta);
-        true
     }
 
     /// Absorbs a writeback arriving from an upper level: if the line is
@@ -280,45 +278,42 @@ impl SetAssocCache {
     /// not allocate — the usual non-inclusive simplification). Returns
     /// `true` if absorbed.
     pub fn absorb_writeback(&mut self, placement: u64) -> bool {
-        let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.dirty[i] = true;
-                return true;
+        let set = self.set_of(placement);
+        match self.probe(set, placement) {
+            Some(w) => {
+                self.dirty[set * self.ways + w] = true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Invalidates one line by placement (coherence). The copy is dropped
     /// without a writeback: the invalidating writer's own fill supersedes
     /// it. Returns whether a copy existed.
     pub fn invalidate_line(&mut self, placement: u64) -> bool {
-        let set = (placement % self.sets as u64) as usize;
-        let base = set * self.ways;
-        for w in 0..self.data_ways {
-            let i = base + w;
-            if self.valid[i] && self.tags[i] == placement {
-                self.valid[i] = false;
+        let set = self.set_of(placement);
+        match self.probe(set, placement) {
+            Some(w) => {
+                let i = set * self.ways + w;
+                self.tags[i] = INVALID;
                 self.dirty[i] = false;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Invalidates every line (context switch / co-running process
     /// pollution). Dirty lines count as writebacks; replacement state is
     /// left to the policy's `ControlEvent::ContextSwitch` handling.
     pub fn invalidate_all(&mut self) {
-        for i in 0..self.valid.len() {
-            if self.valid[i] && self.dirty[i] {
+        for (tag, dirty) in self.tags.iter_mut().zip(&mut self.dirty) {
+            if *tag != INVALID && *dirty {
                 self.stats.writebacks += 1;
             }
-            self.valid[i] = false;
-            self.dirty[i] = false;
+            *tag = INVALID;
+            *dirty = false;
         }
     }
 }
@@ -326,7 +321,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::Lru;
+    use crate::policies::{BitPlru, Lru};
     use popt_trace::{RegionClass, SiteId};
 
     fn meta(line: u64) -> AccessMeta {
@@ -405,6 +400,55 @@ mod tests {
         c.access(&meta(2));
         c.access(&meta(1));
         assert!(c.contains(0) && c.contains(2) && c.contains(1));
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_index_by_modulo() {
+        let cfg = CacheConfig::new(64 * 3 * 2, 2); // 3 sets, 2 ways
+        let mut c = SetAssocCache::new(cfg, Box::new(Lru::new(3, 2)));
+        assert_eq!(c.num_sets(), 3);
+        // Lines 0, 3 and 6 share set 0; 1 and 4 share set 1.
+        for line in [0, 3, 1, 4] {
+            c.access(&meta(line));
+        }
+        assert_eq!(c.stats().evictions, 0);
+        c.access(&meta(6)); // third line in set 0 evicts LRU line 0
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.contains(0) && c.contains(3) && c.contains(6));
+        assert!(c.contains(1) && c.contains(4));
+    }
+
+    #[test]
+    fn boxed_and_concrete_policies_agree() {
+        let cfg = CacheConfig::new(64 * 4 * 4, 4);
+        let mut boxed = SetAssocCache::new(cfg, Box::new(BitPlru::new(4, 4)));
+        let mut concrete = SetAssocCache::with_policy(cfg, BitPlru::new(4, 4));
+        for i in 0..2000u64 {
+            let mut m = meta(i.wrapping_mul(0x9e37_79b9) % 37);
+            if i % 3 == 0 {
+                m.kind = AccessKind::Write;
+            }
+            assert_eq!(boxed.access(&m), concrete.access(&m), "access {i}");
+        }
+        assert_eq!(boxed.stats(), concrete.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a line number")]
+    fn the_empty_way_tag_is_not_a_line() {
+        tiny_cache(2).access(&meta(u64::MAX));
+    }
+
+    #[test]
+    fn invalidated_ways_are_refilled_first() {
+        let mut c = tiny_cache(2);
+        c.access(&meta(1));
+        c.access(&meta(2));
+        assert!(c.invalidate_line(1));
+        assert!(!c.invalidate_line(1), "already gone");
+        c.access(&meta(3)); // takes the freed way: no eviction
+        assert_eq!(c.stats().evictions, 0);
+        assert!(c.contains(2) && c.contains(3));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 use crate::nuca::BankMapping;
+use crate::policies::BitPlru;
 use crate::{
-    AccessMeta, ControlEvent, HierarchyConfig, HierarchyStats, PolicyKind, ReplacementPolicy,
+    AccessMeta, AccessOutcome, ControlEvent, HierarchyConfig, HierarchyStats, ReplacementPolicy,
     SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
@@ -20,10 +21,15 @@ impl BankMapping {
     }
 }
 
-/// One core's private cache levels.
+/// Per-bank counters in [`HierarchyStats::bank_accesses`]; construction
+/// refuses NUCA configurations with more banks.
+const MAX_BANKS: usize = 16;
+
+/// One core's private cache levels. Their policy is always Bit-PLRU
+/// (Table I), so it is a concrete type the per-access path inlines.
 struct Core {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
+    l1: SetAssocCache<BitPlru>,
+    l2: SetAssocCache<BitPlru>,
 }
 
 impl Core {
@@ -66,7 +72,7 @@ pub struct Hierarchy {
     cfg: HierarchyConfig,
     irreg_ranges: Vec<(u64, u64)>,
     instructions: u64,
-    bank_accesses: [u64; 16],
+    bank_accesses: [u64; MAX_BANKS],
     prefetch_fills: u64,
     dram_writebacks: u64,
     coherence_invalidations: u64,
@@ -99,13 +105,19 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero.
+    /// Panics if `num_cores` is zero, or if the LLC has more NUCA banks
+    /// than [`HierarchyStats::bank_accesses`] has slots.
     pub fn with_cores(
         cfg: &HierarchyConfig,
         num_cores: usize,
         mut make_llc_policy: impl FnMut(usize, usize) -> Box<dyn ReplacementPolicy>,
     ) -> Self {
         assert!(num_cores > 0, "need at least one core");
+        assert!(
+            cfg.nuca.num_banks() <= MAX_BANKS,
+            "{} NUCA banks exceed the {MAX_BANKS} per-bank access counters",
+            cfg.nuca.num_banks()
+        );
         let bank_cfg = cfg.llc_bank();
         let data_ways = bank_cfg.ways() - cfg.llc_reserved_ways;
         let banks = (0..cfg.nuca.num_banks())
@@ -119,13 +131,13 @@ impl Hierarchy {
             .collect();
         let cores = (0..num_cores)
             .map(|_| Core {
-                l1: SetAssocCache::new(
+                l1: SetAssocCache::with_policy(
                     cfg.l1,
-                    PolicyKind::BitPlru.build(cfg.l1.num_sets(), cfg.l1.ways()),
+                    BitPlru::new(cfg.l1.num_sets(), cfg.l1.ways()),
                 ),
-                l2: SetAssocCache::new(
+                l2: SetAssocCache::with_policy(
                     cfg.l2,
-                    PolicyKind::BitPlru.build(cfg.l2.num_sets(), cfg.l2.ways()),
+                    BitPlru::new(cfg.l2.num_sets(), cfg.l2.ways()),
                 ),
             })
             .collect();
@@ -136,7 +148,7 @@ impl Hierarchy {
             cfg: cfg.clone(),
             irreg_ranges: Vec::new(),
             instructions: 0,
-            bank_accesses: [0; 16],
+            bank_accesses: [0; MAX_BANKS],
             prefetch_fills: 0,
             dram_writebacks: 0,
             coherence_invalidations: 0,
@@ -183,6 +195,9 @@ impl Hierarchy {
     }
 
     fn llc_route(&self, line: u64, irregular: bool) -> (usize, u64) {
+        if self.banks.len() == 1 {
+            return (0, line);
+        }
         let nbanks = self.cfg.nuca.num_banks();
         let bank = self.cfg.nuca.bank_of(line, irregular);
         let mapping = if irregular {
@@ -233,33 +248,29 @@ impl Hierarchy {
         }
         let out2 = core.l2.access(&meta);
         // Propagate the L1 victim's writeback: absorbed by L2 if resident,
-        // else it continues toward the LLC/DRAM.
-        let mut pending: Vec<u64> = Vec::new();
-        if let crate::AccessOutcome::Miss {
-            evicted: Some(victim),
-            evicted_dirty: true,
-        } = out1
-        {
-            if !core.l2.absorb_writeback(victim) {
-                pending.push(victim);
-            }
-        }
-        if let crate::AccessOutcome::Miss {
-            evicted: Some(victim),
-            evicted_dirty: true,
-        } = out2
-        {
-            pending.push(victim);
-        }
-        let l2_hit = out2.is_hit();
-        for victim in pending {
+        // else it continues toward the LLC/DRAM, ahead of L2's own victim.
+        let l1_victim = match out1 {
+            AccessOutcome::Miss {
+                evicted: Some(victim),
+                evicted_dirty: true,
+            } if !core.l2.absorb_writeback(victim) => Some(victim),
+            _ => None,
+        };
+        let l2_victim = match out2 {
+            AccessOutcome::Miss {
+                evicted: Some(victim),
+                evicted_dirty: true,
+            } => Some(victim),
+            _ => None,
+        };
+        for victim in [l1_victim, l2_victim].into_iter().flatten() {
             self.writeback_below_l2(victim);
         }
-        if l2_hit {
+        if out2.is_hit() {
             return;
         }
         let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        self.bank_accesses[bank.min(15)] += 1;
+        self.bank_accesses[bank] += 1;
         if let Some(rec) = &mut self.recorder {
             rec.push(line);
         }
@@ -363,7 +374,7 @@ impl TraceSink for Hierarchy {
 mod tests {
     use super::*;
     use crate::policies::Belady;
-    use crate::NucaConfig;
+    use crate::{NucaConfig, PolicyKind};
     use popt_trace::RegionClass;
 
     fn lru_hierarchy(cfg: &HierarchyConfig) -> Hierarchy {
@@ -580,6 +591,88 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.llc.writebacks, 0);
         assert_eq!(s.dram_writebacks, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "17 NUCA banks exceed the 16 per-bank access counters")]
+    fn more_banks_than_counters_are_refused() {
+        let mut cfg = HierarchyConfig::scaled_table1();
+        cfg.llc = crate::CacheConfig::new(17 * 16 * 64, 16);
+        cfg.nuca = NucaConfig::uniform(17);
+        let _ = lru_hierarchy(&cfg);
+    }
+
+    #[test]
+    fn sixteen_banks_each_keep_their_own_counter() {
+        let mut cfg = HierarchyConfig::scaled_table1();
+        cfg.nuca = NucaConfig::uniform(16);
+        let mut h = lru_hierarchy(&cfg);
+        for i in 0..4096u64 {
+            h.event(TraceEvent::read(0x10_0000 + i * 64, 0));
+        }
+        let s = h.stats();
+        assert_eq!(s.bank_accesses, [256; 16]);
+        assert_eq!(s.check(), Ok(()));
+    }
+
+    #[test]
+    fn paper_table1_banks_index_sets_by_modulo() {
+        // Table I: 8 banks of 3072 sets (not a power of two), line
+        // interleaved, so line `k * 8 * 3072` is bank 0's local line
+        // `k * 3072`: set 0 of bank 0 for every k. The same lines also
+        // share set 0 of L1 (64 sets) and L2 (512 sets), so every access
+        // reaches the LLC.
+        let cfg = HierarchyConfig::paper_table1();
+        assert_eq!(cfg.llc_bank().num_sets(), 3072);
+        let run = |distinct: u64| {
+            let mut h = lru_hierarchy(&cfg);
+            for _ in 0..2 {
+                for k in 0..distinct {
+                    h.event(TraceEvent::read(k * 8 * 3072 * 64, 0));
+                }
+            }
+            let s = h.stats();
+            assert_eq!(s.check(), Ok(()));
+            assert_eq!(s.bank_accesses[0], 2 * distinct, "bank 0 takes them all");
+            s.llc
+        };
+        // 16 lines fit the 16-way set: the second pass hits throughout.
+        let fits = run(16);
+        assert_eq!((fits.hits, fits.misses, fits.evictions), (16, 16, 0));
+        // A 17th line in the same set makes cyclic LRU miss every time.
+        let thrashes = run(17);
+        assert_eq!((thrashes.hits, thrashes.misses), (0, 34));
+        assert_eq!(thrashes.evictions, 34 - 16);
+    }
+
+    #[test]
+    fn simulated_runs_obey_the_conservation_laws() {
+        // Dirty traffic, two cores and coherence, a context switch and
+        // prefetch fills on a banked LLC: every law still holds.
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.nuca = NucaConfig::uniform(2);
+        let mut h = Hierarchy::with_cores(&cfg, 2, |s, w| PolicyKind::Drrip.build(s, w));
+        for i in 0..6000u64 {
+            let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 400) * 64;
+            h.event(TraceEvent::Core(u32::from(i % 3 == 0)));
+            if i % 5 == 0 {
+                h.event(TraceEvent::write(addr, 0));
+            } else {
+                h.event(TraceEvent::read(addr, 0));
+            }
+            if i % 7 == 0 {
+                h.prefetch_fill(addr + 64);
+            }
+            if i == 3000 {
+                h.context_switch();
+            }
+        }
+        let s = h.stats();
+        assert!(
+            s.prefetch_fills > 0 && s.coherence_invalidations > 0,
+            "{s:?}"
+        );
+        assert_eq!(s.check(), Ok(()));
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
 pub use nuca::{BankMapping, NucaConfig};
 pub use policies::PolicyKind;
-pub use replace::{
-    AccessMeta, ControlEvent, LineView, PolicyOverheads, ReplacementPolicy, VictimCtx,
-};
-pub use stats::{CacheStats, HierarchyStats};
+pub use replace::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};
+pub use stats::{CacheStats, HierarchyStats, StatsViolation};
 pub use timing::{TimingBreakdown, TimingModel};

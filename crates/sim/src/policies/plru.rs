@@ -17,7 +17,8 @@ use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BitPlru {
-    ways: usize,
+    /// One bit per way: the value a set's MRU word would reach when full.
+    all: u64,
     mru: Vec<u64>,
 }
 
@@ -30,19 +31,19 @@ impl BitPlru {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(ways <= 64, "BitPlru supports at most 64 ways");
         BitPlru {
-            ways,
+            all: if ways == 64 {
+                u64::MAX
+            } else {
+                (1u64 << ways) - 1
+            },
             mru: vec![0; sets],
         }
     }
 
+    #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        let all = if self.ways == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.ways) - 1
-        };
         let bit = 1u64 << way;
-        if self.mru[set] | bit == all {
+        if self.mru[set] | bit == self.all {
             self.mru[set] = bit;
         } else {
             self.mru[set] |= bit;
@@ -55,19 +56,24 @@ impl ReplacementPolicy for BitPlru {
         "Bit-PLRU".to_string()
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.touch(set, way);
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         self.touch(set, way);
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        let bits = self.mru[ctx.set];
-        (0..ctx.ways.len())
-            .find(|&w| bits & (1u64 << w) == 0)
-            .unwrap_or(0)
+        // Lowest way with a clear MRU bit; way 0 if every data way is set.
+        let w = (!self.mru[ctx.set]).trailing_zeros() as usize;
+        if w < ctx.ways.len() {
+            w
+        } else {
+            0
+        }
     }
 }
 

@@ -14,27 +14,20 @@ pub struct AccessMeta {
     pub class: RegionClass,
 }
 
-/// Snapshot of one way during victim selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineView {
-    /// Whether the way holds a valid line (always true during victim
-    /// selection — fills prefer invalid ways without consulting the policy).
-    pub valid: bool,
-    /// Cache line number stored in the way.
-    pub line: u64,
-}
-
 /// Context for a victim decision.
 ///
 /// `ways` contains only the *replaceable* ways: reserved (way-partitioned)
 /// ways are excluded before the policy ever sees the set, which structurally
-/// enforces the paper's "P-OPT never evicts Rereference Matrix data".
+/// enforces the paper's "P-OPT never evicts Rereference Matrix data". Every
+/// way in it is valid — fills prefer invalid ways without consulting the
+/// policy — so the slice is the set's line numbers, borrowed straight from
+/// the cache's way array.
 #[derive(Debug)]
 pub struct VictimCtx<'a> {
     /// Set index within the cache (bank).
     pub set: usize,
-    /// The replaceable ways, indexed 0..data_ways.
-    pub ways: &'a [LineView],
+    /// Line number held by each replaceable way, indexed 0..data_ways.
+    pub ways: &'a [u64],
     /// The access that triggered the replacement.
     pub incoming: &'a AccessMeta,
 }
@@ -123,6 +116,48 @@ pub trait ReplacementPolicy {
     /// Extra-stream costs for the timing model.
     fn overheads(&self) -> PolicyOverheads {
         PolicyOverheads::default()
+    }
+}
+
+/// Boxed policies forward every call, so the LLC's `Box<dyn
+/// ReplacementPolicy>` banks and the monomorphic private levels share one
+/// [`SetAssocCache`](crate::SetAssocCache) implementation.
+impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    #[inline]
+    fn on_access(&mut self, set: usize, meta: &AccessMeta) {
+        (**self).on_access(set, meta);
+    }
+
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
+        (**self).on_hit(set, way, meta);
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
+        (**self).on_fill(set, way, meta);
+    }
+
+    #[inline]
+    fn on_evict(&mut self, set: usize, way: usize, line: u64) {
+        (**self).on_evict(set, way, line);
+    }
+
+    #[inline]
+    fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
+        (**self).victim(ctx)
+    }
+
+    fn on_control(&mut self, event: &ControlEvent) {
+        (**self).on_control(event);
+    }
+
+    fn overheads(&self) -> PolicyOverheads {
+        (**self).overheads()
     }
 }
 

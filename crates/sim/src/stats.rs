@@ -105,7 +105,105 @@ impl HierarchyStats {
     pub fn dram_transfers(&self) -> u64 {
         self.llc.misses + self.llc.writebacks + self.dram_writebacks
     }
+
+    /// Checks the conservation laws every hierarchy run obeys, whatever
+    /// its policies:
+    ///
+    /// * every L1 miss is one L2 access: `l1.misses == l2 accesses`;
+    /// * every L2 miss is one LLC access, counted in exactly one bank:
+    ///   `l2.misses == llc accesses == Σ bank_accesses`;
+    /// * a fill evicts at most one line: `evictions <= misses` at L1 and
+    ///   L2, and `llc.evictions <= llc.misses + prefetch_fills`;
+    /// * irregular hits and misses are subsets of all hits and misses.
+    ///
+    /// Returns the first law that fails.
+    pub fn check(&self) -> Result<(), StatsViolation> {
+        let bank_total: u64 = self.bank_accesses.iter().sum();
+        let laws = [
+            (
+                "l1.misses == l2 accesses",
+                self.l1.misses,
+                self.l2.demand_accesses(),
+            ),
+            (
+                "l2.misses == llc accesses",
+                self.l2.misses,
+                self.llc.demand_accesses(),
+            ),
+            (
+                "llc accesses == sum of bank_accesses",
+                self.llc.demand_accesses(),
+                bank_total,
+            ),
+        ];
+        for (law, lhs, rhs) in laws {
+            if lhs != rhs {
+                return Err(StatsViolation { law, lhs, rhs });
+            }
+        }
+        let (l1, l2, llc) = (&self.l1, &self.l2, &self.llc);
+        let bounds = [
+            ("l1.evictions <= l1.misses", l1.evictions, l1.misses),
+            ("l2.evictions <= l2.misses", l2.evictions, l2.misses),
+            (
+                "llc.evictions <= llc.misses + prefetch_fills",
+                llc.evictions,
+                llc.misses + self.prefetch_fills,
+            ),
+            ("l1.irregular_hits <= l1.hits", l1.irregular_hits, l1.hits),
+            (
+                "l1.irregular_misses <= l1.misses",
+                l1.irregular_misses,
+                l1.misses,
+            ),
+            ("l2.irregular_hits <= l2.hits", l2.irregular_hits, l2.hits),
+            (
+                "l2.irregular_misses <= l2.misses",
+                l2.irregular_misses,
+                l2.misses,
+            ),
+            (
+                "llc.irregular_hits <= llc.hits",
+                llc.irregular_hits,
+                llc.hits,
+            ),
+            (
+                "llc.irregular_misses <= llc.misses",
+                llc.irregular_misses,
+                llc.misses,
+            ),
+        ];
+        for (law, lhs, rhs) in bounds {
+            if lhs > rhs {
+                return Err(StatsViolation { law, lhs, rhs });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// A conservation law of [`HierarchyStats::check`] that a run broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatsViolation {
+    /// The law, over the [`HierarchyStats`] fields.
+    pub law: &'static str,
+    /// Its left-hand side.
+    pub lhs: u64,
+    /// Its right-hand side.
+    pub rhs: u64,
+}
+
+impl std::fmt::Display for StatsViolation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "stats conservation violated: {} (lhs {}, rhs {})",
+            self.law, self.lhs, self.rhs
+        )
+    }
+}
+
+impl std::error::Error for StatsViolation {}
 
 #[cfg(test)]
 mod tests {
@@ -134,6 +232,104 @@ mod tests {
         assert_eq!(h.llc_mpki(), 0.0);
         h.instructions = 2000;
         assert!((h.llc_mpki() - 5.0).abs() < 1e-12);
+    }
+
+    /// A single-core run that obeys every law: 100 L1 accesses, 40
+    /// reaching L2, 10 reaching the LLC's bank 0.
+    fn consistent() -> HierarchyStats {
+        let mut bank_accesses = [0; 16];
+        bank_accesses[0] = 10;
+        HierarchyStats {
+            l1: CacheStats {
+                hits: 60,
+                misses: 40,
+                evictions: 30,
+                irregular_hits: 5,
+                irregular_misses: 20,
+                ..Default::default()
+            },
+            l2: CacheStats {
+                hits: 30,
+                misses: 10,
+                evictions: 8,
+                irregular_hits: 10,
+                irregular_misses: 9,
+                ..Default::default()
+            },
+            llc: CacheStats {
+                hits: 2,
+                misses: 8,
+                evictions: 9,
+                irregular_hits: 1,
+                irregular_misses: 7,
+                ..Default::default()
+            },
+            bank_accesses,
+            prefetch_fills: 1,
+            ..Default::default()
+        }
+    }
+
+    fn violated(h: &HierarchyStats) -> &'static str {
+        h.check().err().map_or("none", |e| e.law)
+    }
+
+    #[test]
+    fn consistent_stats_pass_the_check() {
+        assert_eq!(consistent().check(), Ok(()));
+        assert_eq!(HierarchyStats::default().check(), Ok(()));
+    }
+
+    #[test]
+    fn l1_misses_must_reach_l2() {
+        let mut h = consistent();
+        h.l2.hits += 1;
+        assert_eq!(violated(&h), "l1.misses == l2 accesses");
+    }
+
+    #[test]
+    fn l2_misses_must_reach_the_llc() {
+        let mut h = consistent();
+        h.llc.hits += 1;
+        h.bank_accesses[0] += 1;
+        assert_eq!(violated(&h), "l2.misses == llc accesses");
+    }
+
+    #[test]
+    fn every_llc_access_is_counted_in_a_bank() {
+        let mut h = consistent();
+        h.bank_accesses[0] -= 1;
+        h.bank_accesses[3] += 2;
+        let err = h.check().unwrap_err();
+        assert_eq!(err.law, "llc accesses == sum of bank_accesses");
+        assert_eq!((err.lhs, err.rhs), (10, 11));
+        assert!(err.to_string().contains("bank_accesses"), "{err}");
+    }
+
+    #[test]
+    fn evictions_never_exceed_fills() {
+        let mut h = consistent();
+        h.l1.evictions = h.l1.misses + 1;
+        assert_eq!(violated(&h), "l1.evictions <= l1.misses");
+        let mut h = consistent();
+        h.l2.evictions = h.l2.misses + 1;
+        assert_eq!(violated(&h), "l2.evictions <= l2.misses");
+        let mut h = consistent();
+        h.llc.evictions = h.llc.misses + h.prefetch_fills + 1;
+        assert_eq!(violated(&h), "llc.evictions <= llc.misses + prefetch_fills");
+    }
+
+    #[test]
+    fn irregular_counts_are_subsets() {
+        let mut h = consistent();
+        h.l2.irregular_hits = h.l2.hits + 1;
+        assert_eq!(violated(&h), "l2.irregular_hits <= l2.hits");
+        let mut h = consistent();
+        h.llc.irregular_misses = h.llc.misses + 1;
+        assert_eq!(violated(&h), "llc.irregular_misses <= llc.misses");
+        let mut h = consistent();
+        h.l1.irregular_hits = h.l1.hits + 1;
+        assert_eq!(violated(&h), "l1.irregular_hits <= l1.hits");
     }
 
     #[test]
