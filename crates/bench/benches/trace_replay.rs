@@ -21,8 +21,8 @@ fn recorded_pagerank() -> (popt_graph::Graph, popt_kernels::TracePlan, Vec<u8>, 
     (g, plan, buf, summary.events)
 }
 
-/// The sweep's actual question: how much does a pagerank *cell* cost when
-/// its events come from kernel re-execution versus trace replay?
+/// Why sweep cells run their kernels: what does a pagerank *cell* cost
+/// when its events come from kernel re-execution versus trace replay?
 fn cell_drive(c: &mut Criterion) {
     let (g, plan, trace, events) = recorded_pagerank();
     let cfg = HierarchyConfig::small_test();

@@ -43,9 +43,7 @@ use std::process::ExitCode;
 
 fn usage() {
     eprintln!("usage: experiments <exp>|all|list [--scale S] [--small] [--jobs N] [--out DIR]");
-    eprintln!(
-        "       experiments sweep [exp...] [--scale S] [--jobs N] [--out DIR] [--no-trace-share]"
-    );
+    eprintln!("       experiments sweep [exp...] [--scale S] [--jobs N] [--out DIR]");
     eprintln!("       experiments trace record|replay|info ... (see: experiments trace --help)");
     eprintln!("       experiments oracle [--sets N] [--ways N] [--seed S] [--deep] [FILE...]");
     eprintln!("       experiments serve [--addr A] [--jobs N] [--queue-depth N] [--out DIR]");
@@ -169,7 +167,6 @@ struct Cli {
     out: Option<PathBuf>,
     names: Vec<String>,
     inject_fail: Option<String>,
-    share_traces: bool,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
@@ -179,7 +176,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
         out: None,
         names: Vec::new(),
         inject_fail: None,
-        share_traces: true,
     };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -200,7 +196,6 @@ fn parse_args(args: Vec<String>) -> Result<Option<Cli>, String> {
             "--inject-fail" => {
                 cli.inject_fail = Some(iter.next().ok_or("--inject-fail needs a pattern")?);
             }
-            "--no-trace-share" => cli.share_traces = false,
             "--help" | "-h" => return Ok(None),
             name if !name.starts_with('-') => cli.names.push(name.to_string()),
             other => return Err(format!("unknown argument: {other}")),
@@ -248,7 +243,6 @@ fn main() -> ExitCode {
                 out: cli.out.unwrap_or_else(|| PathBuf::from("results/sweep")),
                 only: rest.to_vec(),
                 inject_fail: cli.inject_fail,
-                share_traces: cli.share_traces,
             };
             match run_sweep(&opts) {
                 Ok(summary) if summary.failed.is_empty() => ExitCode::SUCCESS,

@@ -7,8 +7,6 @@ use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Belady, Grasp, GraspRegions};
 use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind, TimingModel};
-use popt_trace::{TeeSink, TraceSink};
-use popt_tracestore::ChunkWriter;
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -155,81 +153,6 @@ impl MatrixCtx {
     }
 }
 
-/// Trace-store context for record-once / replay-many simulation: the
-/// artifact cache plus the stable descriptor of the source graph.
-///
-/// The trace key is `(graph, kernel)` — a kernel's event stream is a pure
-/// function of its input graph (sinks never feed back into kernels), so
-/// every policy cell over the same pair can share one recorded trace.
-#[derive(Debug, Clone)]
-pub struct TraceCtx {
-    /// The run-wide artifact cache.
-    pub cache: Arc<ArtifactCache>,
-    /// Stable descriptor of the source graph (e.g. `suite/v1/urand/small`).
-    pub graph_desc: String,
-}
-
-impl TraceCtx {
-    /// The versioned trace descriptor for a kernel over this context's
-    /// graph.
-    pub fn descriptor(&self, app: App) -> String {
-        format!("trace/v2/{}/{}", self.graph_desc, app.name())
-    }
-
-    /// Delivers the kernel's event stream to `sink` through the trace
-    /// store: the first caller for a `(graph, kernel)` key records while
-    /// simulating (one kernel execution feeds both the sink and the
-    /// artifact); later callers replay the recorded artifact without
-    /// re-executing the kernel. Either path delivers the identical event
-    /// sequence, so results are byte-identical to kernel-driven runs.
-    ///
-    /// Store failures degrade, never corrupt: a failed recording falls
-    /// back to direct kernel execution, and a failed persist keeps the
-    /// kernel-driven events already delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cached artifact fails to replay (the file is deleted
-    /// first, so the next run re-records); inside a sweep this surfaces
-    /// as a cell failure.
-    pub fn feed(&self, app: App, g: &Graph, plan: &TracePlan, sink: &mut dyn TraceSink) {
-        let desc = self.descriptor(app);
-        let key = ArtifactKey::new(ArtifactKind::Trace, &desc);
-        let mut fed = false;
-        let result = self.cache.trace_file(&key, |tmp| {
-            let file = std::fs::File::create(tmp)?;
-            let mut writer =
-                ChunkWriter::create(file, &plan.space, &desc).map_err(std::io::Error::other)?;
-            app.trace(g, plan, &mut TeeSink::new(&mut writer, &mut *sink));
-            fed = true;
-            let (_, summary) = writer.finish().map_err(std::io::Error::other)?;
-            Ok(summary)
-        });
-        match result {
-            // Recorded just now: the tee already fed the sink.
-            Ok(artifact) if artifact.recorded => {}
-            Ok(artifact) => {
-                if let Err(e) = popt_tracestore::replay_path(&artifact.path, &mut *sink) {
-                    // The sink may have consumed a partial stream; this
-                    // simulation is unusable. Drop the bad artifact so the
-                    // next attempt re-records, and fail the cell.
-                    let _ = std::fs::remove_file(&artifact.path);
-                    panic!("trace replay failed for {desc}: {e}");
-                }
-            }
-            Err(e) if fed => {
-                // Kernel ran and the sink is complete; only the artifact
-                // was lost. Sibling cells will record again.
-                eprintln!("trace store: failed to persist {desc} ({e}); result unaffected");
-            }
-            Err(e) => {
-                eprintln!("trace store: failed to record {desc} ({e}); running kernel directly");
-                app.trace(g, plan, sink);
-            }
-        }
-    }
-}
-
 /// Builds the P-OPT stream bindings for a kernel's plan: one Rereference
 /// Matrix per irregular region, built from the traversal's transpose.
 pub fn popt_bindings(
@@ -322,6 +245,12 @@ pub fn simulate(app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec)
 /// [`simulate`], with Rereference Matrix construction deduped through an
 /// artifact cache when `ctx` is provided. Results are bit-identical to the
 /// uncached path — the cache only changes *where* matrices come from.
+///
+/// # Panics
+///
+/// Panics if the returned statistics break a conservation law of
+/// [`HierarchyStats::check`] — a simulator bug, reported loudly rather
+/// than written into a result table.
 pub fn simulate_cached(
     app: App,
     g: &Graph,
@@ -329,45 +258,30 @@ pub fn simulate_cached(
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
 ) -> HierarchyStats {
-    simulate_traced(app, g, cfg, policy, ctx, None)
+    checked_stats(&run_cell(app, g, cfg, policy, ctx), || {
+        format!("{app} under {policy:?}")
+    })
 }
 
-/// [`simulate_cached`], with event delivery routed through the trace
-/// store when `trace_ctx` is provided: the first cell for a (graph,
-/// kernel) pair records the event stream while simulating, every later
-/// cell replays it instead of re-executing the kernel. Results are
-/// bit-identical on every path — recording tees the same events the
-/// hierarchy consumes, and replay reproduces them exactly.
-///
-/// # Panics
-///
-/// Panics if the returned statistics break a conservation law of
-/// [`HierarchyStats::check`] — a simulator bug, reported loudly rather
-/// than written into a result table.
-pub fn simulate_traced(
-    app: App,
-    g: &Graph,
-    cfg: &HierarchyConfig,
-    policy: &PolicySpec,
-    ctx: Option<&MatrixCtx>,
-    trace_ctx: Option<&TraceCtx>,
-) -> HierarchyStats {
-    let stats = run_cell(app, g, cfg, policy, ctx, trace_ctx);
+/// Returns the hierarchy's stats after asserting
+/// [`HierarchyStats::check`]; `what` names the run in the panic message.
+fn checked_stats(h: &Hierarchy, what: impl FnOnce() -> String) -> HierarchyStats {
+    let stats = h.stats();
     if let Err(violation) = stats.check() {
-        panic!("{app} under {policy:?}: {violation}");
+        panic!("{}: {violation}", what());
     }
     stats
 }
 
-/// The simulation behind [`simulate_traced`], before its stats check.
+/// The simulation behind [`simulate_cached`]: the hierarchy after the
+/// kernel's whole event stream, before its stats check.
 fn run_cell(
     app: App,
     g: &Graph,
     cfg: &HierarchyConfig,
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
-    trace_ctx: Option<&TraceCtx>,
-) -> HierarchyStats {
+) -> Hierarchy {
     let plan = app.plan(g);
     if matches!(policy, PolicySpec::Belady) {
         assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
@@ -375,32 +289,31 @@ fn run_cell(
         let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
         recorder.set_address_space(&plan.space);
         recorder.start_recording_llc();
-        feed_events(app, g, &plan, trace_ctx, &mut recorder);
+        app.trace(g, &plan, &mut recorder);
         let trace = recorder.take_llc_recording();
-        // Pass 2: replay with the oracle (a trace hit when pass 1
-        // recorded through the store).
+        // Pass 2: re-run the kernel against the oracle.
         let mut hierarchy = Hierarchy::new(cfg, move |sets, ways| {
             Box::new(Belady::from_trace(sets, ways, &trace))
         });
         hierarchy.set_address_space(&plan.space);
-        feed_events(app, g, &plan, trace_ctx, &mut hierarchy);
-        return hierarchy.stats();
+        app.trace(g, &plan, &mut hierarchy);
+        return hierarchy;
     }
     let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx);
-    feed_events(app, g, &plan, trace_ctx, &mut hierarchy);
-    hierarchy.stats()
+    app.trace(g, &plan, &mut hierarchy);
+    hierarchy
 }
 
 /// Builds a hierarchy configured for `policy`, with its address space set,
 /// ready to consume the kernel's event stream — the single construction
-/// path shared by [`simulate_traced`] and the `experiments trace replay`
+/// path shared by [`simulate_cached`] and the `experiments trace replay`
 /// fan-out (which drives several of these from one decoded trace).
 ///
 /// # Panics
 ///
 /// Panics on [`PolicySpec::Belady`]: the oracle is built *from* a recorded
 /// LLC stream, so it cannot be constructed ahead of event delivery. Use
-/// [`simulate_traced`] for Belady.
+/// [`simulate_cached`] for Belady.
 pub fn policy_hierarchy_cached(
     app: App,
     g: &Graph,
@@ -464,21 +377,6 @@ pub fn policy_hierarchy_cached(
     };
     hierarchy.set_address_space(&plan.space);
     hierarchy
-}
-
-/// Delivers the kernel event stream to `sink`, through the trace store
-/// when a context is attached, by direct kernel execution otherwise.
-fn feed_events(
-    app: App,
-    g: &Graph,
-    plan: &TracePlan,
-    trace_ctx: Option<&TraceCtx>,
-    sink: &mut dyn TraceSink,
-) {
-    match trace_ctx {
-        Some(ctx) => ctx.feed(app, g, plan, sink),
-        None => app.trace(g, plan, sink),
-    }
 }
 
 /// LLC policy choice for the special-phase runners (tiled PR, PB, PHI).
@@ -561,6 +459,9 @@ impl popt_sim::ReplacementPolicy for TiledPopt {
 }
 
 /// Simulates CSR-segmented (tiled) PageRank (Figure 13).
+///
+/// Panics, like [`simulate_cached`], if the stats break a conservation
+/// law of [`HierarchyStats::check`].
 pub fn simulate_tiled(
     g: &Graph,
     cfg: &HierarchyConfig,
@@ -576,7 +477,9 @@ pub fn simulate_tiled(
         let mut h = Hierarchy::new(cfg, factory);
         h.set_address_space(&plan.space);
         tiled::trace(g, &tiles, &plan, &mut h);
-        h.stats()
+        checked_stats(&h, || {
+            format!("tiled PageRank x{num_tiles} under {policy:?}")
+        })
     };
     match policy {
         PhasePolicy::Drrip => run(cfg, &mut |sets, ways| PolicyKind::Drrip.build(sets, ways)),
@@ -639,18 +542,22 @@ pub fn simulate_tiled(
 }
 
 /// Simulates the Propagation Blocking binning phase (Figure 14).
+///
+/// Panics, like [`simulate_cached`], if the stats break a conservation
+/// law of [`HierarchyStats::check`].
 pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> HierarchyStats {
     use popt_kernels::pb;
     let bins = pb::BinningConfig::for_graph(g);
     let plan = pb::plan_pb(g, bins);
-    let trace = |h: &mut Hierarchy| pb::trace_pb(g, bins, &plan, h);
+    let run = |mut h: Hierarchy| {
+        h.set_address_space(&plan.space);
+        pb::trace_pb(g, bins, &plan, &mut h);
+        checked_stats(&h, || format!("PB binning under {policy:?}"))
+    };
     match policy {
-        PhasePolicy::Drrip => {
-            let mut h = Hierarchy::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways));
-            h.set_address_space(&plan.space);
-            trace(&mut h);
-            h.stats()
-        }
+        PhasePolicy::Drrip => run(Hierarchy::new(cfg, |sets, ways| {
+            PolicyKind::Drrip.build(sets, ways)
+        })),
         PhasePolicy::Popt => {
             let region = plan.space.region(plan.irregs[0].region);
             let transpose = pb::bin_transpose(g, bins);
@@ -670,16 +577,13 @@ pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hie
             };
             let ways = reserved_ways_for(std::slice::from_ref(&binding), cfg);
             let cfg = cfg.clone().with_reserved_ways(ways);
-            let mut h = Hierarchy::new(&cfg, |sets, ways| {
+            run(Hierarchy::new(&cfg, |sets, ways| {
                 Box::new(Popt::new(
                     PoptConfig::new(vec![binding.clone()]),
                     sets,
                     ways,
                 ))
-            });
-            h.set_address_space(&plan.space);
-            trace(&mut h);
-            h.stats()
+            }))
         }
     }
 }
@@ -692,16 +596,22 @@ pub fn phi_entries(cfg: &HierarchyConfig) -> usize {
 }
 
 /// Simulates the PHI-filtered scatter phase (Figure 14).
+///
+/// Panics, like [`simulate_cached`], if the stats break a conservation
+/// law of [`HierarchyStats::check`].
 pub fn simulate_phi(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> HierarchyStats {
     use popt_kernels::pb;
     let plan = pb::plan_phi(g);
+    let run = |mut h: Hierarchy, entries: usize| {
+        h.set_address_space(&plan.space);
+        pb::trace_phi(g, entries, &plan, &mut h);
+        checked_stats(&h, || format!("PHI scatter under {policy:?}"))
+    };
     match policy {
-        PhasePolicy::Drrip => {
-            let mut h = Hierarchy::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways));
-            h.set_address_space(&plan.space);
-            pb::trace_phi(g, phi_entries(cfg), &plan, &mut h);
-            h.stats()
-        }
+        PhasePolicy::Drrip => run(
+            Hierarchy::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways)),
+            phi_entries(cfg),
+        ),
         PhasePolicy::Popt => {
             // Push-style scatter: the transpose is the in-CSC, as for CC.
             let region = plan.space.region(plan.irregs[0].region);
@@ -720,17 +630,14 @@ pub fn simulate_phi(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hi
             };
             let ways = reserved_ways_for(std::slice::from_ref(&binding), cfg);
             let cfg = cfg.clone().with_reserved_ways(ways);
-            let entries = phi_entries(&cfg);
-            let mut h = Hierarchy::new(&cfg, |sets, ways| {
+            let h = Hierarchy::new(&cfg, |sets, ways| {
                 Box::new(Popt::new(
                     PoptConfig::new(vec![binding.clone()]),
                     sets,
                     ways,
                 ))
             });
-            h.set_address_space(&plan.space);
-            pb::trace_phi(g, entries, &plan, &mut h);
-            h.stats()
+            run(h, phi_entries(&cfg))
         }
     }
 }

@@ -35,9 +35,6 @@ pub struct SweepOptions {
     /// Fault injection: panic every cell whose id contains this pattern
     /// (exercises the failure path end to end; see `--inject-fail`).
     pub inject_fail: Option<String>,
-    /// Record-once / replay-many trace sharing (default on; `--no-trace-share`
-    /// turns it off so every cell re-executes its kernel).
-    pub share_traces: bool,
 }
 
 impl SweepOptions {
@@ -49,7 +46,6 @@ impl SweepOptions {
             out: PathBuf::from("results/sweep"),
             only: Vec::new(),
             inject_fail: None,
-            share_traces: true,
         }
     }
 }
@@ -72,8 +68,6 @@ pub struct SweepSummary {
     pub failed: Vec<String>,
     /// Artifact-cache counters at completion.
     pub counters: popt_harness::CacheCounters,
-    /// Byte totals over the trace artifacts this run recorded or replayed.
-    pub traces: popt_harness::TraceTotals,
 }
 
 impl SweepSummary {
@@ -86,8 +80,7 @@ impl SweepSummary {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"failed\":[{}],\"cache\":{},\
-             \"traces\":{{\"recorded\":{},\"replayed\":{},\"v1_bytes\":{},\"v2_bytes\":{},\"ratio\":{:.2}}}}}\n",
+            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"failed\":[{}],\"cache\":{}}}\n",
             scale.name(),
             jobs,
             self.executed + self.resumed,
@@ -95,11 +88,6 @@ impl SweepSummary {
             self.resumed,
             failed,
             self.counters.to_json(),
-            self.counters.trace_builds,
-            self.counters.trace_hits,
-            self.traces.v1_bytes,
-            self.traces.v2_bytes,
-            self.traces.ratio(),
         )
     }
 }
@@ -154,9 +142,6 @@ pub fn run_sweep(opts: &SweepOptions) -> std::io::Result<SweepSummary> {
     if let Some(pattern) = &opts.inject_fail {
         session = session.with_fault(pattern.clone());
     }
-    if !opts.share_traces {
-        session = session.without_trace_sharing();
-    }
     let mut failed = Vec::new();
     for (name, desc, runner) in selected {
         eprintln!(
@@ -187,7 +172,6 @@ pub fn run_sweep(opts: &SweepOptions) -> std::io::Result<SweepSummary> {
         resumed: session.resumed(),
         failed,
         counters: cache.counters(),
-        traces: cache.trace_totals(),
     };
     let report = session.finish()?;
     report.write(&opts.out)?;
@@ -229,20 +213,12 @@ mod tests {
                 graph_builds: 1,
                 matrix_hits: 6,
                 matrix_builds: 2,
-                trace_hits: 7,
-                trace_builds: 3,
-            },
-            traces: popt_harness::TraceTotals {
-                v1_bytes: 1300,
-                v2_bytes: 100,
             },
         };
         assert_eq!(
             s.to_json(Scale::Tiny, 2),
             "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":5,\"executed\":3,\"resumed\":2,\"failed\":[],\
-             \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2,\
-             \"trace_hits\":7,\"trace_builds\":3},\
-             \"traces\":{\"recorded\":3,\"replayed\":7,\"v1_bytes\":1300,\"v2_bytes\":100,\"ratio\":13.00}}\n"
+             \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2}}\n"
         );
         s.failed = vec!["fig2".to_string(), "fig7".to_string()];
         assert!(s

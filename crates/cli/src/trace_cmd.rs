@@ -1,5 +1,5 @@
 //! The `trace` subcommand: record, inspect and replay `POPTTRC2` trace
-//! artifacts outside the sweep pipeline.
+//! artifacts. Sweeps do not use them; every sweep cell runs its kernel.
 //!
 //! ```text
 //! experiments trace record --app pr --graph urand [--scale S] --out FILE
@@ -88,9 +88,8 @@ impl Workload {
         suite_graph(self.which, self.scale.suite())
     }
 
-    /// The same descriptor string the sweep pipeline embeds in its trace
-    /// artifacts, so a hand-recorded file is indistinguishable from a
-    /// cache-recorded one.
+    /// The descriptor embedded in a recorded file's header: the suite
+    /// graph, its scale and the kernel that produced the events.
     fn descriptor(&self) -> String {
         format!(
             "trace/v2/suite/v1/{}/{}/{}",

@@ -59,7 +59,6 @@ fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
         out: offline.clone(),
         only: selection.iter().map(|s| s.to_string()).collect(),
         inject_fail: None,
-        share_traces: true,
     })
     .unwrap();
 

@@ -21,7 +21,6 @@ fn opts(out: PathBuf, jobs: usize, only: &[&str]) -> SweepOptions {
         out,
         only: only.iter().map(|s| s.to_string()).collect(),
         inject_fail: None,
-        share_traces: true,
     }
 }
 

@@ -30,9 +30,7 @@ pub mod pool;
 pub mod report;
 pub mod sweep;
 
-pub use cache::{
-    ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters, TraceArtifact, TraceTotals,
-};
+pub use cache::{ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters};
 pub use manifest::Manifest;
 pub use report::{CellMetric, CellOutcome, SweepReport};
 pub use sweep::{SweepCell, SweepSession};

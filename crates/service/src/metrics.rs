@@ -198,7 +198,6 @@ impl Metrics {
         for (kind, hits, builds) in [
             ("graph", cache.graph_hits, cache.graph_builds),
             ("matrix", cache.matrix_hits, cache.matrix_builds),
-            ("trace", cache.trace_hits, cache.trace_builds),
         ] {
             let _ = writeln!(
                 out,
@@ -256,8 +255,6 @@ mod tests {
                 graph_builds: 1,
                 matrix_hits: 9,
                 matrix_builds: 2,
-                trace_hits: 11,
-                trace_builds: 3,
             },
             5,
         );
@@ -272,8 +269,6 @@ mod tests {
             "popt_cells_total{outcome=\"completed\"} 0",
             "popt_cache_requests_total{kind=\"graph\",outcome=\"hit\"} 7",
             "popt_cache_requests_total{kind=\"matrix\",outcome=\"build\"} 2",
-            "popt_cache_requests_total{kind=\"trace\",outcome=\"hit\"} 11",
-            "popt_cache_requests_total{kind=\"trace\",outcome=\"build\"} 3",
             "popt_cell_latency_seconds_count 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

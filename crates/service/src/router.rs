@@ -397,8 +397,6 @@ mod tests {
                 graph_builds: 2,
                 matrix_hits: 3,
                 matrix_builds: 4,
-                trace_hits: 5,
-                trace_builds: 6,
             }
         }
     }

@@ -96,33 +96,6 @@ impl TraceSink for CountingSink {
     }
 }
 
-/// Sink that duplicates events into two downstream sinks (e.g. a recorder
-/// plus the simulator).
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TeeSink<A, B> {
-    /// Creates a tee over the two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-
-    /// Returns the wrapped sinks.
-    pub fn into_inner(self) -> (A, B) {
-        (self.first, self.second)
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn event(&mut self, event: TraceEvent) {
-        self.first.event(event);
-        self.second.event(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +117,6 @@ mod tests {
         assert_eq!(c.epoch_boundaries, 1);
         assert_eq!(c.iterations, 1);
         assert_eq!(c.instructions, 12);
-    }
-
-    #[test]
-    fn tee_duplicates() {
-        let mut tee = TeeSink::new(RecordingSink::new(), CountingSink::new());
-        tee.event(TraceEvent::read(0, 1));
-        let (rec, count) = tee.into_inner();
-        assert_eq!(rec.events().len(), 1);
-        assert_eq!(count.reads, 1);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use writer::{ChunkIndexEntry, ChunkWriter, TraceSummary, DEFAULT_CHUNK_EVENT
 
 /// FNV-1a 64-bit over a byte slice — the checksum guarding each chunk
 /// payload and the footer. Same algorithm as `popt-harness`'s stable
-/// hasher, reimplemented here to keep the dependency arrow pointing from
-/// harness to tracestore.
+/// hasher, reimplemented here so the trace store does not depend on the
+/// harness.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
