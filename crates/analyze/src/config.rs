@@ -62,7 +62,7 @@ impl Default for Config {
                 // crate error types, never as panics.
                 "crates/graph/src/io.rs",
                 "crates/graph/src/csr.rs",
-                "crates/trace/src/file.rs",
+                "crates/tracestore/src/file.rs",
                 // Daemon core: a panic in the queue/coalescer deadlocks
                 // every worker and wedges the service.
                 "crates/service/src/queue.rs",

@@ -10,10 +10,14 @@
 //! ```
 //!
 //! `kind` ∈ {urand, kron, powerlaw, community, mesh}. The binary format is
-//! `popt_graph::io::write_binary`; traces use `popt_trace::file`.
+//! `popt_graph::io::write_binary`; traces are `POPTTRC2` files written by
+//! `popt_tracestore::ChunkWriter`. A numeric flag whose value does not
+//! parse or is out of range prints the usage and exits nonzero.
 
+use popt_cli::numeric_flag;
+use popt_cli::trace_cmd::parse_app;
 use popt_graph::{generators, io, stats, Graph};
-use popt_kernels::App;
+use popt_tracestore::ChunkWriter;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -26,35 +30,29 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn generate(kind: &str, args: &[String]) -> Option<Graph> {
-    let seed = parse_flag(args, "--seed").unwrap_or(42);
-    let scale = parse_flag(args, "--scale").unwrap_or(16) as u32;
-    let vertices = parse_flag(args, "--vertices").unwrap_or(1 << scale) as usize;
-    let edges = parse_flag(args, "--edges").unwrap_or(4 * vertices as u64) as usize;
+fn generate(kind: &str, args: &[String]) -> Result<Graph, String> {
+    let seed = numeric_flag(args, "--seed", 42, ..)?;
+    // `generators::rmat` asserts scale < 32 (vertex ids are u32).
+    let scale = numeric_flag(args, "--scale", 16, 0..32)?;
+    let vertices: usize = numeric_flag(args, "--vertices", 1 << scale, 1..)?;
+    let edges = numeric_flag(args, "--edges", vertices.saturating_mul(4), ..)?;
     match kind {
-        "urand" => Some(generators::uniform_random(vertices, edges, seed)),
-        "kron" => Some(generators::rmat(
+        "urand" => Ok(generators::uniform_random(vertices, edges, seed)),
+        "kron" => Ok(generators::rmat(
             scale,
             edges,
             generators::RmatParams::KRONECKER,
             seed,
         )),
-        "powerlaw" => Some(generators::rmat(
+        "powerlaw" => Ok(generators::rmat(
             scale,
             edges,
             generators::RmatParams::POWER_LAW,
             seed,
         )),
         "community" => {
-            let communities = parse_flag(args, "--communities").unwrap_or(64) as usize;
-            Some(generators::community(
+            let communities = numeric_flag(args, "--communities", 64, 1..)?;
+            Ok(generators::community(
                 vertices,
                 edges,
                 communities,
@@ -64,10 +62,16 @@ fn generate(kind: &str, args: &[String]) -> Option<Graph> {
         }
         "mesh" => {
             let side = (vertices as f64).sqrt() as usize;
-            Some(generators::mesh(side.max(2), 0, seed))
+            Ok(generators::mesh(side.max(2), 0, seed))
         }
-        _ => None,
+        other => Err(format!("unknown graph kind {other}")),
     }
+}
+
+/// Reports `msg` and the usage text, returning the failure exit code.
+fn fail(msg: &str) -> ExitCode {
+    eprintln!("{msg}");
+    usage()
 }
 
 fn print_stats(g: &Graph) {
@@ -84,8 +88,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("gen") if args.len() >= 3 => {
-            let Some(g) = generate(&args[1], &args[3..]) else {
-                return usage();
+            let g = match generate(&args[1], &args[3..]) {
+                Ok(g) => g,
+                Err(msg) => return fail(&msg),
             };
             let file = match std::fs::File::create(&args[2]) {
                 Ok(f) => f,
@@ -141,16 +146,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let app = match args[2].as_str() {
-                "pr" => App::Pagerank,
-                "cc" => App::Components,
-                "pr-delta" => App::PagerankDelta,
-                "radii" => App::Radii,
-                "mis" => App::Mis,
-                other => {
-                    eprintln!("unknown app {other}");
-                    return ExitCode::FAILURE;
-                }
+            let Some(app) = parse_app(&args[2]) else {
+                eprintln!("unknown app {}", args[2]);
+                return ExitCode::FAILURE;
             };
             let file = match std::fs::File::create(&args[3]) {
                 Ok(f) => f,
@@ -159,27 +157,35 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let mut writer = match popt_trace::file::TraceWriter::new(file) {
+            let plan = app.plan(&g);
+            let meta = format!("graphgen trace {} {}", args[1], app.name());
+            let mut writer = match ChunkWriter::create(file, &plan.space, &meta) {
                 Ok(w) => w,
                 Err(e) => {
                     eprintln!("cannot start trace: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let plan = app.plan(&g);
             app.trace(&g, &plan, &mut writer);
-            let events = writer.events_written();
-            if let Err(e) = writer.finish() {
-                eprintln!("trace flush failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("{events} events written to {}", args[3]);
+            let summary = match writer.finish() {
+                Ok((_, summary)) => summary,
+                Err(e) => {
+                    eprintln!("trace flush failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            println!("{} events written to {}", summary.events, args[3]);
             ExitCode::SUCCESS
         }
         Some("reref") if args.len() >= 3 => {
             // The paper's amortization story (Section VII-D): the matrix is
             // algorithm agnostic — build it once per graph and reuse it
             // across applications.
+            // Checked before `Quantization::new`, which asserts the range.
+            let bits = match numeric_flag(&args[3..], "--bits", 8, 2..=16) {
+                Ok(bits) => bits,
+                Err(msg) => return fail(&msg),
+            };
             let g = match io::read_path(&args[1]) {
                 Ok(g) => g,
                 Err(e) => {
@@ -187,7 +193,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let bits = parse_flag(&args[3..], "--bits").unwrap_or(8) as u8;
             let push = args.iter().any(|a| a == "--push");
             let transpose = if push { g.in_csr() } else { g.out_csr() };
             let quant = popt_core::Quantization::new(bits);

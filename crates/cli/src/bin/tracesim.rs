@@ -1,64 +1,75 @@
-//! `tracesim` — replay a recorded trace file (see `graphgen trace` and
-//! `experiments trace record`) through the cache hierarchy under a chosen
-//! baseline policy, printing hierarchy statistics. Accepts both the raw
-//! `POPTTRC1` format and the compressed chunked `POPTTRC2` format.
+//! `tracesim` — replay a recorded `POPTTRC2` trace file (see `graphgen
+//! trace` and `experiments trace record`) through the cache hierarchy
+//! under a chosen baseline policy, printing hierarchy statistics.
 //! Completes the decoupled capture/simulate workflow of Pin-style studies;
 //! runs with `--policy opt` perform the two-pass Belady replay
-//! automatically.
+//! automatically. A numeric flag whose value does not parse or is out of
+//! range prints the usage and exits nonzero.
 //!
 //! ```text
 //! tracesim <trace.trc> [--policy NAME] [--llc BYTES] [--ways N] [--cores N]
 //! ```
 
+use popt_cli::numeric_flag;
+use popt_cli::trace_cmd::parse_policy_kind;
 use popt_sim::policies::Belady;
 use popt_sim::{CacheConfig, Hierarchy, HierarchyConfig, PolicyKind};
+use popt_trace::LINE_SIZE;
 use std::process::ExitCode;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Reports `msg` and the usage text, returning the failure exit code.
+fn fail(msg: &str) -> ExitCode {
+    let policies: Vec<String> = PolicyKind::ALL
+        .iter()
+        .map(|k| k.label().to_ascii_lowercase())
+        .collect();
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: tracesim <trace.trc> [--policy {}|opt] [--llc BYTES] [--ways 1..=64] [--cores N]",
+        policies.join("|")
+    );
+    ExitCode::FAILURE
+}
+
+/// The `--llc`, `--ways` and `--cores` values, checked so that neither
+/// `CacheConfig::new` nor `Hierarchy::with_cores` can panic on them.
+fn geometry(args: &[String]) -> Result<(usize, usize, usize), String> {
+    // Bit-PLRU caps associativity at 64 ways.
+    let ways = numeric_flag(args, "--ways", 16, 1..=64)?;
+    let llc_bytes = numeric_flag(args, "--llc", 256 * 1024, 1..)?;
+    if !(llc_bytes as u64).is_multiple_of(ways as u64 * LINE_SIZE) {
+        return Err(format!(
+            "bad --llc value {llc_bytes}: must be a multiple of ways x {LINE_SIZE} bytes"
+        ));
+    }
+    let cores = numeric_flag(args, "--cores", 1, 1..)?;
+    Ok((llc_bytes, ways, cores))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(path) = args.first().filter(|a| !a.starts_with('-')) else {
-        eprintln!(
-            "usage: tracesim <trace.trc> [--policy lru|drrip|ship-pc|ship-mem|hawkeye|sdbp|leeway|srrip|brrip|random|opt] [--llc BYTES] [--ways N] [--cores N]"
-        );
-        return ExitCode::FAILURE;
+        return fail("missing trace file");
     };
-    let policy_name = parse_flag(&args, "--policy").unwrap_or_else(|| "drrip".to_string());
-    let llc_bytes: usize = parse_flag(&args, "--llc")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256 * 1024);
-    let ways: usize = parse_flag(&args, "--ways")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let cores: usize = parse_flag(&args, "--cores")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let policy_name = args
+        .iter()
+        .position(|a| a == "--policy")
+        .and_then(|i| args.get(i + 1))
+        .map_or("drrip", String::as_str);
+    let (llc_bytes, ways, cores) = match geometry(&args) {
+        Ok(geometry) => geometry,
+        Err(msg) => return fail(&msg),
+    };
 
     let mut cfg = HierarchyConfig::scaled_table1();
     cfg.llc = CacheConfig::new(llc_bytes, ways);
 
-    let kind = match policy_name.as_str() {
-        "lru" => Some(PolicyKind::Lru),
-        "drrip" => Some(PolicyKind::Drrip),
-        "ship-pc" => Some(PolicyKind::ShipPc),
-        "ship-mem" => Some(PolicyKind::ShipMem),
-        "hawkeye" => Some(PolicyKind::Hawkeye),
-        "sdbp" => Some(PolicyKind::Sdbp),
-        "leeway" => Some(PolicyKind::Leeway),
-        "srrip" => Some(PolicyKind::Srrip),
-        "brrip" => Some(PolicyKind::Brrip),
-        "random" => Some(PolicyKind::Random),
-        "opt" => None,
-        other => {
-            eprintln!("unknown policy: {other}");
-            return ExitCode::FAILURE;
-        }
+    // `opt` is tracesim's own case: Belady is built from a recorded LLC
+    // stream, so it is not a `PolicyKind`.
+    let kind = match parse_policy_kind(policy_name) {
+        Some(kind) => Some(kind),
+        None if policy_name == "opt" => None,
+        None => return fail(&format!("unknown policy: {policy_name}")),
     };
 
     let bytes = match std::fs::read(path) {

@@ -20,6 +20,29 @@ pub mod sweep;
 pub mod table;
 pub mod trace_cmd;
 
+/// Reads the value after `flag` in `args` (the `graphgen` and `tracesim`
+/// flag syntax): `default` when the flag is absent, an error when it is
+/// present but its value is missing, does not parse as a `T`, or lies
+/// outside `range`. Parsing straight into the target type is the checked
+/// conversion: `--bits 264` is an error, not a wrapped `8`.
+pub fn numeric_flag<T, R>(args: &[String], flag: &str, default: T, range: R) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .ok()
+        .filter(|v| range.contains(v))
+        .ok_or_else(|| format!("bad {flag} value {value:?}: expected an integer in {range:?}"))
+}
+
 /// Experiment scale: `Tiny` for CI smoke sweeps, `Small` for smoke tests /
 /// CI, `Standard` for the numbers recorded in `EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -36,7 +36,9 @@ fn usage() {
     );
 }
 
-fn parse_app(s: &str) -> Option<App> {
+/// Parses a kernel name as [`App::name`] spells it (`pr`, `cc`,
+/// `pr-delta`, `radii`, `mis`). Shared with `graphgen trace`.
+pub fn parse_app(s: &str) -> Option<App> {
     App::ALL.into_iter().find(|a| a.name() == s)
 }
 
@@ -44,36 +46,39 @@ fn parse_suite_graph(s: &str) -> Option<SuiteGraph> {
     SuiteGraph::ALL.into_iter().find(|g| g.name() == s)
 }
 
+/// Policy names compare on their lower-case alphanumerics, so `SHiP-PC`,
+/// `ship-pc` and `shippc` all name the same policy.
+fn normalize(s: &str) -> String {
+    s.chars()
+        .filter(char::is_ascii_alphanumeric)
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
+}
+
+/// Parses a baseline policy name against the [`PolicyKind::label`] of
+/// every [`PolicyKind::ALL`] entry, ignoring case and punctuation. Shared
+/// with `tracesim`.
+pub fn parse_policy_kind(s: &str) -> Option<PolicyKind> {
+    let norm = normalize(s);
+    PolicyKind::ALL
+        .into_iter()
+        .find(|k| normalize(k.label()) == norm)
+}
+
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
-    let norm: String = s
-        .to_ascii_lowercase()
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect();
-    let kind = match norm.as_str() {
-        "lru" => PolicyKind::Lru,
-        "bitplru" => PolicyKind::BitPlru,
-        "random" => PolicyKind::Random,
-        "srrip" => PolicyKind::Srrip,
-        "brrip" => PolicyKind::Brrip,
-        "drrip" => PolicyKind::Drrip,
-        "shippc" => PolicyKind::ShipPc,
-        "shipmem" => PolicyKind::ShipMem,
-        "hawkeye" => PolicyKind::Hawkeye,
-        "sdbp" => PolicyKind::Sdbp,
-        "leeway" => PolicyKind::Leeway,
-        "topt" => return Ok(PolicySpec::Topt),
-        "popt" => return Ok(PolicySpec::popt_default()),
-        "opt" | "belady" => {
-            return Err(
-                "Belady is two-pass (it is built from a recorded LLC stream); \
-                 it cannot run from a replay fan-out"
-                    .to_string(),
-            )
-        }
-        _ => return Err(format!("unknown policy: {s}")),
-    };
-    Ok(PolicySpec::Baseline(kind))
+    if let Some(kind) = parse_policy_kind(s) {
+        return Ok(PolicySpec::Baseline(kind));
+    }
+    match normalize(s).as_str() {
+        "topt" => Ok(PolicySpec::Topt),
+        "popt" => Ok(PolicySpec::popt_default()),
+        "opt" | "belady" => Err(
+            "Belady is two-pass (it is built from a recorded LLC stream); \
+             it cannot run from a replay fan-out"
+                .to_string(),
+        ),
+        _ => Err(format!("unknown policy: {s}")),
+    }
 }
 
 /// Shared `--app/--graph/--scale` selection of the record/replay verbs.
@@ -346,6 +351,19 @@ mod tests {
         assert!(parse_policy("belady").is_err());
         assert!(parse_policy("opt").is_err());
         assert!(parse_policy("what").is_err());
+    }
+
+    #[test]
+    fn every_policy_kind_round_trips_through_the_shared_parser() {
+        for kind in PolicyKind::ALL {
+            let label = kind.label();
+            assert_eq!(parse_policy_kind(label), Some(kind), "{label}");
+            let cli = label.to_ascii_lowercase();
+            assert_eq!(parse_policy_kind(&cli), Some(kind), "{cli}");
+        }
+        assert_eq!(parse_policy_kind("bit-plru"), Some(PolicyKind::BitPlru));
+        assert_eq!(parse_policy_kind("opt"), None);
+        assert_eq!(parse_policy_kind("topt"), None);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 mod address_space;
 mod event;
-pub mod file;
 pub mod paging;
 mod sink;
 

@@ -254,7 +254,7 @@ fn encode_access(a: &Access, slot: usize, slots: &mut [SlotState], out: &mut Vec
 /// # Errors
 ///
 /// A static description of the malformation; the caller wraps it in
-/// [`popt_trace::file::TraceFileError::ChunkCorrupt`] with the chunk
+/// [`crate::TraceFileError::ChunkCorrupt`] with the chunk
 /// index.
 pub(crate) fn decode_chunk<S: TraceSink>(
     payload: &[u8],

@@ -12,11 +12,11 @@
 //!   instruction/epoch ticks, per-chunk FNV-1a checksums) and closes the
 //!   file with a seekable chunk index. Bounded memory at any trace
 //!   length.
-//! * [`replay_any`] / [`replay_path`] — version-sniffing readers that
-//!   accept both `POPTTRC2` and the legacy raw `POPTTRC1` format, decode
-//!   each chunk exactly once, and report corruption with chunk
+//! * [`replay_any`] / [`replay_path`] — streaming readers that decode
+//!   each chunk exactly once and report corruption with chunk
 //!   granularity ([`trace_info`] and [`verify`] inspect without
-//!   replaying).
+//!   replaying). Every entry point fails with a typed
+//!   [`TraceFileError`]; `POPTTRC2` is the only format they decode.
 //! * [`FanoutSink`] — broadcasts one decode pass to K attached sinks
 //!   (K independent cache hierarchies), turning a K-policy sweep into
 //!   one kernel execution plus one decode.
@@ -40,20 +40,20 @@
 //! let mut rec = RecordingSink::new();
 //! let stats = replay_any(&file[..], &mut rec)?;
 //! assert_eq!(stats.events, 2);
-//! # Ok::<(), popt_trace::file::TraceFileError>(())
+//! # Ok::<(), popt_tracestore::TraceFileError>(())
 //! ```
 
 mod chunk;
 mod fanout;
+mod file;
 mod reader;
 mod varint;
 mod writer;
 
 pub use chunk::RegionTable;
 pub use fanout::FanoutSink;
-pub use reader::{
-    replay_any, replay_path, trace_info, transcode_v1, verify, ReplayStats, TraceInfo,
-};
+pub use file::TraceFileError;
+pub use reader::{replay_any, replay_path, trace_info, verify, ReplayStats, TraceInfo};
 pub use writer::{ChunkIndexEntry, ChunkWriter, TraceSummary, DEFAULT_CHUNK_EVENTS};
 
 /// FNV-1a 64-bit over a byte slice — the checksum guarding each chunk

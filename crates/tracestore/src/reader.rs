@@ -1,5 +1,4 @@
-//! `POPTTRC2` readers: streaming replay, version dispatch, footer
-//! inspection, and v1→v2 transcoding.
+//! `POPTTRC2` readers: streaming replay and footer inspection.
 //!
 //! The streaming replayer decodes each chunk exactly once and runs in
 //! bounded memory (one chunk payload at a time). Corruption is reported
@@ -10,14 +9,12 @@
 //! [`ChunkCorrupt`]: TraceFileError::ChunkCorrupt
 
 use crate::chunk::{decode_chunk, RegionTable};
+use crate::file::{check_magic, TraceFileError};
 use crate::fnv64;
 use crate::varint;
-use crate::writer::{
-    ChunkIndexEntry, ChunkWriter, TraceSummary, BLOCK_CHUNK, BLOCK_FOOTER, END_MAGIC, TRAILER_LEN,
-};
-use popt_trace::file::{replay_events, sniff_magic, TraceFileError, TraceVersion};
+use crate::writer::{ChunkIndexEntry, BLOCK_CHUNK, BLOCK_FOOTER, END_MAGIC, TRAILER_LEN};
 use popt_trace::TraceSink;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Upper bound on a header meta string; anything larger means a corrupt
@@ -34,13 +31,12 @@ const MAX_PAYLOAD_LEN: u64 = 1 << 30;
 pub struct ReplayStats {
     /// Events delivered to the sink.
     pub events: u64,
-    /// Chunks decoded (0 for a v1 trace, which has no chunk structure).
-    /// Each chunk is decoded exactly once per replay, however many sinks
-    /// a [`FanoutSink`](crate::FanoutSink) fans out to.
+    /// Chunks decoded. Each chunk is decoded exactly once per replay,
+    /// however many sinks a [`FanoutSink`](crate::FanoutSink) fans out to.
     pub chunks_decoded: u64,
 }
 
-/// Footer-derived description of a v2 trace file, read without decoding
+/// Footer-derived description of a trace file, read without decoding
 /// any chunk payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceInfo {
@@ -52,7 +48,8 @@ pub struct TraceInfo {
     pub events: u64,
     /// Per-chunk index entries, in file order.
     pub chunks: Vec<ChunkIndexEntry>,
-    /// Size the stream would occupy in the raw `POPTTRC1` format.
+    /// Size the stream would occupy in the retired raw v1 encoding, as
+    /// recorded in the footer.
     pub v1_bytes: u64,
     /// Actual file size.
     pub file_bytes: u64,
@@ -91,7 +88,14 @@ fn read_exact_or<R: Read>(
     })
 }
 
-/// Parses the post-magic v2 header: meta string and region table.
+/// Reads and checks the leading magic.
+fn read_magic<R: Read>(input: &mut R) -> Result<(), TraceFileError> {
+    let mut magic = [0u8; 8];
+    read_exact_or(input, &mut magic, "magic")?;
+    check_magic(magic)
+}
+
+/// Parses the post-magic header: meta string and region table.
 fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFileError> {
     let meta_len = varint::read_u64(input).map_err(truncated("header"))?;
     if meta_len > MAX_META_LEN {
@@ -119,21 +123,30 @@ fn read_header<R: Read>(input: &mut R) -> Result<(String, RegionTable), TraceFil
     Ok((meta, RegionTable::new(spans)))
 }
 
-/// Replays a v2 stream whose magic has already been consumed.
-fn replay_v2_body<R: Read, S: TraceSink>(
-    input: &mut R,
-    sink: &mut S,
+/// Replays a trace into `sink`, decoding each chunk exactly once.
+///
+/// # Errors
+///
+/// [`TraceFileError::BadMagic`] on unknown leading bytes,
+/// [`TraceFileError::UnsupportedVersion`] on a retired v1 file, and
+/// truncation, corruption or checksum errors with chunk granularity.
+pub fn replay_any<R: Read, S: TraceSink>(
+    reader: R,
+    mut sink: S,
 ) -> Result<ReplayStats, TraceFileError> {
-    let (_meta, regions) = read_header(input)?;
+    let mut input = BufReader::new(reader);
+    read_magic(&mut input)?;
+    let (_meta, regions) = read_header(&mut input)?;
     let mut stats = ReplayStats::default();
     loop {
         let mut tag = [0u8; 1];
-        read_exact_or(input, &mut tag, "footer (stream ends mid-file)")?;
+        read_exact_or(&mut input, &mut tag, "footer (stream ends mid-file)")?;
         match tag[0] {
             BLOCK_CHUNK => {
                 let chunk = stats.chunks_decoded;
-                let events = varint::read_u64(input).map_err(truncated("chunk header"))?;
-                let payload_len = varint::read_u64(input).map_err(truncated("chunk header"))?;
+                let events = varint::read_u64(&mut input).map_err(truncated("chunk header"))?;
+                let payload_len =
+                    varint::read_u64(&mut input).map_err(truncated("chunk header"))?;
                 if payload_len > MAX_PAYLOAD_LEN {
                     return Err(TraceFileError::ChunkCorrupt {
                         chunk,
@@ -141,19 +154,19 @@ fn replay_v2_body<R: Read, S: TraceSink>(
                     });
                 }
                 let mut checksum = [0u8; 8];
-                read_exact_or(input, &mut checksum, "chunk checksum")?;
+                read_exact_or(&mut input, &mut checksum, "chunk checksum")?;
                 let mut payload = vec![0u8; payload_len as usize];
-                read_exact_or(input, &mut payload, "chunk payload")?;
+                read_exact_or(&mut input, &mut payload, "chunk payload")?;
                 if fnv64(&payload) != u64::from_le_bytes(checksum) {
                     return Err(TraceFileError::ChunkChecksum { chunk });
                 }
-                decode_chunk(&payload, events, &regions, sink)
+                decode_chunk(&payload, events, &regions, &mut sink)
                     .map_err(|what| TraceFileError::ChunkCorrupt { chunk, what })?;
                 stats.events += events;
                 stats.chunks_decoded += 1;
             }
             BLOCK_FOOTER => {
-                let footer = read_footer_body(input)?;
+                let footer = read_footer_body(&mut input)?;
                 if footer.events != stats.events
                     || footer.chunks.len() as u64 != stats.chunks_decoded
                 {
@@ -162,7 +175,7 @@ fn replay_v2_body<R: Read, S: TraceSink>(
                     });
                 }
                 let mut trailer = [0u8; TRAILER_LEN as usize];
-                read_exact_or(input, &mut trailer, "trailer")?;
+                read_exact_or(&mut input, &mut trailer, "trailer")?;
                 if &trailer[8..] != END_MAGIC {
                     return Err(TraceFileError::Corrupt {
                         what: "missing end magic",
@@ -233,34 +246,7 @@ fn read_footer_body<R: Read>(input: &mut R) -> Result<FooterBody, TraceFileError
     })
 }
 
-/// Replays a trace of either version into `sink`, sniffing the magic.
-/// This is the single entry point callers should use when the trace's
-/// version is not known in advance.
-///
-/// # Errors
-///
-/// [`TraceFileError::BadMagic`] on unknown leading bytes, plus the
-/// version-specific decode errors.
-pub fn replay_any<R: Read, S: TraceSink>(
-    reader: R,
-    mut sink: S,
-) -> Result<ReplayStats, TraceFileError> {
-    let mut input = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {
-            let events = replay_events(input, &mut sink)?;
-            Ok(ReplayStats {
-                events,
-                chunks_decoded: 0,
-            })
-        }
-        TraceVersion::V2 => replay_v2_body(&mut input, &mut sink),
-    }
-}
-
-/// Replays a trace file from disk into `sink` (either version).
+/// Replays a trace file from disk into `sink`.
 ///
 /// # Errors
 ///
@@ -282,34 +268,28 @@ impl TraceSink for NullSink {
 ///
 /// # Errors
 ///
-/// The first decode error, with chunk granularity for v2 files.
+/// The first decode error, with chunk granularity.
 pub fn verify(path: &Path) -> Result<ReplayStats, TraceFileError> {
     replay_path(path, NullSink)
 }
 
-/// Reads a v2 file's header and footer — without decoding any chunks —
+/// Reads a trace file's header and footer — without decoding any chunks —
 /// by seeking through the trailer. This is the cheap integrity probe
 /// behind `experiments trace info`.
 ///
 /// # Errors
 ///
-/// [`TraceFileError::UnsupportedVersion`] for a v1 file (which has no
-/// footer), [`TraceFileError::Truncated`] / [`Corrupt`] for a damaged
-/// container.
+/// [`TraceFileError::BadMagic`] / [`UnsupportedVersion`] as
+/// [`replay_any`], [`TraceFileError::Truncated`] / [`Corrupt`] for a
+/// damaged container.
 ///
+/// [`UnsupportedVersion`]: TraceFileError::UnsupportedVersion
 /// [`Corrupt`]: TraceFileError::Corrupt
 pub fn trace_info(path: &Path) -> Result<TraceInfo, TraceFileError> {
     let file = std::fs::File::open(path)?;
     let file_bytes = file.metadata()?.len();
     let mut input = BufReader::new(file);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {
-            return Err(TraceFileError::UnsupportedVersion { found: magic });
-        }
-        TraceVersion::V2 => {}
-    }
+    read_magic(&mut input)?;
     let (meta, regions) = read_header(&mut input)?;
     if file_bytes < TRAILER_LEN {
         return Err(TraceFileError::Truncated { what: "trailer" });
@@ -349,40 +329,10 @@ pub fn trace_info(path: &Path) -> Result<TraceInfo, TraceFileError> {
     })
 }
 
-/// Transcodes a raw `POPTTRC1` stream into the chunked v2 format,
-/// preserving the exact event sequence.
-///
-/// `regions` seeds the delta encoder; [`RegionTable::empty`] is always
-/// correct (v1 files carry no region table), just less compact.
-///
-/// # Errors
-///
-/// Decode errors from the v1 side, I/O errors from either side, and
-/// [`TraceFileError::UnsupportedVersion`] when the input is already v2.
-pub fn transcode_v1<R: Read, W: Write>(
-    reader: R,
-    out: W,
-    regions: RegionTable,
-    meta: &str,
-) -> Result<TraceSummary, TraceFileError> {
-    let mut input = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    read_exact_or(&mut input, &mut magic, "magic")?;
-    match sniff_magic(&magic)? {
-        TraceVersion::V1 => {}
-        TraceVersion::V2 => {
-            return Err(TraceFileError::UnsupportedVersion { found: magic });
-        }
-    }
-    let mut writer = ChunkWriter::create_with_table(out, regions, meta)?;
-    replay_events(input, &mut writer)?;
-    let (_, summary) = writer.finish()?;
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChunkWriter;
     use popt_trace::{RecordingSink, TraceEvent};
 
     fn record(events: &[TraceEvent], chunk_events: usize) -> Vec<u8> {
@@ -408,19 +358,6 @@ mod tests {
         assert_eq!(stats.events, 100);
         assert_eq!(stats.chunks_decoded, 15); // ceil(100 / 7)
         assert_eq!(rec.events(), &events[..]);
-    }
-
-    #[test]
-    fn v1_replays_through_replay_any() {
-        let mut buf = Vec::new();
-        let mut w = popt_trace::file::TraceWriter::new(&mut buf).unwrap();
-        w.event(TraceEvent::read(0x40, 7));
-        w.event(TraceEvent::EpochBoundary);
-        w.finish().unwrap();
-        let mut rec = RecordingSink::new();
-        let stats = replay_any(&buf[..], &mut rec).unwrap();
-        assert_eq!(stats.events, 2);
-        assert_eq!(stats.chunks_decoded, 0);
     }
 
     #[test]
@@ -453,29 +390,5 @@ mod tests {
         let stats = verify(&path).unwrap();
         assert_eq!(stats.events, 20);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn transcode_preserves_sequence() {
-        let events = vec![
-            TraceEvent::IterationBegin,
-            TraceEvent::read(0x9990, 4),
-            TraceEvent::write(0x9994, 4),
-            TraceEvent::Instructions(3),
-            TraceEvent::CurrentVertex(9),
-        ];
-        let mut v1 = Vec::new();
-        let mut w = popt_trace::file::TraceWriter::new(&mut v1).unwrap();
-        for &e in &events {
-            w.event(e);
-        }
-        w.finish().unwrap();
-        let mut v2 = Vec::new();
-        let summary = transcode_v1(&v1[..], &mut v2, RegionTable::empty(), "x").unwrap();
-        assert_eq!(summary.events, 5);
-        assert_eq!(summary.v1_bytes, v1.len() as u64);
-        let mut rec = RecordingSink::new();
-        replay_any(&v2[..], &mut rec).unwrap();
-        assert_eq!(rec.events(), &events[..]);
     }
 }

@@ -4,7 +4,7 @@
 //! (the common case after per-region delta encoding) cost one byte, and
 //! the occasional large jump degrades gracefully to at most ten.
 
-use popt_trace::file::TraceFileError;
+use crate::file::TraceFileError;
 use std::io::Read;
 
 /// Appends `value` to `out` as an unsigned LEB128 varint.

@@ -7,9 +7,9 @@
 //! the footer.
 
 use crate::chunk::{encode_chunk, LineSpan, RegionTable};
+use crate::file::{TraceFileError, MAGIC_V2};
 use crate::fnv64;
 use crate::varint;
-use popt_trace::file::{TraceFileError, MAGIC_V2};
 use popt_trace::{AddressSpace, TraceEvent, TraceSink};
 use std::io::{BufWriter, Write};
 
@@ -49,7 +49,8 @@ pub struct TraceSummary {
     pub events: u64,
     /// Chunks written.
     pub chunks: u64,
-    /// Size the same stream would occupy in the raw `POPTTRC1` format.
+    /// Size the same stream would occupy in the retired raw v1 encoding;
+    /// kept in the footer for [`ratio`](Self::ratio).
     pub v1_bytes: u64,
     /// Actual file size in the `POPTTRC2` format.
     pub v2_bytes: u64,
@@ -65,9 +66,10 @@ impl TraceSummary {
     }
 }
 
-/// Byte cost of `event` in the raw `POPTTRC1` encoding, for the
-/// compression accounting in the footer.
-pub(crate) fn v1_cost(event: &TraceEvent) -> u64 {
+/// Byte cost of `event` in the retired raw v1 encoding (a tag byte plus
+/// fixed-width little-endian payload), for the compression accounting in
+/// the footer.
+fn v1_cost(event: &TraceEvent) -> u64 {
     match event {
         TraceEvent::Access(_) => 13,
         TraceEvent::CurrentVertex(_) | TraceEvent::Instructions(_) | TraceEvent::Core(_) => 5,
@@ -77,9 +79,9 @@ pub(crate) fn v1_cost(event: &TraceEvent) -> u64 {
 
 /// A [`TraceSink`] that streams events into a chunked v2 file.
 ///
-/// Like `popt_trace::file::TraceWriter`, write errors are latched (the
-/// sink interface is infallible) and surfaced by [`finish`], which must
-/// be called to produce a well-formed file.
+/// Write errors are latched (the sink interface is infallible) and
+/// surfaced by [`finish`], which must be called to produce a well-formed
+/// file.
 ///
 /// [`finish`]: ChunkWriter::finish
 pub struct ChunkWriter<W: Write> {
@@ -107,8 +109,8 @@ impl<W: Write> ChunkWriter<W> {
         Self::create_with_table(inner, RegionTable::from_space(space), meta)
     }
 
-    /// Creates a writer with an explicit [`RegionTable`] (used by the
-    /// v1→v2 transcoder, where no `AddressSpace` exists).
+    /// Creates a writer with an explicit [`RegionTable`], for streams that
+    /// have no `AddressSpace` (synthetic and test streams).
     ///
     /// # Errors
     ///

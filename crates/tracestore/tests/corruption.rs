@@ -2,9 +2,8 @@
 //! reported by chunk index, every earlier chunk still decodes, and the
 //! footer index (which locates chunks without decoding them) survives.
 
-use popt_trace::file::TraceFileError;
 use popt_trace::{RecordingSink, TraceEvent, TraceSink};
-use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, RegionTable};
+use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, RegionTable, TraceFileError};
 use std::path::PathBuf;
 
 const CHUNK_EVENTS: usize = 10;

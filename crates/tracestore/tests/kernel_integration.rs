@@ -18,7 +18,7 @@ fn pagerank_suite_trace_compresses_at_least_3x() {
     assert_eq!(summary.v2_bytes, buf.len() as u64);
     assert!(
         summary.ratio() >= 3.0,
-        "POPTTRC2 must be >= 3x smaller than POPTTRC1 on pagerank \
+        "POPTTRC2 must be >= 3x smaller than the raw v1 encoding on pagerank \
          (v1 {} bytes, v2 {} bytes, ratio {:.2})",
         summary.v1_bytes,
         summary.v2_bytes,

@@ -1,9 +1,8 @@
-//! Property tests: arbitrary event streams survive a `POPTTRC2` round
-//! trip exactly, and v1→v2 transcoding preserves streams event-for-event.
+//! Property test: arbitrary event streams survive a `POPTTRC2` round
+//! trip exactly.
 
-use popt_trace::file::TraceWriter;
 use popt_trace::{RecordingSink, TraceEvent, TraceSink};
-use popt_tracestore::{replay_any, transcode_v1, ChunkWriter, RegionTable};
+use popt_tracestore::{replay_any, ChunkWriter, RegionTable};
 use proptest::prelude::*;
 
 /// Maps a generated raw triple onto one of every [`TraceEvent`] variant.
@@ -57,31 +56,5 @@ proptest! {
         prop_assert_eq!(stats.events, events.len() as u64);
         prop_assert_eq!(stats.chunks_decoded, expected_chunks);
         prop_assert_eq!(rec.events(), &events[..]);
-    }
-
-    #[test]
-    fn transcode_preserves_v1_streams_exactly(
-        raw in prop::collection::vec((0u8..7, 0u64..(1u64 << 25), 0u32..10_000), 1..300),
-    ) {
-        let events = events_of(&raw);
-        let mut v1 = Vec::new();
-        let mut writer = TraceWriter::new(&mut v1).unwrap();
-        for &e in &events {
-            writer.event(e);
-        }
-        writer.finish().unwrap();
-
-        let mut v2 = Vec::new();
-        let summary = transcode_v1(&v1[..], &mut v2, table(), "transcoded").unwrap();
-        prop_assert_eq!(summary.events, events.len() as u64);
-        prop_assert_eq!(summary.v1_bytes, v1.len() as u64);
-        prop_assert_eq!(summary.v2_bytes, v2.len() as u64);
-
-        let mut from_v1 = RecordingSink::new();
-        replay_any(&v1[..], &mut from_v1).unwrap();
-        let mut from_v2 = RecordingSink::new();
-        replay_any(&v2[..], &mut from_v2).unwrap();
-        prop_assert_eq!(from_v1.events(), &events[..]);
-        prop_assert_eq!(from_v2.events(), from_v1.events());
     }
 }

@@ -9,7 +9,7 @@ use popt_cli::runner::{simulate, PolicySpec};
 use popt_cli::table::Table;
 use popt_graph::generators;
 use popt_kernels::pagerank;
-use popt_trace::file::TraceWriter;
+use popt_tracestore::ChunkWriter;
 
 fn test_graph() -> Graph {
     generators::uniform_random(400, 3_200, 7)
@@ -17,9 +17,9 @@ fn test_graph() -> Graph {
 
 fn capture_pagerank(g: &Graph) -> Vec<u8> {
     let plan = pagerank::plan(g);
-    let mut writer = TraceWriter::new(Vec::new()).expect("header write");
+    let mut writer = ChunkWriter::create(Vec::new(), &plan.space, "pr").expect("header write");
     pagerank::trace(g, &plan, &mut writer);
-    writer.finish().expect("flush")
+    writer.finish().expect("flush").0
 }
 
 #[test]
