@@ -1,7 +1,8 @@
 //! Simulator throughput: accesses per second through the full three-level
 //! hierarchy under each replacement policy — the cost of the simulation
 //! infrastructure itself, and the relative overhead of the graph-aware
-//! policies (P-OPT's matrix lookups vs T-OPT's transpose walks).
+//! policies (P-OPT's matrix lookups vs T-OPT's transpose walks) and the
+//! learned and oracular baselines (Leeway, SDBP, SHiP-Mem, Hawkeye, OPT).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use popt_bench::bench_graph;
@@ -29,7 +30,10 @@ fn policy_throughput(c: &mut Criterion) {
         PolicyKind::Lru,
         PolicyKind::Drrip,
         PolicyKind::ShipPc,
+        PolicyKind::ShipMem,
         PolicyKind::Hawkeye,
+        PolicyKind::Sdbp,
+        PolicyKind::Leeway,
     ] {
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.label()),
@@ -69,6 +73,19 @@ fn policy_throughput(c: &mut Criterion) {
             });
             h.set_address_space(&plan.space);
             app.trace(&g, &plan, &mut h);
+            h.stats().llc.misses
+        })
+    });
+
+    // Belady's MIN: the recording pass, the oracle build and the LLC-only
+    // replay, as every OPT cell runs them.
+    group.bench_function("OPT", |b| {
+        b.iter(|| {
+            let Ok(h) = Hierarchy::run_belady(&cfg, |h| {
+                h.set_address_space(&plan.space);
+                app.trace(&g, &plan, h);
+                Ok::<(), std::convert::Infallible>(())
+            });
             h.stats().llc.misses
         })
     });

@@ -2,9 +2,9 @@
 //! trace` and `experiments trace record`) through the cache hierarchy
 //! under a chosen baseline policy, printing hierarchy statistics.
 //! Completes the decoupled capture/simulate workflow of Pin-style studies;
-//! runs with `--policy opt` perform the two-pass Belady replay
-//! automatically. A numeric flag whose value does not parse or is out of
-//! range prints the usage and exits nonzero.
+//! runs with `--policy opt` perform the two-pass Belady run
+//! automatically, decoding the file once. A numeric flag whose value does
+//! not parse or is out of range prints the usage and exits nonzero.
 //!
 //! ```text
 //! tracesim <trace.trc> [--policy NAME] [--llc BYTES] [--ways N] [--cores N]
@@ -12,7 +12,6 @@
 
 use popt_cli::numeric_flag;
 use popt_cli::trace_cmd::parse_policy_kind;
-use popt_sim::policies::Belady;
 use popt_sim::{CacheConfig, Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::LINE_SIZE;
 use std::process::ExitCode;
@@ -90,25 +89,20 @@ fn main() -> ExitCode {
             h.stats()
         }
         None => {
-            // Two-pass Belady: record the LLC stream, then replay.
+            // Two-pass Belady: the file is decoded once, into the
+            // recording pass; the oracle pass replays only the LLC.
             if cores != 1 {
                 eprintln!("--policy opt requires --cores 1");
                 return ExitCode::FAILURE;
             }
-            let mut recorder = Hierarchy::new(&cfg, |s, w| PolicyKind::Lru.build(s, w));
-            recorder.start_recording_llc();
-            if let Err(e) = popt_tracestore::replay_any(&bytes[..], &mut recorder) {
-                eprintln!("replay failed: {e}");
-                return ExitCode::FAILURE;
+            let replay = |h: &mut Hierarchy| popt_tracestore::replay_any(&bytes[..], h).map(drop);
+            match Hierarchy::run_belady(&cfg, replay) {
+                Ok(h) => h.stats(),
+                Err(e) => {
+                    eprintln!("replay failed: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
-            let llc_stream = recorder.take_llc_recording();
-            let mut h =
-                Hierarchy::new(&cfg, |s, w| Box::new(Belady::from_trace(s, w, &llc_stream)));
-            if let Err(e) = popt_tracestore::replay_any(&bytes[..], &mut h) {
-                eprintln!("replay failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            h.stats()
         }
     };
 

@@ -5,7 +5,7 @@ use popt_core::{Encoding, Popt, PoptConfig, Quantization, StreamBinding, Topt};
 use popt_graph::{Graph, VertexId};
 use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
-use popt_sim::policies::{Belady, Grasp, GraspRegions};
+use popt_sim::policies::{Grasp, GraspRegions};
 use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind, TimingModel};
 use std::sync::Arc;
 
@@ -284,19 +284,11 @@ fn run_cell(
 ) -> Hierarchy {
     let plan = app.plan(g);
     if matches!(policy, PolicySpec::Belady) {
-        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
-        // Pass 1: record the LLC line stream (policy-independent).
-        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
-        recorder.set_address_space(&plan.space);
-        recorder.start_recording_llc();
-        app.trace(g, &plan, &mut recorder);
-        let trace = recorder.take_llc_recording();
-        // Pass 2: re-run the kernel against the oracle.
-        let mut hierarchy = Hierarchy::new(cfg, move |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &trace))
+        let Ok(hierarchy) = Hierarchy::run_belady(cfg, |recorder| {
+            recorder.set_address_space(&plan.space);
+            app.trace(g, &plan, recorder);
+            Ok::<(), std::convert::Infallible>(())
         });
-        hierarchy.set_address_space(&plan.space);
-        app.trace(g, &plan, &mut hierarchy);
         return hierarchy;
     }
     let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx);

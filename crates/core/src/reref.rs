@@ -233,6 +233,7 @@ impl RerefMatrix {
 
     /// The raw entry for (`line`, `epoch`). Out-of-range epochs read as
     /// "never referenced".
+    #[inline]
     pub fn entry(&self, line: usize, epoch: usize) -> RawEntry {
         if epoch >= self.num_epochs {
             return RawEntry::absent(None, self.quant, self.encoding);

@@ -13,6 +13,15 @@
 //! every `IterationBegin`; if the order ever goes backwards (a reordered
 //! traversal), lookups fall back to an `O(log degree)` binary search until
 //! the next `IterationBegin`.
+//!
+//! Beside each cursor sits the neighbor it points at (the vertex's
+//! *absolute* next reference), and beside every irregular line the line's
+//! absolute next reference (the minimum over its vertices). While
+//! destinations ascend, a memoized reference `A` stays exact as long as
+//! the current vertex is below `A`, and one with no next reference keeps
+//! none until the next `IterationBegin`; so most lookups read one word per
+//! way, and the rest read the line's vertices from one contiguous run
+//! instead of walking every transpose row.
 
 use crate::engine::{NextRefEngine, NextRefSource, TieBreaker};
 use crate::INFINITE_DISTANCE;
@@ -41,10 +50,57 @@ impl IrregularStream {
         addr >= self.base && addr < self.bound
     }
 
+    /// Index of `line` among the region's lines.
+    fn line_index(&self, line: u64) -> u64 {
+        ((line << popt_trace::LINE_SHIFT) - self.base) / popt_trace::LINE_SIZE
+    }
+
+    /// Lines the region spans.
+    fn num_lines(&self) -> usize {
+        usize::try_from((self.bound - self.base).div_ceil(popt_trace::LINE_SIZE)).unwrap_or(0)
+    }
+
     /// First vertex covered by `line`.
     fn first_vertex(&self, line: u64) -> u64 {
-        let addr = line << popt_trace::LINE_SHIFT;
-        (addr - self.base) / popt_trace::LINE_SIZE * self.vertices_per_line as u64
+        self.line_index(line) * self.vertices_per_line as u64
+    }
+}
+
+/// Memo entry of a vertex or line whose next reference is not known.
+const MEMO_UNKNOWN: u32 = 0;
+/// Memo entry of a vertex or line with no next reference in this
+/// iteration.
+const MEMO_NONE: u32 = u32::MAX;
+
+/// The lookup state that is valid while destinations ascend.
+///
+/// Every memoized next reference `A` — of a vertex or of a line — is
+/// exact while `current_vertex < A`. Next references are always beyond
+/// the current vertex, so [`MEMO_UNKNOWN`] (0) is never valid and
+/// [`MEMO_NONE`] (`u32::MAX`, above every vertex id) always is.
+#[derive(Debug, Clone)]
+struct Cursor {
+    /// Per vertex: a position in its transpose row at or before the first
+    /// neighbor beyond the current vertex.
+    positions: Vec<u32>,
+    /// Per vertex: the neighbor at its position once looked up — its
+    /// absolute next reference. A line's vertices are adjacent here, so a
+    /// line's lookup reads one contiguous run.
+    next: Vec<u32>,
+    /// Per line of each irregular stream: the minimum of its vertices'
+    /// next references.
+    memo: Vec<Vec<u32>>,
+}
+
+impl Cursor {
+    /// Rewinds every position and forgets every memoized reference (an
+    /// `IterationBegin`).
+    fn reset(&mut self) {
+        self.positions.fill(0);
+        self.next.fill(MEMO_UNKNOWN);
+        for memo in &mut self.memo {
+            memo.fill(MEMO_UNKNOWN);
+        }
     }
 }
 
@@ -53,10 +109,9 @@ pub struct Topt {
     transpose: Arc<Csr>,
     streams: Vec<IrregularStream>,
     current_vertex: VertexId,
-    /// Per vertex, a position in its transpose row at or before the first
-    /// neighbor beyond `current_vertex`. `None` disables the cursor
-    /// ([`Topt::without_cursor`]).
-    cursor: Option<Vec<u32>>,
+    /// Per-vertex row positions and per-line next references. `None`
+    /// disables both ([`Topt::without_cursor`]).
+    cursor: Option<Cursor>,
     /// Whether `current_vertex` has never decreased since the last
     /// `IterationBegin` — the condition under which the cursor is valid.
     monotone: bool,
@@ -86,7 +141,14 @@ impl Topt {
         ways: usize,
     ) -> Self {
         Topt {
-            cursor: Some(vec![0; transpose.num_vertices()]),
+            cursor: Some(Cursor {
+                positions: vec![0; transpose.num_vertices()],
+                next: vec![MEMO_UNKNOWN; transpose.num_vertices()],
+                memo: streams
+                    .iter()
+                    .map(|s| vec![MEMO_UNKNOWN; s.num_lines()])
+                    .collect(),
+            }),
             transpose,
             streams,
             current_vertex: 0,
@@ -98,10 +160,10 @@ impl Topt {
         }
     }
 
-    /// Drops the per-vertex cursor, so every next-reference lookup
-    /// binary-searches the transpose row. Decisions are identical either
-    /// way; this is the reference the cursor is differentially tested
-    /// against.
+    /// Drops the per-vertex cursor and the per-line memo, so every
+    /// next-reference lookup binary-searches the transpose rows of the
+    /// line's vertices. Decisions are identical either way; this is the
+    /// reference the cursor and memo are differentially tested against.
     pub fn without_cursor(mut self) -> Self {
         self.cursor = None;
         self
@@ -113,29 +175,29 @@ struct TransposeRefs<'a> {
     transpose: &'a Csr,
     streams: &'a [IrregularStream],
     current_vertex: VertexId,
-    /// The per-vertex cursors while they are valid; `None` selects the
+    /// The cursor and memo while they are valid; `None` selects the
     /// binary search.
-    cursor: Option<&'a mut [u32]>,
+    cursor: Option<&'a mut Cursor>,
 }
 
 impl TransposeRefs<'_> {
     /// `v`'s first transpose neighbor beyond the current vertex.
     fn next_neighbor(&mut self, v: VertexId) -> Option<VertexId> {
-        let Some(pos) = self
-            .cursor
-            .as_deref_mut()
-            .and_then(|c| c.get_mut(v as usize))
-        else {
-            return self.transpose.next_neighbor_after(v, self.current_vertex);
+        let current = self.current_vertex;
+        let Some((next, pos)) = self.cursor.as_deref_mut().and_then(|c| {
+            let i = v as usize;
+            c.next.get_mut(i).zip(c.positions.get_mut(i))
+        }) else {
+            return self.transpose.next_neighbor_after(v, current);
         };
-        let row = self.transpose.neighbors(v);
-        while row
-            .get(*pos as usize)
-            .is_some_and(|&n| n <= self.current_vertex)
-        {
-            *pos += 1;
+        if current >= *next {
+            let row = self.transpose.neighbors(v);
+            while row.get(*pos as usize).is_some_and(|&n| n <= current) {
+                *pos += 1;
+            }
+            *next = row.get(*pos as usize).copied().unwrap_or(MEMO_NONE);
         }
-        row.get(*pos as usize).copied()
+        Some(*next).filter(|&n| n != MEMO_NONE)
     }
 
     /// Exact next-reference distance of `line` within `stream`: the minimum
@@ -164,10 +226,45 @@ impl NextRefSource for TransposeRefs<'_> {
     }
 
     fn next_ref(&mut self, line: u64) -> u32 {
-        match self.streams.iter().find(|s| s.contains_line(line)) {
-            Some(&stream) => self.exact_next_ref(&stream, line),
-            None => INFINITE_DISTANCE,
+        let Some((i, &stream)) = self
+            .streams
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.contains_line(line))
+        else {
+            return INFINITE_DISTANCE;
+        };
+        let current = self.current_vertex;
+        // A slot past the memo reads as unmemoized.
+        let slot = usize::try_from(stream.line_index(line)).unwrap_or(usize::MAX);
+        let memoized = self
+            .cursor
+            .as_deref()
+            .and_then(|c| c.memo.get(i))
+            .and_then(|memo| memo.get(slot))
+            .copied()
+            .filter(|&next| current < next);
+        if let Some(next) = memoized {
+            return if next == MEMO_NONE {
+                INFINITE_DISTANCE
+            } else {
+                next - current
+            };
         }
+        let distance = self.exact_next_ref(&stream, line);
+        if let Some(entry) = self
+            .cursor
+            .as_deref_mut()
+            .and_then(|c| c.memo.get_mut(i))
+            .and_then(|memo| memo.get_mut(slot))
+        {
+            *entry = if distance == INFINITE_DISTANCE {
+                MEMO_NONE
+            } else {
+                current + distance
+            };
+        }
+        distance
     }
 }
 
@@ -189,7 +286,7 @@ impl ReplacementPolicy for Topt {
             transpose: &self.transpose,
             streams: &self.streams,
             current_vertex: self.current_vertex,
-            cursor: self.cursor.as_deref_mut().filter(|_| self.monotone),
+            cursor: self.cursor.as_mut().filter(|_| self.monotone),
         };
         let choice = self.engine.choose(ctx.ways, &mut refs);
         self.decisions += 1;
@@ -211,7 +308,7 @@ impl ReplacementPolicy for Topt {
                 self.current_vertex = 0;
                 self.monotone = true;
                 if let Some(cursor) = &mut self.cursor {
-                    cursor.fill(0);
+                    cursor.reset();
                 }
             }
             ControlEvent::EpochBoundary | ControlEvent::ContextSwitch => {}
@@ -340,9 +437,15 @@ mod tests {
             cursor: None,
         };
         assert_eq!(refs.exact_next_ref(&stream, 0), 2);
-        let mut cursor = vec![0; 5];
+        let mut cursor = Cursor {
+            positions: vec![0; 5],
+            next: vec![MEMO_UNKNOWN; 5],
+            memo: vec![vec![MEMO_UNKNOWN; stream.num_lines()]],
+        };
         refs.cursor = Some(&mut cursor);
         assert_eq!(refs.exact_next_ref(&stream, 0), 2);
+        assert_eq!(refs.next_ref(0), 2);
+        assert_eq!(cursor.memo[0][0], 2, "memoized as absolute vertex D2");
     }
 
     #[test]
@@ -364,19 +467,25 @@ mod tests {
                 transpose: &topt.transpose,
                 streams: &topt.streams,
                 current_vertex: topt.current_vertex,
-                cursor: topt.cursor.as_deref_mut().filter(|_| topt.monotone),
+                cursor: topt.cursor.as_mut().filter(|_| topt.monotone),
             };
             refs.next_ref(line)
         };
         topt.on_control(&ControlEvent::CurrentVertex(1));
         assert_eq!(next_ref_of(&mut topt, 1), 3, "S1 next at D4");
         assert_eq!(
-            topt.cursor.as_ref().map(|c| c[1]),
+            topt.cursor.as_ref().map(|c| c.positions[1]),
             Some(1),
             "cursor moved past D0"
         );
+        assert_eq!(topt.cursor.as_ref().map(|c| c.memo[0][1]), Some(4));
         topt.on_control(&ControlEvent::CurrentVertex(4));
         assert_eq!(next_ref_of(&mut topt, 1), INFINITE_DISTANCE);
+        assert_eq!(
+            topt.cursor.as_ref().map(|c| c.memo[0][1]),
+            Some(MEMO_NONE),
+            "no reference beyond D4"
+        );
         // Going backwards invalidates the cursor; lookups binary-search.
         topt.on_control(&ControlEvent::CurrentVertex(0));
         assert!(!topt.monotone);
@@ -385,7 +494,12 @@ mod tests {
         // The next iteration restores and rewinds the cursor.
         topt.on_control(&ControlEvent::IterationBegin);
         assert!(topt.monotone);
-        assert_eq!(topt.cursor.as_ref().map(|c| c[1]), Some(0));
+        assert_eq!(topt.cursor.as_ref().map(|c| c.positions[1]), Some(0));
+        assert_eq!(
+            topt.cursor.as_ref().map(|c| c.memo[0][1]),
+            Some(MEMO_UNKNOWN),
+            "the memo is forgotten"
+        );
         assert_eq!(next_ref_of(&mut topt, 1), 4);
     }
 

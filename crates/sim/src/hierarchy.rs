@@ -1,8 +1,8 @@
 use crate::nuca::BankMapping;
-use crate::policies::BitPlru;
+use crate::policies::{Belady, BitPlru};
 use crate::{
-    AccessMeta, AccessOutcome, ControlEvent, HierarchyConfig, HierarchyStats, ReplacementPolicy,
-    SetAssocCache,
+    AccessMeta, AccessOutcome, CacheStats, ControlEvent, HierarchyConfig, HierarchyStats,
+    PolicyKind, ReplacementPolicy, SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
 
@@ -24,6 +24,78 @@ impl BankMapping {
 /// Per-bank counters in [`HierarchyStats::bank_accesses`]; construction
 /// refuses NUCA configurations with more banks.
 const MAX_BANKS: usize = 16;
+
+/// One request that reached the LLC banks, as [`LlcStream`] records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LlcOp {
+    /// A demand access that missed L2 (an [`AccessMeta`], flattened so the
+    /// op packs into 16 bytes).
+    Access {
+        line: u64,
+        site: SiteId,
+        kind: AccessKind,
+        class: RegionClass,
+    },
+    /// A dirty private-level victim forwarded below L2.
+    Writeback { line: u64, class: RegionClass },
+    /// A prefetch fill ([`Hierarchy::prefetch_fill`]) of `line`.
+    Prefetch { line: u64, class: RegionClass },
+    /// A control event delivered to every bank.
+    Control(ControlEvent),
+    /// The bank flush of a [`Hierarchy::context_switch`] (its
+    /// `ContextSwitch` control event follows as its own op).
+    Flush,
+}
+
+/// The statistics of the levels above the LLC, which no LLC policy can
+/// influence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PrivateStats {
+    l1: CacheStats,
+    l2: CacheStats,
+    instructions: u64,
+    coherence_invalidations: u64,
+}
+
+impl PrivateStats {
+    fn merged(self, other: PrivateStats) -> PrivateStats {
+        PrivateStats {
+            l1: self.l1.merged(other.l1),
+            l2: self.l2.merged(other.l2),
+            instructions: self.instructions + other.instructions,
+            coherence_invalidations: self.coherence_invalidations + other.coherence_invalidations,
+        }
+    }
+}
+
+/// The post-L2 request stream of one run, in order — demand accesses
+/// (line, site, kind, class), writebacks below L2, prefetch fills and LLC
+/// control events — plus that run's private-level statistics.
+///
+/// The private levels never see the LLC policy, so this stream is the
+/// same whichever policy the recording run's LLC used.
+/// [`Hierarchy::replay_llc`] drives it into another hierarchy's LLC banks
+/// alone, which then reports the stats a full run under its own policy
+/// would.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LlcStream {
+    ops: Vec<LlcOp>,
+    private: PrivateStats,
+}
+
+impl LlcStream {
+    /// The demand-access lines in order: the stream
+    /// [`Belady::from_trace`] is built from.
+    pub(crate) fn demand_lines(&self) -> Vec<u64> {
+        self.ops
+            .iter()
+            .filter_map(|op| match *op {
+                LlcOp::Access { line, .. } => Some(line),
+                _ => None,
+            })
+            .collect()
+    }
+}
 
 /// One core's private cache levels. Their policy is always Bit-PLRU
 /// (Table I), so it is a concrete type the per-access path inlines.
@@ -76,7 +148,13 @@ pub struct Hierarchy {
     prefetch_fills: u64,
     dram_writebacks: u64,
     coherence_invalidations: u64,
-    recorder: Option<Vec<u64>>,
+    /// Private-level stats carried in by [`Hierarchy::replay_llc`].
+    replayed: PrivateStats,
+    recorder: Option<Vec<LlcOp>>,
+    /// Whether requests below L2 are only recorded, never simulated (the
+    /// recording pass of [`Hierarchy::run_belady`], whose own LLC stats
+    /// nobody reads).
+    bypass_llc: bool,
 }
 
 impl std::fmt::Debug for Hierarchy {
@@ -152,8 +230,44 @@ impl Hierarchy {
             prefetch_fills: 0,
             dram_writebacks: 0,
             coherence_invalidations: 0,
+            replayed: PrivateStats::default(),
             recorder: None,
+            bypass_llc: false,
         }
+    }
+
+    /// Belady's MIN in two passes, with the kernel run once. Pass 1 hands
+    /// a recording hierarchy under `cfg` to `drive`, which feeds it the
+    /// run's events; that hierarchy simulates L1 and L2 and only records
+    /// what reaches the LLC. Pass 2 builds the oracle from the recorded
+    /// demand lines and replays the recorded stream into a fresh
+    /// hierarchy's LLC bank alone. The returned hierarchy reports exactly
+    /// what re-running the events under the oracle would.
+    ///
+    /// # Errors
+    ///
+    /// Returns `drive`'s error, skipping pass 2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLC has more than one bank: the oracle needs one
+    /// globally ordered LLC stream.
+    pub fn run_belady<E>(
+        cfg: &HierarchyConfig,
+        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+    ) -> Result<Hierarchy, E> {
+        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
+        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
+        recorder.start_recording_llc();
+        recorder.bypass_llc = true;
+        drive(&mut recorder)?;
+        let stream = recorder.take_llc_recording();
+        let lines = stream.demand_lines();
+        let mut hierarchy = Hierarchy::new(cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines))
+        });
+        hierarchy.replay_llc(&stream);
+        Ok(hierarchy)
     }
 
     /// Registers the kernel's address space so irregular regions are
@@ -166,15 +280,86 @@ impl Hierarchy {
             .collect();
     }
 
-    /// Starts recording the LLC-level line stream (for building a
-    /// [`crate::policies::Belady`] oracle).
-    pub fn start_recording_llc(&mut self) {
+    /// Starts recording the post-L2 request stream ([`LlcStream`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy has already seen an access or instruction:
+    /// the stream carries the whole run's private-level stats.
+    pub(crate) fn start_recording_llc(&mut self) {
+        assert!(
+            self.private_stats() == PrivateStats::default(),
+            "LLC recording must start on a fresh hierarchy"
+        );
         self.recorder = Some(Vec::new());
     }
 
-    /// Takes the recorded LLC line stream.
-    pub fn take_llc_recording(&mut self) -> Vec<u64> {
-        self.recorder.take().unwrap_or_default()
+    /// Stops recording and takes the stream recorded since
+    /// [`start_recording_llc`](Hierarchy::start_recording_llc) (empty if
+    /// none was started), with the private-level stats so far.
+    pub(crate) fn take_llc_recording(&mut self) -> LlcStream {
+        LlcStream {
+            ops: self.recorder.take().unwrap_or_default(),
+            private: self.private_stats(),
+        }
+    }
+
+    /// Replays a recorded [`LlcStream`] into this hierarchy's LLC banks,
+    /// bypassing the private levels, and adds the stream's private-level
+    /// stats to this hierarchy's. On a fresh hierarchy the resulting
+    /// stats equal those of running the recording run's events through
+    /// it.
+    pub(crate) fn replay_llc(&mut self, stream: &LlcStream) {
+        for op in &stream.ops {
+            match *op {
+                LlcOp::Access {
+                    line,
+                    site,
+                    kind,
+                    class,
+                } => self.llc_access(&AccessMeta {
+                    line,
+                    site,
+                    kind,
+                    class,
+                }),
+                LlcOp::Writeback { line, class } => self.llc_writeback(line, class),
+                LlcOp::Prefetch { line, class } => self.llc_prefetch(line, class),
+                LlcOp::Control(event) => self.control(event),
+                LlcOp::Flush => self.flush_banks(),
+            }
+        }
+        self.replayed = self.replayed.merged(stream.private);
+    }
+
+    /// Appends `op` to the recording, if one is running. Returns whether
+    /// the LLC banks are to process it too.
+    #[inline(always)]
+    fn record(&mut self, op: LlcOp) -> bool {
+        match &mut self.recorder {
+            None => true,
+            Some(ops) => {
+                ops.push(op);
+                !self.bypass_llc
+            }
+        }
+    }
+
+    /// Private-level stats summed across cores, plus any replayed ones.
+    fn private_stats(&self) -> PrivateStats {
+        let mut l1 = CacheStats::default();
+        let mut l2 = CacheStats::default();
+        for core in &self.cores {
+            l1 = l1.merged(*core.l1.stats());
+            l2 = l2.merged(*core.l2.stats());
+        }
+        PrivateStats {
+            l1,
+            l2,
+            instructions: self.instructions,
+            coherence_invalidations: self.coherence_invalidations,
+        }
+        .merged(self.replayed)
     }
 
     /// Number of simulated cores.
@@ -211,10 +396,65 @@ impl Hierarchy {
     /// Forwards a dirty victim line toward the LLC; if no bank holds it,
     /// the writeback goes to DRAM (writebacks never allocate).
     fn writeback_below_l2(&mut self, line: u64) {
-        let irregular = self.classify(line << popt_trace::LINE_SHIFT) == RegionClass::Irregular;
-        let (bank, local) = self.llc_route(line, irregular);
+        let class = self.classify(line << popt_trace::LINE_SHIFT);
+        self.llc_writeback(line, class);
+    }
+
+    /// The LLC side of a writeback below L2.
+    #[inline(always)]
+    fn llc_writeback(&mut self, line: u64, class: RegionClass) {
+        if !self.record(LlcOp::Writeback { line, class }) {
+            return;
+        }
+        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
         if !self.banks[bank].absorb_writeback(local) {
             self.dram_writebacks += 1;
+        }
+    }
+
+    /// The LLC side of a demand access that missed L2.
+    #[inline(always)]
+    fn llc_access(&mut self, meta: &AccessMeta) {
+        let op = LlcOp::Access {
+            line: meta.line,
+            site: meta.site,
+            kind: meta.kind,
+            class: meta.class,
+        };
+        if !self.record(op) {
+            return;
+        }
+        let (bank, local) = self.llc_route(meta.line, meta.class == RegionClass::Irregular);
+        self.bank_accesses[bank] += 1;
+        // Placement (set selection) uses the bank-local renumbering; the
+        // policy keeps seeing the global line.
+        let _ = self.banks[bank].access_placed(meta, local);
+    }
+
+    /// The LLC side of a prefetch fill.
+    fn llc_prefetch(&mut self, line: u64, class: RegionClass) {
+        if !self.record(LlcOp::Prefetch { line, class }) {
+            return;
+        }
+        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
+        let meta = AccessMeta {
+            line,
+            site: SiteId(u32::MAX),
+            kind: AccessKind::Read,
+            class,
+        };
+        if self.banks[bank].prefetch_placed(&meta, local) {
+            self.prefetch_fills += 1;
+        }
+    }
+
+    /// Drops every LLC bank's demand data (a context switch's LLC side).
+    fn flush_banks(&mut self) {
+        if !self.record(LlcOp::Flush) {
+            return;
+        }
+        for bank in &mut self.banks {
+            bank.invalidate_all();
         }
     }
 
@@ -269,14 +509,7 @@ impl Hierarchy {
         if out2.is_hit() {
             return;
         }
-        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        self.bank_accesses[bank] += 1;
-        if let Some(rec) = &mut self.recorder {
-            rec.push(line);
-        }
-        // Placement (set selection) uses the bank-local renumbering; the
-        // policy keeps seeing the global line.
-        let _ = self.banks[bank].access_placed(&meta, local);
+        self.llc_access(&meta);
     }
 
     /// Installs `addr`'s line into the LLC without touching demand
@@ -284,18 +517,7 @@ impl Hierarchy {
     /// (paper Section VIII). Evictions triggered by the fill go through the
     /// bank's policy as usual.
     pub fn prefetch_fill(&mut self, addr: u64) {
-        let class = self.classify(addr);
-        let line = addr >> popt_trace::LINE_SHIFT;
-        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        let meta = AccessMeta {
-            line,
-            site: SiteId(u32::MAX),
-            kind: AccessKind::Read,
-            class,
-        };
-        if self.banks[bank].prefetch_placed(&meta, local) {
-            self.prefetch_fills += 1;
-        }
+        self.llc_prefetch(addr >> popt_trace::LINE_SHIFT, self.classify(addr));
     }
 
     /// Models a context switch (paper Section V-F): the co-running process
@@ -309,42 +531,39 @@ impl Hierarchy {
             core.l1.invalidate_all();
             core.l2.invalidate_all();
         }
-        for bank in &mut self.banks {
-            bank.invalidate_all();
-            bank.control(&ControlEvent::ContextSwitch);
-        }
+        self.flush_banks();
+        self.control(ControlEvent::ContextSwitch);
     }
 
     /// Forwards a control event to every LLC bank policy.
     pub fn control(&mut self, event: ControlEvent) {
+        if !self.record(LlcOp::Control(event)) {
+            return;
+        }
         for bank in &mut self.banks {
             bank.control(&event);
         }
     }
 
-    /// Aggregated statistics. Private-level stats are summed across cores.
+    /// Aggregated statistics. Private-level stats are summed across cores,
+    /// plus those a replayed LLC stream carried in.
     pub fn stats(&self) -> HierarchyStats {
-        let mut l1 = crate::CacheStats::default();
-        let mut l2 = crate::CacheStats::default();
-        for core in &self.cores {
-            l1 = l1.merged(*core.l1.stats());
-            l2 = l2.merged(*core.l2.stats());
-        }
-        let mut llc = crate::CacheStats::default();
+        let private = self.private_stats();
+        let mut llc = CacheStats::default();
         let mut overheads = crate::PolicyOverheads::default();
         for bank in &self.banks {
             llc = llc.merged(*bank.stats());
             overheads = overheads.merged(bank.policy().overheads());
         }
         HierarchyStats {
-            l1,
-            l2,
+            l1: private.l1,
+            l2: private.l2,
             llc,
-            instructions: self.instructions,
+            instructions: private.instructions,
             bank_accesses: self.bank_accesses,
             prefetch_fills: self.prefetch_fills,
             dram_writebacks: self.dram_writebacks,
-            coherence_invalidations: self.coherence_invalidations,
+            coherence_invalidations: private.coherence_invalidations,
             overheads,
         }
     }
@@ -437,38 +656,136 @@ mod tests {
 
     #[test]
     fn belady_replay_round_trip() {
-        // Record pass 1, replay pass 2 with the oracle; LLC misses must not
-        // increase relative to LRU.
-        let cfg = HierarchyConfig::scaled_with_llc(16 * 1024, 8);
-        let addrs: Vec<u64> = (0..20_000u64)
-            .map(|i| {
-                // Pseudo-random walk over a footprint 4x the LLC.
-                let x = i.wrapping_mul(0x9e3779b97f4a7c15);
-                0x100_0000 + (x % (64 * 1024)) / 64 * 64
-            })
-            .collect();
+        // Pass 1 records a dirty-heavy, mixed read/write walk over a
+        // footprint 4x the LLC, with control events between accesses.
+        let cfg = HierarchyConfig::small_test();
+        let footprint = 4 * cfg.llc.size_bytes() as u64;
+        let mut events = vec![TraceEvent::IterationBegin];
+        for i in 0..40_000u32 {
+            let x = u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let addr = 0x100_0000 + (x % footprint) / 64 * 64;
+            events.push(if x >> 62 == 0 {
+                TraceEvent::read(addr, i % 7)
+            } else {
+                TraceEvent::write(addr, i % 7)
+            });
+            if i % 64 == 0 {
+                events.push(TraceEvent::CurrentVertex(i / 64));
+            }
+        }
+        let run = |h: &mut Hierarchy| events.iter().for_each(|&e| h.event(e));
         let mut h1 = lru_hierarchy(&cfg);
         h1.start_recording_llc();
-        for &a in &addrs {
-            h1.event(TraceEvent::read(a, 0));
-        }
-        let trace = h1.take_llc_recording();
-        let lru_misses = h1.stats().llc.misses;
-        let bank = cfg.llc_bank();
-        let mut h2 = Hierarchy::new(&cfg, |sets, ways| {
-            assert_eq!((sets, ways), (bank.num_sets(), bank.ways()));
-            Box::new(Belady::from_trace(sets, ways, &trace))
-        });
-        for &a in &addrs {
-            h2.event(TraceEvent::read(a, 0));
-        }
-        let opt_misses = h2.stats().llc.misses;
+        run(&mut h1);
+        let stream = h1.take_llc_recording();
+        let lru = h1.stats();
+        let lines = stream.demand_lines();
+        assert_eq!(lines.len() as u64, lru.llc.demand_accesses());
         assert!(
-            opt_misses <= lru_misses,
-            "OPT misses {opt_misses} exceed LRU misses {lru_misses}"
+            lru.llc.writebacks > 1000 && lru.dram_writebacks > 100,
+            "not dirty-heavy: {lru:?}"
         );
-        // Same LLC access stream both passes.
-        assert_eq!(h2.stats().llc.demand_accesses(), trace.len() as u64);
+
+        // Replaying only the LLC gives exactly the stats of re-running the
+        // events, under the oracle and under a learned policy alike; the
+        // private levels report pass 1's stats.
+        let bank = cfg.llc_bank();
+        let oracle = |lines: &[u64]| {
+            Hierarchy::new(&cfg, |sets, ways| {
+                assert_eq!((sets, ways), (bank.num_sets(), bank.ways()));
+                Box::new(Belady::from_trace(sets, ways, lines))
+            })
+        };
+        let drrip = || Hierarchy::new(&cfg, |s, w| PolicyKind::Drrip.build(s, w));
+        for (mut rerun, mut replay) in [(oracle(&lines), oracle(&lines)), (drrip(), drrip())] {
+            run(&mut rerun);
+            replay.replay_llc(&stream);
+            let (rerun, replayed) = (rerun.stats(), replay.stats());
+            assert_eq!(replayed, rerun);
+            assert_eq!(
+                (replayed.l1, replayed.l2, replayed.instructions),
+                (lru.l1, lru.l2, lru.instructions)
+            );
+            assert_eq!(replayed.check(), Ok(()));
+        }
+
+        // The one-call two-pass run agrees, and OPT never loses to LRU.
+        let Ok(two_pass) = Hierarchy::run_belady(&cfg, |h| {
+            run(h);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        let mut rerun = oracle(&lines);
+        run(&mut rerun);
+        assert_eq!(two_pass.stats(), rerun.stats());
+        let opt_misses = two_pass.stats().llc.misses;
+        assert!(
+            opt_misses <= lru.llc.misses,
+            "OPT misses {opt_misses} exceed LRU misses {}",
+            lru.llc.misses
+        );
+
+        // An oracle built from a shorter stream than the one replayed
+        // into it still refuses to run past its trace.
+        let mut short = oracle(&lines[..lines.len() - 1]);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            short.replay_llc(&stream);
+        }))
+        .expect_err("replaying past the oracle's trace must panic");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains("replayed past its recorded trace")),
+            "{message:?}"
+        );
+    }
+
+    #[test]
+    fn recorded_ops_stay_small() {
+        // Sixteen bytes per recorded request keeps a Belady cell's stream
+        // far smaller than its kernel's event stream.
+        assert!(std::mem::size_of::<LlcOp>() <= 16);
+    }
+
+    #[test]
+    fn replay_carries_prefetches_and_context_switches() {
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.nuca = NucaConfig::uniform(2);
+        let drive = |h: &mut Hierarchy| {
+            for i in 0..6000u64 {
+                let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 4000) * 64;
+                if i % 5 == 0 {
+                    h.event(TraceEvent::write(addr, 0));
+                } else {
+                    h.event(TraceEvent::read(addr, 0));
+                }
+                if i % 7 == 0 {
+                    h.prefetch_fill(addr + 64);
+                }
+                if i == 3000 {
+                    h.context_switch();
+                }
+            }
+        };
+        let mut h1 = lru_hierarchy(&cfg);
+        h1.start_recording_llc();
+        drive(&mut h1);
+        let stream = h1.take_llc_recording();
+        let mut rerun = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
+        drive(&mut rerun);
+        let mut replay = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
+        replay.replay_llc(&stream);
+        assert!(rerun.stats().prefetch_fills > 0);
+        assert_eq!(replay.stats(), rerun.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "LLC recording must start on a fresh hierarchy")]
+    fn recording_refuses_a_used_hierarchy() {
+        let mut h = lru_hierarchy(&HierarchyConfig::small_test());
+        h.event(TraceEvent::read(0x4000, 0));
+        h.start_recording_llc();
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 mod cache;
 mod config;
+mod fasthash;
 mod hierarchy;
 mod nuca;
 pub mod policies;

@@ -9,8 +9,8 @@
 //! both passes because the upstream L1/L2 behave independently of the LLC
 //! policy.
 
+use crate::fasthash::FastMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
-use std::collections::HashMap;
 
 /// Sentinel for "never used again".
 const NEVER: u64 = u64::MAX;
@@ -19,12 +19,11 @@ const NEVER: u64 = u64::MAX;
 /// occurrence (or `u64::MAX` if none). `O(n)` backward scan.
 pub(crate) fn next_use_positions(lines: &[u64]) -> Vec<u64> {
     let mut next = vec![NEVER; lines.len()];
-    let mut last_seen: HashMap<u64, u64> = HashMap::new();
-    for (i, &line) in lines.iter().enumerate().rev() {
-        if let Some(&pos) = last_seen.get(&line) {
-            next[i] = pos;
+    let mut last_seen: FastMap<u64, u64> = FastMap::default();
+    for (i, (&line, slot)) in lines.iter().zip(&mut next).enumerate().rev() {
+        if let Some(pos) = last_seen.insert(line, i as u64) {
+            *slot = pos;
         }
-        last_seen.insert(line, i as u64);
     }
     next
 }
@@ -70,6 +69,19 @@ impl Belady {
     pub fn trace_len(&self) -> usize {
         self.next_use.len()
     }
+
+    /// Records the next use of the access being processed as the next
+    /// use of the line now resident in (`set`, `way`).
+    fn stamp(&mut self, set: usize, way: usize) {
+        let next = (self.pos as usize)
+            .checked_sub(1)
+            .and_then(|i| self.next_use.get(i))
+            .copied()
+            .unwrap_or(NEVER);
+        if let Some(slot) = self.way_next.get_mut(set * self.ways + way) {
+            *slot = next;
+        }
+    }
 }
 
 impl ReplacementPolicy for Belady {
@@ -86,17 +98,23 @@ impl ReplacementPolicy for Belady {
     }
 
     fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
-        self.way_next[set * self.ways + way] = self.next_use[self.pos as usize - 1];
+        self.stamp(set, way);
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
-        self.way_next[set * self.ways + way] = self.next_use[self.pos as usize - 1];
+        self.stamp(set, way);
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
-        (0..ctx.ways.len())
-            .max_by_key(|&w| self.way_next[base + w])
+        self.way_next
+            .get(base..base + ctx.ways.len())
+            .and_then(|next| {
+                next.iter()
+                    .enumerate()
+                    .max_by_key(|&(_, &n)| n)
+                    .map(|(w, _)| w)
+            })
             .unwrap_or(0)
     }
 }

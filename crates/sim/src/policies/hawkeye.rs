@@ -12,8 +12,8 @@
 //! `srcData[src]` load touches both hub vertices (high reuse) and leaf
 //! vertices (no reuse).
 
+use crate::fasthash::FastMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
-use std::collections::HashMap;
 
 /// 3-bit RRPV ceiling used by Hawkeye.
 const RRPV_MAX: u8 = 7;
@@ -33,7 +33,7 @@ struct OptGen {
     window: usize,
     time: u64,
     occupancy: Vec<u8>,
-    last_access: HashMap<u64, (u64, u32)>,
+    last_access: FastMap<u64, (u64, u32)>,
 }
 
 impl OptGen {
@@ -44,7 +44,7 @@ impl OptGen {
             window,
             time: 0,
             occupancy: vec![0; window],
-            last_access: HashMap::new(),
+            last_access: FastMap::default(),
         }
     }
 
@@ -52,16 +52,21 @@ impl OptGen {
     /// line has a previous access to judge.
     fn access(&mut self, line: u64, site: u32) -> Option<(u32, bool)> {
         let now = self.time;
+        let window = self.window as u64;
         let verdict = match self.last_access.get(&line) {
             Some(&(prev, prev_site)) => {
-                if now - prev < self.window as u64 {
-                    let fits = (prev..now).all(|t| {
-                        usize::from(self.occupancy[(t % self.window as u64) as usize])
-                            < self.capacity
+                if now - prev < window {
+                    let slots = (prev..now).map(|t| (t % window) as usize);
+                    let fits = slots.clone().all(|slot| {
+                        self.occupancy
+                            .get(slot)
+                            .is_some_and(|&o| usize::from(o) < self.capacity)
                     });
                     if fits {
-                        for t in prev..now {
-                            self.occupancy[(t % self.window as u64) as usize] += 1;
+                        for slot in slots {
+                            if let Some(o) = self.occupancy.get_mut(slot) {
+                                *o += 1;
+                            }
                         }
                     }
                     Some((prev_site, fits))
@@ -72,12 +77,13 @@ impl OptGen {
             }
             None => None,
         };
-        self.occupancy[(now % self.window as u64) as usize] = 0;
+        if let Some(o) = self.occupancy.get_mut((now % window) as usize) {
+            *o = 0;
+        }
         self.last_access.insert(line, (now, site));
         // Keep the map bounded: drop entries that fell out of the window
         // occasionally.
         if self.last_access.len() > 4 * self.window {
-            let window = self.window as u64;
             self.last_access.retain(|_, &mut (t, _)| now - t < window);
         }
         self.time += 1;
@@ -102,8 +108,10 @@ pub struct Hawkeye {
     rrpv: Vec<u8>,
     line_site: Vec<u32>,
     line_friendly: Vec<bool>,
-    predictor: HashMap<u32, u8>,
-    samplers: HashMap<usize, OptGen>,
+    predictor: FastMap<u32, u8>,
+    /// OPTgen for every `SAMPLE_STRIDE`-th set, indexed by
+    /// `set / SAMPLE_STRIDE`.
+    samplers: Vec<OptGen>,
 }
 
 impl std::fmt::Debug for Hawkeye {
@@ -124,13 +132,28 @@ impl Hawkeye {
             rrpv: vec![RRPV_MAX; sets * ways],
             line_site: vec![0; sets * ways],
             line_friendly: vec![false; sets * ways],
-            predictor: HashMap::new(),
-            samplers: HashMap::new(),
+            predictor: FastMap::default(),
+            samplers: (0..sets.div_ceil(SAMPLE_STRIDE))
+                .map(|_| OptGen::new(ways))
+                .collect(),
         }
     }
 
     fn predict_friendly(&self, site: u32) -> bool {
         *self.predictor.get(&site).unwrap_or(&PRED_FRIENDLY) >= PRED_FRIENDLY
+    }
+
+    /// Records a hit or fill of way `idx` (`set * ways + way`).
+    fn stamp(&mut self, idx: usize, site: u32, friendly: bool, rrpv: u8) {
+        if let Some(r) = self.rrpv.get_mut(idx) {
+            *r = rrpv;
+        }
+        if let Some(s) = self.line_site.get_mut(idx) {
+            *s = site;
+        }
+        if let Some(f) = self.line_friendly.get_mut(idx) {
+            *f = friendly;
+        }
     }
 
     fn train(&mut self, site: u32, positive: bool) {
@@ -152,59 +175,58 @@ impl ReplacementPolicy for Hawkeye {
         if !set.is_multiple_of(SAMPLE_STRIDE) {
             return;
         }
-        let ways = self.ways;
-        let sampler = self
-            .samplers
-            .entry(set)
-            .or_insert_with(|| OptGen::new(ways));
+        let Some(sampler) = self.samplers.get_mut(set / SAMPLE_STRIDE) else {
+            return;
+        };
         if let Some((site, opt_hit)) = sampler.access(meta.line, meta.site.0) {
             self.train(site, opt_hit);
         }
     }
 
     fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        let idx = set * self.ways + way;
         let friendly = self.predict_friendly(meta.site.0);
-        self.rrpv[idx] = 0;
-        self.line_site[idx] = meta.site.0;
-        self.line_friendly[idx] = friendly;
+        self.stamp(set * self.ways + way, meta.site.0, friendly, 0);
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        let idx = set * self.ways + way;
         let friendly = self.predict_friendly(meta.site.0);
-        self.line_site[idx] = meta.site.0;
-        self.line_friendly[idx] = friendly;
-        if friendly {
+        let rrpv = if friendly {
             // Age everyone else so old friendly lines eventually yield.
-            for w in 0..self.ways {
-                if w != way {
-                    let j = set * self.ways + w;
-                    if self.rrpv[j] < RRPV_MAX - 1 {
-                        self.rrpv[j] += 1;
+            let base = set * self.ways;
+            if let Some(rrpvs) = self.rrpv.get_mut(base..base + self.ways) {
+                for (w, r) in rrpvs.iter_mut().enumerate() {
+                    if w != way && *r < RRPV_MAX - 1 {
+                        *r += 1;
                     }
                 }
             }
-            self.rrpv[idx] = 0;
+            0
         } else {
-            self.rrpv[idx] = RRPV_MAX;
-        }
+            RRPV_MAX
+        };
+        self.stamp(set * self.ways + way, meta.site.0, friendly, rrpv);
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
         let base = ctx.set * self.ways;
+        let Some(rrpvs) = self.rrpv.get(base..base + ctx.ways.len()) else {
+            return 0;
+        };
         // Cache-averse lines (RRPV == max) go first.
-        if let Some(w) = (0..ctx.ways.len()).find(|&w| self.rrpv[base + w] == RRPV_MAX) {
+        if let Some(w) = rrpvs.iter().position(|&r| r == RRPV_MAX) {
             return w;
         }
         // Otherwise evict the oldest friendly line and detrain its site:
         // the prediction was wrong.
-        let w = (0..ctx.ways.len())
-            .max_by_key(|&w| self.rrpv[base + w])
-            .unwrap_or(0);
-        if self.line_friendly[base + w] {
-            let site = self.line_site[base + w];
-            self.train(site, false);
+        let w = rrpvs
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &r)| r)
+            .map_or(0, |(w, _)| w);
+        if self.line_friendly.get(base + w) == Some(&true) {
+            if let Some(&site) = self.line_site.get(base + w) {
+                self.train(site, false);
+            }
         }
         w
     }

@@ -10,9 +10,9 @@
 //! fast (any underestimate that caused a premature eviction) and decay
 //! slowly.
 
+use crate::fasthash::FastMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 use popt_graph::cast;
-use std::collections::HashMap;
 
 /// Ceiling on learned live distances (in set-relative access counts).
 const LIVE_DISTANCE_MAX: u16 = 255;
@@ -39,7 +39,7 @@ pub struct Leeway {
     // Per set: its local access clock.
     set_clock: Vec<u64>,
     // Per site: learned live distance.
-    live_distance: HashMap<u32, u16>,
+    live_distance: FastMap<u32, u16>,
 }
 
 impl std::fmt::Debug for Leeway {
@@ -57,7 +57,7 @@ impl Leeway {
             line_site: vec![0; sets * ways],
             line_last_hit_age: vec![0; sets * ways],
             set_clock: vec![0; sets],
-            live_distance: HashMap::new(),
+            live_distance: FastMap::default(),
         }
     }
 
@@ -81,13 +81,31 @@ impl Leeway {
     /// freshly touched block) rather than wrapping to ~2^64, which would
     /// make the block the unconditional victim of every decision.
     fn age(&self, set: usize, way: usize) -> u64 {
-        self.set_clock[set].saturating_sub(self.last_touch[set * self.ways + way])
+        let touched = self.last_touch.get(set * self.ways + way);
+        self.clock(set)
+            .saturating_sub(touched.copied().unwrap_or(0))
+    }
+
+    /// `set`'s access clock.
+    fn clock(&self, set: usize) -> u64 {
+        self.set_clock.get(set).copied().unwrap_or(0)
     }
 
     fn touch(&mut self, set: usize, way: usize, meta: &AccessMeta) {
         let idx = set * self.ways + way;
-        self.last_touch[idx] = self.set_clock[set];
-        self.line_site[idx] = meta.site.0;
+        let clock = self.clock(set);
+        if let Some(stamp) = self.last_touch.get_mut(idx) {
+            *stamp = clock;
+        }
+        if let Some(site) = self.line_site.get_mut(idx) {
+            *site = meta.site.0;
+        }
+    }
+
+    /// The site's live-distance estimate, created at the ceiling on first
+    /// use.
+    fn estimate(&mut self, site: u32) -> &mut u16 {
+        self.live_distance.entry(site).or_insert(LIVE_DISTANCE_MAX)
     }
 }
 
@@ -97,7 +115,9 @@ impl ReplacementPolicy for Leeway {
     }
 
     fn on_access(&mut self, set: usize, _meta: &AccessMeta) {
-        self.set_clock[set] += 1;
+        if let Some(clock) = self.set_clock.get_mut(set) {
+            *clock += 1;
+        }
     }
 
     fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
@@ -107,17 +127,20 @@ impl ReplacementPolicy for Leeway {
         // premature evictions).
         let age = cast::saturate::<u16, u64>(self.age(set, way)).min(LIVE_DISTANCE_MAX);
         let idx = set * self.ways + way;
-        self.line_last_hit_age[idx] = self.line_last_hit_age[idx].max(age);
-        let site = self.line_site[idx];
-        let entry = self.live_distance.entry(site).or_insert(LIVE_DISTANCE_MAX);
-        if age > *entry {
-            *entry = age;
+        if let Some(last_hit_age) = self.line_last_hit_age.get_mut(idx) {
+            *last_hit_age = (*last_hit_age).max(age);
+        }
+        if let Some(&site) = self.line_site.get(idx) {
+            let entry = self.estimate(site);
+            *entry = (*entry).max(age);
         }
         self.touch(set, way, meta);
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        self.line_last_hit_age[set * self.ways + way] = 0;
+        if let Some(last_hit_age) = self.line_last_hit_age.get_mut(set * self.ways + way) {
+            *last_hit_age = 0;
+        }
         self.touch(set, way, meta);
     }
 
@@ -127,22 +150,37 @@ impl ReplacementPolicy for Leeway {
         // observation — the slow downward leg of Leeway's
         // variability-tolerant update.
         let idx = set * self.ways + way;
-        let observed = self.line_last_hit_age[idx];
-        let site = self.line_site[idx];
-        let entry = self.live_distance.entry(site).or_insert(LIVE_DISTANCE_MAX);
+        let (Some(&observed), Some(&site)) =
+            (self.line_last_hit_age.get(idx), self.line_site.get(idx))
+        else {
+            return;
+        };
+        let entry = self.estimate(site);
         if observed < *entry {
             *entry -= (*entry - observed).div_ceil(2);
         }
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        let base = ctx.set * self.ways;
+        let ways = ctx.set * self.ways..ctx.set * self.ways + ctx.ways.len();
+        let (Some(touched), Some(sites)) =
+            (self.last_touch.get(ways.clone()), self.line_site.get(ways))
+        else {
+            return 0;
+        };
+        let clock = self.clock(ctx.set);
         // Prefer the block furthest past its live distance; fall back to
         // the oldest block (LRU order by last touch).
         let mut best_dead: Option<(usize, u64)> = None;
-        for w in 0..ctx.ways.len() {
-            let age = self.age(ctx.set, w);
-            let live = self.live_distance_of(self.line_site[base + w]) as u64;
+        // Neighboring ways mostly share a site: look each run up once.
+        let mut last: Option<(u32, u64)> = None;
+        for (w, (&stamp, &site)) in touched.iter().zip(sites).enumerate() {
+            let age = clock.saturating_sub(stamp);
+            let live = match last {
+                Some((s, live)) if s == site => live,
+                _ => u64::from(self.live_distance_of(site)),
+            };
+            last = Some((site, live));
             if age > live {
                 let overshoot = age - live;
                 if best_dead.is_none_or(|(_, o)| overshoot > o) {
@@ -153,9 +191,11 @@ impl ReplacementPolicy for Leeway {
         if let Some((w, _)) = best_dead {
             return w;
         }
-        (0..ctx.ways.len())
-            .max_by_key(|&w| self.age(ctx.set, w))
-            .unwrap_or(0)
+        touched
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &stamp)| clock.saturating_sub(stamp))
+            .map_or(0, |(w, _)| w)
     }
 }
 

@@ -9,8 +9,8 @@
 //! At access time, a line whose site predicts dead is marked evictable;
 //! victims prefer predicted-dead lines and fall back to LRU order.
 
+use crate::fasthash::FastMap;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
-use std::collections::HashMap;
 
 /// Saturating predictor ceiling (2-bit counters in the original's skewed
 /// tables; one table suffices for our site-accurate signatures).
@@ -40,7 +40,7 @@ pub struct Sdbp {
     line_dead: Vec<bool>,
     line_reused: Vec<bool>,
     clock: u64,
-    predictor: HashMap<u32, u8>,
+    predictor: FastMap<u32, u8>,
 }
 
 impl std::fmt::Debug for Sdbp {
@@ -59,7 +59,7 @@ impl Sdbp {
             line_dead: vec![false; sets * ways],
             line_reused: vec![false; sets * ways],
             clock: 0,
-            predictor: HashMap::new(),
+            predictor: FastMap::default(),
         }
     }
 
@@ -79,9 +79,30 @@ impl Sdbp {
     fn touch(&mut self, set: usize, way: usize, meta: &AccessMeta) {
         let idx = set * self.ways + way;
         self.clock += 1;
-        self.stamps[idx] = self.clock;
-        self.line_site[idx] = meta.site.0;
-        self.line_dead[idx] = self.predict_dead(meta.site.0);
+        let dead = self.predict_dead(meta.site.0);
+        if let Some(stamp) = self.stamps.get_mut(idx) {
+            *stamp = self.clock;
+        }
+        if let Some(site) = self.line_site.get_mut(idx) {
+            *site = meta.site.0;
+        }
+        if let Some(d) = self.line_dead.get_mut(idx) {
+            *d = dead;
+        }
+    }
+
+    /// Sets way `idx`'s reused flag, returning its previous value.
+    fn mark_reused(&mut self, idx: usize, reused: bool) -> bool {
+        self.line_reused
+            .get_mut(idx)
+            .map_or(reused, |r| std::mem::replace(r, reused))
+    }
+
+    /// Trains the site that last touched way `idx`.
+    fn train_line(&mut self, idx: usize, dead: bool) {
+        if let Some(&site) = self.line_site.get(idx) {
+            self.train(site, dead);
+        }
     }
 }
 
@@ -92,18 +113,16 @@ impl ReplacementPolicy for Sdbp {
 
     fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
         let idx = set * self.ways + way;
-        if set.is_multiple_of(SAMPLE_STRIDE) && !self.line_reused[idx] {
+        let was_reused = self.mark_reused(idx, true);
+        if set.is_multiple_of(SAMPLE_STRIDE) && !was_reused {
             // The previous touch was *not* the last: train toward live.
-            let site = self.line_site[idx];
-            self.train(site, false);
+            self.train_line(idx, false);
         }
-        self.line_reused[idx] = true;
         self.touch(set, way, meta);
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
-        let idx = set * self.ways + way;
-        self.line_reused[idx] = false;
+        self.mark_reused(set * self.ways + way, false);
         self.touch(set, way, meta);
     }
 
@@ -112,25 +131,29 @@ impl ReplacementPolicy for Sdbp {
             return;
         }
         let idx = set * self.ways + way;
-        if !self.line_reused[idx] {
+        if self.line_reused.get(idx) == Some(&false) {
             // Evicted without any reuse: its site's touches are dead-ends.
-            let site = self.line_site[idx];
-            self.train(site, true);
+            self.train_line(idx, true);
         }
     }
 
     fn victim(&mut self, ctx: &VictimCtx<'_>) -> usize {
-        let base = ctx.set * self.ways;
+        let ways = ctx.set * self.ways..ctx.set * self.ways + ctx.ways.len();
+        let (Some(stamps), Some(dead)) = (self.stamps.get(ways.clone()), self.line_dead.get(ways))
+        else {
+            return 0;
+        };
         // Predicted-dead lines first (oldest among them), else plain LRU.
-        if let Some(w) = (0..ctx.ways.len())
-            .filter(|&w| self.line_dead[base + w])
-            .min_by_key(|&w| self.stamps[base + w])
-        {
-            return w;
-        }
-        (0..ctx.ways.len())
-            .min_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0)
+        let oldest = |dead_only: bool| {
+            stamps
+                .iter()
+                .zip(dead)
+                .enumerate()
+                .filter(|&(_, (_, &d))| d || !dead_only)
+                .min_by_key(|&(_, (&stamp, _))| stamp)
+                .map(|(w, _)| w)
+        };
+        oldest(true).or_else(|| oldest(false)).unwrap_or(0)
     }
 }
 

@@ -13,10 +13,10 @@
 //!   *idealized* SHiP-Mem "with infinite storage to track individual cache
 //!   lines"; we reproduce that with an unbounded per-line counter map.
 
+use crate::fasthash::FastMap;
 use crate::policies::rrip::RripCore;
 use crate::{AccessMeta, ReplacementPolicy, VictimCtx};
 use popt_trace::SiteId;
-use std::collections::HashMap;
 
 /// Signature source for SHiP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ pub struct Ship {
     ways: usize,
     mode: ShipSignature,
     pc_table: Vec<u8>,
-    mem_table: HashMap<u64, u8>,
+    mem_table: FastMap<u64, u8>,
     // Per (set, way): the fill signature and whether the line re-referenced.
     line_sig: Vec<u64>,
     line_outcome: Vec<bool>,
@@ -72,7 +72,7 @@ impl Ship {
             mode,
             // Weakly "reused" so cold signatures are not instantly dead.
             pc_table: vec![1; SHCT_ENTRIES],
-            mem_table: HashMap::new(),
+            mem_table: FastMap::default(),
             line_sig: vec![0; sets * ways],
             line_outcome: vec![false; sets * ways],
         }
@@ -88,22 +88,23 @@ impl Ship {
         }
     }
 
-    fn counter(&mut self, sig: u64) -> u8 {
+    /// The SHCT counter of `sig`; a Mem signature seen for the first time
+    /// gets a fresh, weakly reused counter. `None` only for a PC signature
+    /// outside the table, which [`Ship::signature`] never produces.
+    fn counter(&mut self, sig: u64) -> Option<&mut u8> {
         match self.mode {
-            ShipSignature::Pc => self.pc_table[sig as usize],
-            ShipSignature::Mem => *self.mem_table.entry(sig).or_insert(1),
+            ShipSignature::Pc => self.pc_table.get_mut(sig as usize),
+            ShipSignature::Mem => Some(self.mem_table.entry(sig).or_insert(1)),
         }
     }
 
     fn train(&mut self, sig: u64, reused: bool) {
-        let c = match self.mode {
-            ShipSignature::Pc => &mut self.pc_table[sig as usize],
-            ShipSignature::Mem => self.mem_table.entry(sig).or_insert(1),
-        };
-        if reused {
-            *c = (*c + 1).min(SHCT_MAX);
-        } else {
-            *c = c.saturating_sub(1);
+        if let Some(c) = self.counter(sig) {
+            *c = if reused {
+                (*c + 1).min(SHCT_MAX)
+            } else {
+                c.saturating_sub(1)
+            };
         }
     }
 }
@@ -116,21 +117,27 @@ impl ReplacementPolicy for Ship {
         }
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, meta: &AccessMeta) {
+    fn on_hit(&mut self, set: usize, way: usize, _meta: &AccessMeta) {
         let idx = set * self.ways + way;
-        self.line_outcome[idx] = true;
-        let sig = self.line_sig[idx];
-        self.train(sig, true);
+        if let Some(outcome) = self.line_outcome.get_mut(idx) {
+            *outcome = true;
+        }
+        if let Some(&sig) = self.line_sig.get(idx) {
+            self.train(sig, true);
+        }
         self.core.set_rrpv(set, way, 0);
-        let _ = meta;
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
         let sig = self.signature(meta.site, meta.line);
         let idx = set * self.ways + way;
-        self.line_sig[idx] = sig;
-        self.line_outcome[idx] = false;
-        let rrpv = if self.counter(sig) == 0 {
+        if let Some(s) = self.line_sig.get_mut(idx) {
+            *s = sig;
+        }
+        if let Some(outcome) = self.line_outcome.get_mut(idx) {
+            *outcome = false;
+        }
+        let rrpv = if self.counter(sig).is_some_and(|c| *c == 0) {
             RRPV_MAX
         } else {
             RRPV_MAX - 1
@@ -140,9 +147,10 @@ impl ReplacementPolicy for Ship {
 
     fn on_evict(&mut self, set: usize, way: usize, _line: u64) {
         let idx = set * self.ways + way;
-        if !self.line_outcome[idx] {
-            let sig = self.line_sig[idx];
-            self.train(sig, false);
+        if self.line_outcome.get(idx) == Some(&false) {
+            if let Some(&sig) = self.line_sig.get(idx) {
+                self.train(sig, false);
+            }
         }
     }
 
@@ -304,10 +312,10 @@ mod tests {
         for _ in 0..20 {
             ship.train(sig, true);
         }
-        assert_eq!(ship.counter(sig), SHCT_MAX);
+        assert_eq!(ship.counter(sig).copied(), Some(SHCT_MAX));
         for _ in 0..20 {
             ship.train(sig, false);
         }
-        assert_eq!(ship.counter(sig), 0);
+        assert_eq!(ship.counter(sig).copied(), Some(0));
     }
 }

@@ -9,7 +9,6 @@
 
 use p_opt::graph::suite::{suite_graph, SuiteGraph, SuiteScale};
 use p_opt::prelude::*;
-use p_opt::sim::policies::Belady;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,15 +63,13 @@ fn main() {
         ));
     }
 
-    // Belady's MIN: record the LLC stream once, then replay with the oracle.
-    let mut recorder = Hierarchy::new(&cfg, |s, w| PolicyKind::Lru.build(s, w));
-    recorder.set_address_space(&plan.space);
-    recorder.start_recording_llc();
-    app.trace(&g, &plan, &mut recorder);
-    let llc_stream = recorder.take_llc_recording();
-    let mut oracle = Hierarchy::new(&cfg, |s, w| Box::new(Belady::from_trace(s, w, &llc_stream)));
-    oracle.set_address_space(&plan.space);
-    app.trace(&g, &plan, &mut oracle);
+    // Belady's MIN: record the LLC stream once, then replay it into the
+    // oracle's LLC.
+    let Ok(oracle) = Hierarchy::run_belady(&cfg, |h| {
+        h.set_address_space(&plan.space);
+        app.trace(&g, &plan, h);
+        Ok::<(), std::convert::Infallible>(())
+    });
     let s = oracle.stats();
     results.push((
         "OPT (MIN)".to_string(),
