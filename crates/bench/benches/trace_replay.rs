@@ -1,14 +1,15 @@
 //! Record-once / replay-many economics: kernel re-execution versus
-//! `POPTTRC2` decode for driving a simulation cell, plus raw codec
-//! encode/decode throughput.
+//! `POPTTRC2` decode versus an LLC-only replay of the recorded post-L2
+//! stream for driving a simulation cell, plus raw codec encode/decode
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_hierarchy_cached, PolicySpec};
+use popt_cli::runner::{policy_hierarchy_cached, record_stream, replay_cell, PolicySpec};
 use popt_kernels::App;
 use popt_sim::{HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
-use popt_tracestore::{replay_any, ChunkWriter, FanoutSink};
+use popt_tracestore::{replay_any, ChunkWriter};
 
 fn recorded_pagerank() -> (popt_graph::Graph, popt_kernels::TracePlan, Vec<u8>, u64) {
     let g = bench_graph(32_768);
@@ -21,8 +22,9 @@ fn recorded_pagerank() -> (popt_graph::Graph, popt_kernels::TracePlan, Vec<u8>, 
     (g, plan, buf, summary.events)
 }
 
-/// Why sweep cells run their kernels: what does a pagerank *cell* cost
-/// when its events come from kernel re-execution versus trace replay?
+/// Why sweep cells run their kernels and share post-L2 streams: what does
+/// a pagerank *cell* cost when its events come from kernel re-execution,
+/// from trace replay, or (LLC only) from a recorded stream?
 fn cell_drive(c: &mut Criterion) {
     let (g, plan, trace, events) = recorded_pagerank();
     let cfg = HierarchyConfig::small_test();
@@ -43,6 +45,11 @@ fn cell_drive(c: &mut Criterion) {
             replay_any(&trace[..], &mut h).expect("pristine trace");
             h.stats()
         })
+    });
+    // What a sweep cell costs once its row's stream is recorded.
+    let stream = record_stream(App::Pagerank, &g, &cfg);
+    group.bench_function("llc_stream_replay", |b| {
+        b.iter(|| replay_cell(App::Pagerank, &g, &cfg, &lru, None, &stream))
     });
     group.finish();
 }
@@ -68,18 +75,6 @@ fn codec(c: &mut Criterion) {
             let mut sink = CountingSink::new();
             replay_any(&trace[..], &mut sink).expect("pristine trace");
             sink.accesses()
-        })
-    });
-    group.bench_function("decode_fanout_x4", |b| {
-        b.iter(|| {
-            let mut fan = FanoutSink::new(vec![
-                CountingSink::new(),
-                CountingSink::new(),
-                CountingSink::new(),
-                CountingSink::new(),
-            ]);
-            replay_any(&trace[..], &mut fan).expect("pristine trace");
-            fan.len()
         })
     });
     group.finish();

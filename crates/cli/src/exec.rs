@@ -10,8 +10,14 @@
 //! 2. submit simulation cells in its old serial order, and
 //! 3. read results back in that same order — which keeps emitted CSVs
 //!    byte-identical to the historical serial runs at any `--jobs` level.
+//!
+//! It is also the row engine: the [`Session::sim_cell`] cells that share
+//! a kernel, a graph and L1/L2 geometry share one kernel + private-level
+//! pass. The first of them to run records the post-L2 stream
+//! ([`record_stream`]); every one of them replays only the LLC from it
+//! ([`replay_cell`]).
 
-use crate::runner::{simulate_cached, MatrixCtx, PolicySpec};
+use crate::runner::{record_stream, replay_cell, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -20,9 +26,9 @@ use popt_harness::{
     SweepSession,
 };
 use popt_kernels::App;
-use popt_sim::{HierarchyConfig, HierarchyStats};
+use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, LlcStream};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One materialized suite input: the graph plus its stable descriptor
 /// (the descriptor seeds both graph and matrix cache keys).
@@ -36,12 +42,139 @@ pub struct SuiteEntry {
     pub desc: String,
 }
 
+/// Everything a sim cell's post-L2 stream depends on. Sim cells are
+/// single-core, with no prefetcher and no context switch, and the LLC
+/// never feeds back into the private levels, so the LLC's size, ways,
+/// reserved ways, banks and policy stay out: cells differing only there
+/// share one stream.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct StreamKey {
+    graph_desc: String,
+    app: App,
+    l1: CacheConfig,
+    l2: CacheConfig,
+}
+
+/// The recording every consumer of one [`StreamKey`] replays.
+#[derive(Debug)]
+struct StreamSlot {
+    /// The scheduling group of the slot's cells.
+    group: u64,
+    stream: OnceLock<LlcStream>,
+}
+
+/// LLC-stream counters of a [`Session`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamCounters {
+    /// Streams recorded: kernel + L1/L2 passes run.
+    pub recorded: u64,
+    /// LLC replays run, one per executed sim cell.
+    pub replayed: u64,
+    /// Streams held right now.
+    pub live: u64,
+    /// The most streams held at once.
+    pub peak_live: u64,
+}
+
+impl StreamCounters {
+    /// The `"streams"` object of `sweep_summary.json`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"recorded\":{},\"replayed\":{},\"peak_live\":{}}}",
+            self.recorded, self.replayed, self.peak_live
+        )
+    }
+}
+
+/// The streams of the sim cells submitted and not yet finished, keyed by
+/// what they depend on, each with its count of registered consumers.
+#[derive(Debug, Default)]
+struct StreamMemo(Mutex<MemoState>);
+
+#[derive(Debug, Default)]
+struct MemoState {
+    slots: BTreeMap<StreamKey, (Arc<StreamSlot>, usize)>,
+    next_group: u64,
+    counters: StreamCounters,
+}
+
+impl StreamMemo {
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers one more consumer of `key`'s stream.
+    fn register(self: &Arc<Self>, key: StreamKey) -> StreamConsumer {
+        let mut state = self.state();
+        let group = state.next_group;
+        state.next_group += 1;
+        let (slot, consumers) = state.slots.entry(key.clone()).or_insert_with(|| {
+            let slot = StreamSlot {
+                group,
+                stream: OnceLock::new(),
+            };
+            (Arc::new(slot), 0)
+        });
+        *consumers += 1;
+        let slot = Arc::clone(slot);
+        StreamConsumer {
+            memo: Arc::clone(self),
+            key,
+            slot,
+        }
+    }
+}
+
+/// One sim cell's claim on a shared stream. Dropping it — after the cell
+/// ran, failed, or was resumed from the journal without running — releases
+/// the claim; the last release frees the stream.
+#[derive(Debug)]
+struct StreamConsumer {
+    memo: Arc<StreamMemo>,
+    key: StreamKey,
+    slot: Arc<StreamSlot>,
+}
+
+impl StreamConsumer {
+    /// The shared stream, recorded by `record` if no consumer has yet;
+    /// concurrent consumers wait for that one recording.
+    fn stream(&self, record: impl FnOnce() -> LlcStream) -> &LlcStream {
+        let stream = self.slot.stream.get_or_init(|| {
+            let stream = record();
+            let counters = &mut self.memo.state().counters;
+            counters.recorded += 1;
+            counters.live += 1;
+            counters.peak_live = counters.peak_live.max(counters.live);
+            stream
+        });
+        self.memo.state().counters.replayed += 1;
+        stream
+    }
+}
+
+impl Drop for StreamConsumer {
+    fn drop(&mut self) {
+        let mut state = self.memo.state();
+        let Some((_, consumers)) = state.slots.get_mut(&self.key) else {
+            return;
+        };
+        *consumers -= 1;
+        if *consumers == 0 {
+            state.slots.remove(&self.key);
+            if self.slot.stream.get().is_some() {
+                state.counters.live -= 1;
+            }
+        }
+    }
+}
+
 /// Run-wide execution context for the experiment drivers.
 #[derive(Debug)]
 pub struct Session {
     sweep: SweepSession,
     cache: Option<Arc<ArtifactCache>>,
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
+    streams: Arc<StreamMemo>,
 }
 
 impl Session {
@@ -58,6 +191,7 @@ impl Session {
             sweep: SweepSession::parallel(threads),
             cache: None,
             graphs: Mutex::new(BTreeMap::new()),
+            streams: Arc::default(),
         }
     }
 
@@ -139,7 +273,13 @@ impl Session {
 
     /// A standard simulation cell: `simulate(app, graph, cfg, policy)`
     /// against a graph known by descriptor, with matrix construction
-    /// deduped through the session cache. Every cell runs its own kernel.
+    /// deduped through the session cache.
+    ///
+    /// Sim cells with the same app, graph descriptor and L1/L2 geometry
+    /// share one kernel + private-level pass: the first of them to run
+    /// records the post-L2 stream, each replays only the LLC from it, and
+    /// the stream is freed once the last of them is done (or dropped
+    /// unrun). [`run`](Session::run) starts such cells back to back.
     pub fn sim_cell(
         &self,
         id: impl Into<String>,
@@ -153,9 +293,18 @@ impl Session {
         let cfg = cfg.clone();
         let policy = policy.clone();
         let ctx = self.matrix_ctx(graph_desc);
+        let consumer = self.streams.register(StreamKey {
+            graph_desc: graph_desc.to_string(),
+            app,
+            l1: cfg.l1,
+            l2: cfg.l2,
+        });
+        let group = consumer.slot.group;
         SweepCell::new(id, move || {
-            simulate_cached(app, &graph, &cfg, &policy, ctx.as_ref())
+            let stream = consumer.stream(|| record_stream(app, &graph, &cfg));
+            replay_cell(app, &graph, &cfg, &policy, ctx.as_ref(), stream)
         })
+        .in_group(group)
     }
 
     /// [`sim_cell`](Session::sim_cell) against a suite entry.
@@ -172,6 +321,7 @@ impl Session {
 
     /// A custom cell (for the special-phase runners the standard
     /// `simulate` path doesn't cover: tiled, PB, PHI, custom hierarchies).
+    /// It runs its whole simulation itself and shares no stream.
     pub fn cell(
         &self,
         id: impl Into<String>,
@@ -181,7 +331,8 @@ impl Session {
     }
 
     /// Runs a batch of cells, returning stats in submission order (see
-    /// [`SweepSession::run_cells`]).
+    /// [`SweepSession::run_cells`]). Sim cells sharing a stream start back
+    /// to back, so about one stream per worker is held at a time.
     pub fn run(&self, cells: Vec<SweepCell<'_>>) -> Vec<HierarchyStats> {
         self.sweep.run_cells(cells)
     }
@@ -194,6 +345,11 @@ impl Session {
     /// Cells replayed from the journal so far.
     pub fn resumed(&self) -> usize {
         self.sweep.resumed()
+    }
+
+    /// LLC streams recorded, replayed and held so far.
+    pub fn stream_counters(&self) -> StreamCounters {
+        self.streams.state().counters
     }
 
     /// Finishes the sweep (see [`SweepSession::finish`]).
@@ -274,5 +430,154 @@ mod tests {
         assert_eq!(out.len(), 2);
         let serial = crate::runner::simulate(App::Pagerank, &entry.graph, &cfg, &lru);
         assert_eq!(out[0], serial, "cell result matches direct simulate");
+    }
+
+    /// The policies of a sweep row, Belady included.
+    fn row() -> Vec<PolicySpec> {
+        vec![
+            PolicySpec::Baseline(PolicyKind::Lru),
+            PolicySpec::Baseline(PolicyKind::Drrip),
+            PolicySpec::Baseline(PolicyKind::Hawkeye),
+            PolicySpec::Belady,
+            PolicySpec::Topt,
+            PolicySpec::popt_default(),
+        ]
+    }
+
+    #[test]
+    fn a_row_on_one_stream_records_it_once() {
+        let session = Session::parallel(2);
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let cfg = Scale::Tiny.config();
+        let cells = row()
+            .iter()
+            .map(|spec| {
+                let id = format!("exec/row/{}", spec.cell_tag());
+                session.sim(id, App::Components, &entry, &cfg, spec)
+            })
+            .collect();
+        let out = session.run(cells);
+        assert_eq!(
+            session.stream_counters(),
+            StreamCounters {
+                recorded: 1,
+                replayed: 6,
+                live: 0,
+                peak_live: 1,
+            }
+        );
+        for (spec, stats) in row().iter().zip(&out) {
+            let direct = crate::runner::simulate(App::Components, &entry.graph, &cfg, spec);
+            assert_eq!(*stats, direct, "{}", spec.label());
+        }
+    }
+
+    #[test]
+    fn interleaved_streams_run_grouped_and_are_freed() {
+        // Figure 16's shape: every LLC configuration submits one cell per
+        // graph and policy, so consecutive cells alternate streams.
+        let session = Session::parallel(2);
+        let suite = session.suite(Scale::Tiny);
+        let llcs: Vec<HierarchyConfig> = [(64, 16), (128, 16), (256, 8), (256, 32)]
+            .iter()
+            .map(|&(kb, ways)| HierarchyConfig::scaled_with_llc(kb * 1024, ways))
+            .collect();
+        let specs = [
+            PolicySpec::Baseline(PolicyKind::Drrip),
+            PolicySpec::popt_default(),
+        ];
+        let mut cells = Vec::new();
+        let mut expected = Vec::new();
+        for (c, cfg) in llcs.iter().enumerate() {
+            for entry in &suite {
+                for spec in &specs {
+                    let id = format!("exec/fig16/{c}/{}/{}", entry.which, spec.cell_tag());
+                    cells.push(session.sim(id, App::Pagerank, entry, cfg, spec));
+                    expected.push(crate::runner::simulate(
+                        App::Pagerank,
+                        &entry.graph,
+                        cfg,
+                        spec,
+                    ));
+                }
+            }
+        }
+        let out = session.run(cells);
+        assert_eq!(out, expected, "results come back in submission order");
+        let counters = session.stream_counters();
+        assert_eq!(counters.recorded, suite.len() as u64, "one per graph");
+        assert_eq!(counters.replayed, expected.len() as u64);
+        assert!(
+            (1..=2).contains(&counters.peak_live),
+            "two workers hold at most two streams: {counters:?}"
+        );
+        assert_eq!(counters.live, 0, "every stream is freed after the batch");
+    }
+
+    #[test]
+    fn faulted_and_resumed_cells_release_their_streams_unrecorded() {
+        let journal = scratch("stream-release").join("manifest.jsonl");
+        let cfg = Scale::Tiny.config();
+        let specs = row();
+        // Four cells share urand's stream; kron's only cell is the faulted
+        // LRU one, so nothing may ever record kron's stream.
+        let batch = |session: &Session| {
+            let urand = session.graph(SuiteGraph::Urand, Scale::Tiny);
+            let kron = session.graph(SuiteGraph::Kron, Scale::Tiny);
+            let mut cells: Vec<SweepCell<'static>> = specs[..4]
+                .iter()
+                .map(|spec| {
+                    let id = format!("exec/release/urand/{}", spec.cell_tag());
+                    session.sim(id, App::Pagerank, &urand, &cfg, spec)
+                })
+                .collect();
+            cells.push(session.sim(
+                "exec/release/kron/lru",
+                App::Pagerank,
+                &kron,
+                &cfg,
+                &specs[0],
+            ));
+            cells
+        };
+        let direct = |which: SuiteGraph, spec: &PolicySpec| {
+            let g = suite_graph(which, popt_graph::suite::SuiteScale::Tiny);
+            crate::runner::simulate(App::Pagerank, &g, &cfg, spec)
+        };
+
+        let faulted = Session::parallel(2)
+            .with_manifest(Manifest::open(&journal).unwrap())
+            .with_fault("/lru");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            faulted.run(batch(&faulted))
+        }));
+        assert!(run.is_err(), "the faulted cells fail the batch");
+        let counters = faulted.stream_counters();
+        assert_eq!((counters.recorded, counters.replayed), (1, 3));
+        assert_eq!(counters.live, 0, "faulted cells released their claims");
+        drop(faulted);
+
+        // Resuming: the three journaled urand cells release their claims
+        // without running; the two LRU cells record and replay.
+        let resumed = Session::parallel(2).with_manifest(Manifest::open(&journal).unwrap());
+        let out = resumed.run(batch(&resumed));
+        assert_eq!(resumed.resumed(), 3);
+        let counters = resumed.stream_counters();
+        assert_eq!(
+            (counters.recorded, counters.replayed, counters.live),
+            (2, 2, 0)
+        );
+        let mut expected: Vec<HierarchyStats> = specs[..4]
+            .iter()
+            .map(|spec| direct(SuiteGraph::Urand, spec))
+            .collect();
+        expected.push(direct(SuiteGraph::Kron, &specs[0]));
+        assert_eq!(out, expected);
+        drop(resumed);
+
+        // A fully journaled batch records nothing at all.
+        let warm = Session::parallel(2).with_manifest(Manifest::open(&journal).unwrap());
+        assert_eq!(warm.run(batch(&warm)), expected);
+        assert_eq!(warm.stream_counters(), StreamCounters::default());
     }
 }

@@ -6,7 +6,7 @@ use popt_graph::{Graph, VertexId};
 use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Grasp, GraspRegions};
-use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind, TimingModel};
+use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, LlcStream, PolicyKind, TimingModel};
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -14,7 +14,8 @@ use std::sync::Arc;
 pub enum PolicySpec {
     /// One of the graph-agnostic baselines.
     Baseline(PolicyKind),
-    /// Belady's MIN via two-pass trace recording (single-bank LLC only).
+    /// Belady's MIN, built from a recorded LLC stream (single-bank LLC
+    /// only).
     Belady,
     /// Transpose-based optimal (idealized T-OPT).
     Topt,
@@ -246,6 +247,11 @@ pub fn simulate(app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec)
 /// artifact cache when `ctx` is provided. Results are bit-identical to the
 /// uncached path — the cache only changes *where* matrices come from.
 ///
+/// This is the one-pass direct path: it runs the kernel and both private
+/// levels itself and keeps nothing for later calls. Callers simulating a
+/// row of LLC policies over one stream share that work through
+/// [`record_stream`] and [`replay_cell`] instead.
+///
 /// # Panics
 ///
 /// Panics if the returned statistics break a conservation law of
@@ -263,6 +269,42 @@ pub fn simulate_cached(
     })
 }
 
+/// Records the post-L2 request stream of `app` on `g` under `cfg`'s L1
+/// and L2: the kernel and private-level half of a cell. The stream does
+/// not depend on the LLC's configuration or policy, so one recording
+/// serves every [`replay_cell`] whose hierarchy shares those two levels.
+pub fn record_stream(app: App, g: &Graph, cfg: &HierarchyConfig) -> LlcStream {
+    let plan = app.plan(g);
+    let Ok(stream) = Hierarchy::record_llc(cfg, |recorder| {
+        recorder.set_address_space(&plan.space);
+        app.trace(g, &plan, recorder);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    stream
+}
+
+/// The LLC half of a cell: replays a [`record_stream`] recording into
+/// `policy`'s LLC under `cfg`. Returns exactly the stats
+/// [`simulate_cached`] returns for the same arguments, checked the same
+/// way.
+///
+/// # Panics
+///
+/// Panics like [`simulate_cached`]: on a multi-bank LLC under
+/// `PolicySpec::Belady`, and if the stats break a conservation law.
+pub fn replay_cell(
+    app: App,
+    g: &Graph,
+    cfg: &HierarchyConfig,
+    policy: &PolicySpec,
+    ctx: Option<&MatrixCtx>,
+    stream: &LlcStream,
+) -> HierarchyStats {
+    checked_stats(&replay_hierarchy(app, g, cfg, policy, ctx, stream), || {
+        format!("{app} under {policy:?}")
+    })
+}
+
 /// Returns the hierarchy's stats after asserting
 /// [`HierarchyStats::check`]; `what` names the run in the panic message.
 fn checked_stats(h: &Hierarchy, what: impl FnOnce() -> String) -> HierarchyStats {
@@ -274,7 +316,8 @@ fn checked_stats(h: &Hierarchy, what: impl FnOnce() -> String) -> HierarchyStats
 }
 
 /// The simulation behind [`simulate_cached`]: the hierarchy after the
-/// kernel's whole event stream, before its stats check.
+/// kernel's whole event stream, before its stats check. Belady, which is
+/// built from the recorded stream, records and replays.
 fn run_cell(
     app: App,
     g: &Graph,
@@ -282,30 +325,42 @@ fn run_cell(
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
 ) -> Hierarchy {
-    let plan = app.plan(g);
     if matches!(policy, PolicySpec::Belady) {
-        let Ok(hierarchy) = Hierarchy::run_belady(cfg, |recorder| {
-            recorder.set_address_space(&plan.space);
-            app.trace(g, &plan, recorder);
-            Ok::<(), std::convert::Infallible>(())
-        });
-        return hierarchy;
+        return replay_hierarchy(app, g, cfg, policy, ctx, &record_stream(app, g, cfg));
     }
+    let plan = app.plan(g);
     let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx);
     app.trace(g, &plan, &mut hierarchy);
     hierarchy
 }
 
+/// The hierarchy behind [`replay_cell`], before its stats check.
+fn replay_hierarchy(
+    app: App,
+    g: &Graph,
+    cfg: &HierarchyConfig,
+    policy: &PolicySpec,
+    ctx: Option<&MatrixCtx>,
+    stream: &LlcStream,
+) -> Hierarchy {
+    if matches!(policy, PolicySpec::Belady) {
+        return Hierarchy::belady_from_stream(cfg, stream);
+    }
+    let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &app.plan(g), policy, ctx);
+    hierarchy.replay_llc(stream);
+    hierarchy
+}
+
 /// Builds a hierarchy configured for `policy`, with its address space set,
-/// ready to consume the kernel's event stream — the single construction
-/// path shared by [`simulate_cached`] and the `experiments trace replay`
-/// fan-out (which drives several of these from one decoded trace).
+/// ready to consume the kernel's event stream or a recorded LLC stream —
+/// the single construction path shared by [`simulate_cached`] and
+/// [`replay_cell`].
 ///
 /// # Panics
 ///
 /// Panics on [`PolicySpec::Belady`]: the oracle is built *from* a recorded
 /// LLC stream, so it cannot be constructed ahead of event delivery. Use
-/// [`simulate_cached`] for Belady.
+/// [`simulate_cached`] or [`replay_cell`] for Belady.
 pub fn policy_hierarchy_cached(
     app: App,
     g: &Graph,

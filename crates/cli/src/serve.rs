@@ -121,9 +121,12 @@ impl CellRunner for ExperimentCellRunner {
         // catches it and marks the job failed without killing the daemon.
         let tables = runner(&session, scale);
         emit_tables(&tables, &self.out, name).map_err(|e| format!("emit {name}: {e}"))?;
+        let streams = session.stream_counters();
         let summary = CellSummary {
             executed: session.executed() as u64,
             resumed: session.resumed() as u64,
+            streams_recorded: streams.recorded,
+            streams_replayed: streams.replayed,
         };
         session
             .finish()

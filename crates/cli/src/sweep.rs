@@ -8,13 +8,14 @@
 //! - `sweep_manifest.jsonl` — the resume journal: a killed sweep restarted
 //!   with the same arguments re-simulates only the unfinished cells;
 //! - `sweep_report.{csv,txt}` + `sweep_summary.json` — per-cell wall-time
-//!   metrics and the run-level executed/resumed/cache-counter digest.
+//!   metrics and the run-level executed/resumed/cache/stream-counter
+//!   digest.
 //!
 //! The result tables land next to them under the exact historical file
 //! names, byte-identical to the serial `experiments` runs at any `--jobs`
 //! level.
 
-use crate::exec::Session;
+use crate::exec::{Session, StreamCounters};
 use crate::experiments::{emit_tables, find_experiment, Runner, EXPERIMENTS};
 use crate::Scale;
 use popt_harness::{ArtifactCache, Manifest};
@@ -68,6 +69,8 @@ pub struct SweepSummary {
     pub failed: Vec<String>,
     /// Artifact-cache counters at completion.
     pub counters: popt_harness::CacheCounters,
+    /// LLC streams recorded and replayed by the sim cells.
+    pub streams: StreamCounters,
 }
 
 impl SweepSummary {
@@ -80,7 +83,7 @@ impl SweepSummary {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"failed\":[{}],\"cache\":{}}}\n",
+            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"failed\":[{}],\"cache\":{},\"streams\":{}}}\n",
             scale.name(),
             jobs,
             self.executed + self.resumed,
@@ -88,6 +91,7 @@ impl SweepSummary {
             self.resumed,
             failed,
             self.counters.to_json(),
+            self.streams.to_json(),
         )
     }
 }
@@ -172,6 +176,7 @@ pub fn run_sweep(opts: &SweepOptions) -> std::io::Result<SweepSummary> {
         resumed: session.resumed(),
         failed,
         counters: cache.counters(),
+        streams: session.stream_counters(),
     };
     let report = session.finish()?;
     report.write(&opts.out)?;
@@ -214,11 +219,18 @@ mod tests {
                 matrix_hits: 6,
                 matrix_builds: 2,
             },
+            streams: StreamCounters {
+                recorded: 1,
+                replayed: 3,
+                live: 0,
+                peak_live: 1,
+            },
         };
         assert_eq!(
             s.to_json(Scale::Tiny, 2),
             "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":5,\"executed\":3,\"resumed\":2,\"failed\":[],\
-             \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2}}\n"
+             \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2},\
+             \"streams\":{\"recorded\":1,\"replayed\":3,\"peak_live\":1}}\n"
         );
         s.failed = vec!["fig2".to_string(), "fig7".to_string()];
         assert!(s

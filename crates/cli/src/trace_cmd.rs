@@ -8,19 +8,19 @@
 //! ```
 //!
 //! `record` executes one kernel over one suite graph and writes the
-//! compressed event stream; `replay` drives any number of policy
-//! hierarchies from that file in a *single* decode pass (a
-//! [`FanoutSink`] fan-out — the kernel never re-executes); `info` prints
-//! the footer index without decoding chunk payloads, and `--verify`
-//! additionally decodes every chunk against its checksum.
+//! compressed event stream; `replay` decodes that file once into an L1/L2
+//! recorder ([`Hierarchy::record_llc`] — the kernel never re-executes)
+//! and replays the recorded post-L2 stream into each policy's LLC; `info`
+//! prints the footer index without decoding chunk payloads, and
+//! `--verify` additionally decodes every chunk against its checksum.
 
-use crate::runner::{policy_hierarchy_cached, PolicySpec};
+use crate::runner::{replay_cell, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
 use popt_kernels::App;
-use popt_sim::{Hierarchy, PolicyKind};
-use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, FanoutSink};
+use popt_sim::{Hierarchy, HierarchyConfig, LlcStream, PolicyKind};
+use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, ReplayStats, TraceFileError};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -32,7 +32,7 @@ fn usage() {
          apps:     pr cc pr-delta radii mis\n\
          graphs:   dbp uk02 kron urand hbubl\n\
          policies: lru bit-plru random srrip brrip drrip ship-pc ship-mem\n\
-         \u{20}         hawkeye sdbp leeway topt popt (belady needs two passes: use sweep)"
+         \u{20}         hawkeye sdbp leeway topt popt opt"
     );
 }
 
@@ -72,11 +72,7 @@ fn parse_policy(s: &str) -> Result<PolicySpec, String> {
     match normalize(s).as_str() {
         "topt" => Ok(PolicySpec::Topt),
         "popt" => Ok(PolicySpec::popt_default()),
-        "opt" | "belady" => Err(
-            "Belady is two-pass (it is built from a recorded LLC stream); \
-             it cannot run from a replay fan-out"
-                .to_string(),
-        ),
+        "opt" | "belady" => Ok(PolicySpec::Belady),
         _ => Err(format!("unknown policy: {s}")),
     }
 }
@@ -210,15 +206,8 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
     // Policy inputs (T-OPT transposes, P-OPT matrices) come from the graph;
     // the *event stream* comes exclusively from the file.
     let g = wl.materialize();
-    let plan = wl.app.plan(&g);
     let cfg = wl.scale.config();
-    let mut fanout: FanoutSink<Hierarchy> = FanoutSink::new(Vec::new());
-    for spec in &specs {
-        fanout.push(policy_hierarchy_cached(wl.app, &g, &cfg, &plan, spec, None));
-    }
-    let reader = std::fs::File::open(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-    let stats = replay_any(std::io::BufReader::new(reader), &mut fanout)
-        .map_err(|e| format!("{}: {e}", file.display()))?;
+    let (stream, stats) = record_file(&file, wl.app, &g, &cfg)?;
     println!(
         "replayed {} events ({} chunks, one decode pass) into {} policies:",
         stats.events,
@@ -229,8 +218,8 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
         "{:<12} {:>12} {:>12} {:>8}",
         "policy", "llc_hits", "llc_misses", "miss%"
     );
-    for (spec, hierarchy) in specs.iter().zip(fanout.into_inner()) {
-        let s = hierarchy.stats();
+    for spec in &specs {
+        let s = replay_cell(wl.app, &g, &cfg, spec, None, &stream);
         let total = s.llc.hits + s.llc.misses;
         let pct = if total == 0 {
             0.0
@@ -246,6 +235,25 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Decodes a trace file once into a recorder of the post-L2 stream under
+/// `cfg`'s L1 and L2.
+fn record_file(
+    file: &std::path::Path,
+    app: App,
+    g: &Graph,
+    cfg: &HierarchyConfig,
+) -> Result<(LlcStream, ReplayStats), String> {
+    let reader = std::fs::File::open(file).map_err(|e| format!("{}: {e}", file.display()))?;
+    let mut stats = ReplayStats::default();
+    let stream = Hierarchy::record_llc(cfg, |recorder| {
+        recorder.set_address_space(&app.plan(g).space);
+        stats = replay_any(std::io::BufReader::new(reader), recorder)?;
+        Ok(())
+    })
+    .map_err(|e: TraceFileError| format!("{}: {e}", file.display()))?;
+    Ok((stream, stats))
 }
 
 fn info_main(args: Vec<String>) -> Result<(), String> {
@@ -348,8 +356,8 @@ mod tests {
         ));
         assert!(matches!(parse_policy("TOPT"), Ok(PolicySpec::Topt)));
         assert!(matches!(parse_policy("popt"), Ok(PolicySpec::Popt { .. })));
-        assert!(parse_policy("belady").is_err());
-        assert!(parse_policy("opt").is_err());
+        assert!(matches!(parse_policy("belady"), Ok(PolicySpec::Belady)));
+        assert!(matches!(parse_policy("opt"), Ok(PolicySpec::Belady)));
         assert!(parse_policy("what").is_err());
     }
 
@@ -390,27 +398,19 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        // The replayed stats match a direct kernel-driven simulation.
+        // The replayed stats match a direct kernel-driven simulation, for
+        // Belady too.
         let g = suite_graph(SuiteGraph::Urand, Scale::Tiny.suite());
-        let direct = crate::runner::simulate(
-            App::Pagerank,
-            &g,
-            &Scale::Tiny.config(),
-            &PolicySpec::Baseline(PolicyKind::Lru),
+        let cfg = Scale::Tiny.config();
+        let (stream, stats) = record_file(&out, App::Pagerank, &g, &cfg).unwrap();
+        assert_eq!(
+            stats.chunks_decoded,
+            trace_info(&out).unwrap().chunks.len() as u64
         );
-        let plan = App::Pagerank.plan(&g);
-        let mut fanout: FanoutSink<Hierarchy> = FanoutSink::new(Vec::new());
-        fanout.push(policy_hierarchy_cached(
-            App::Pagerank,
-            &g,
-            &Scale::Tiny.config(),
-            &plan,
-            &PolicySpec::Baseline(PolicyKind::Lru),
-            None,
-        ));
-        let reader = std::io::BufReader::new(std::fs::File::open(&out).unwrap());
-        replay_any(reader, &mut fanout).unwrap();
-        let replayed = fanout.into_inner().pop().unwrap().stats();
-        assert_eq!(replayed, direct, "replay is bit-identical to execution");
+        for spec in [PolicySpec::Baseline(PolicyKind::Lru), PolicySpec::Belady] {
+            let direct = crate::runner::simulate(App::Pagerank, &g, &cfg, &spec);
+            let replayed = replay_cell(App::Pagerank, &g, &cfg, &spec, None, &stream);
+            assert_eq!(replayed, direct, "replay is bit-identical to execution");
+        }
     }
 }

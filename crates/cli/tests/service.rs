@@ -53,7 +53,7 @@ fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
     let selection = ["fig2", "fig7"];
     // Offline reference.
     let offline = scratch("offline");
-    run_sweep(&SweepOptions {
+    let summary = run_sweep(&SweepOptions {
         scale: Scale::Tiny,
         jobs: 2,
         out: offline.clone(),
@@ -99,6 +99,25 @@ fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
         "popt_cell_latency_seconds_count 2",
     ] {
         assert!(m.contains(family), "missing {family} in:\n{m}");
+    }
+    // The daemon's cells share LLC streams exactly as the offline sweep's
+    // do: fewer kernel + L1/L2 passes than sim cells.
+    let streams = summary.streams;
+    assert!(
+        0 < streams.recorded && streams.recorded < streams.replayed,
+        "{streams:?}"
+    );
+    for family in [
+        format!(
+            "popt_llc_streams_total{{kind=\"recorded\"}} {}",
+            streams.recorded
+        ),
+        format!(
+            "popt_llc_streams_total{{kind=\"replayed\"}} {}",
+            streams.replayed
+        ),
+    ] {
+        assert!(m.contains(&family), "missing {family} in:\n{m}");
     }
 
     let reference = result_csvs(&offline);

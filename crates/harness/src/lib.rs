@@ -5,7 +5,7 @@
 //! sweep matrix; this crate turns each cell of that matrix into a
 //! schedulable job and provides the run-wide machinery around it:
 //!
-//! * [`pool`] — a work-stealing thread pool whose results come back in
+//! * [`pool`] — a shared-queue thread pool whose results come back in
 //!   submission order, so parallel sweeps emit byte-identical result
 //!   files to serial ones.
 //! * [`cache`] — a content-addressed on-disk artifact cache that dedupes

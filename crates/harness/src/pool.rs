@@ -1,12 +1,14 @@
-//! A work-stealing thread pool for experiment cells.
+//! A thread pool for experiment cells.
 //!
 //! Cells are coarse (one full trace-driven simulation each) and their
 //! durations vary by an order of magnitude across policies, so static
-//! chunking would leave workers idle behind one long Belady cell. Jobs are
-//! pre-distributed round-robin into per-worker deques; a worker drains its
-//! own deque from the front and steals from the *back* of its neighbours
-//! when empty, which keeps stolen work as far as possible from the
-//! victim's hot end.
+//! chunking would leave workers idle behind one long Belady cell. Jobs
+//! wait in one shared queue in submission order, and each worker takes
+//! the next job whenever it finishes one. Cells take milliseconds to
+//! seconds, so the one lock is never contended, and jobs *start* in
+//! submission order: the cells of a group that
+//! [`SweepSession::run_cells`](crate::SweepSession::run_cells) placed
+//! back to back run together, never spread across the whole batch.
 //!
 //! Scheduling order is nondeterministic; **result order is not**: outputs
 //! are returned in submission order regardless of which worker ran what,
@@ -18,9 +20,6 @@ use std::sync::Mutex;
 
 /// A unit of work for [`run_jobs`].
 pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// One worker's deque of (submission index, job) pairs.
-type WorkerQueue<'env, T> = Mutex<VecDeque<(usize, Job<'env, T>)>>;
 
 /// Runs `jobs` on up to `threads` workers and returns their outputs in
 /// submission order.
@@ -40,44 +39,22 @@ pub fn run_jobs<'env, T: Send + 'env>(threads: usize, jobs: Vec<Job<'env, T>>) -
     if workers == 1 {
         return jobs.into_iter().map(|job| job()).collect();
     }
-    let mut queues: Vec<WorkerQueue<'env, T>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        queues[i % workers]
-            .get_mut()
-            .expect("fresh queue lock")
-            .push_back((i, job));
-    }
-    let queues = &queues;
+    let queue: Mutex<VecDeque<(usize, Job<'env, T>)>> =
+        Mutex::new(jobs.into_iter().enumerate().collect());
+    let queue = &queue;
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_jobs));
     let results_ref = &results;
     let outcome = crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
+        for _ in 0..workers {
             scope.spawn(move |_| {
-                // No job ever enqueues more work, so "every deque empty"
-                // is a stable exit condition.
+                // No job ever enqueues more work, so an empty queue is a
+                // stable exit condition. The pop is its own statement so
+                // the lock is released before the job runs.
                 loop {
-                    // Pop from the own deque in its own statement so the
-                    // guard drops before stealing: holding it while
-                    // locking a neighbour's deque lets N empty workers
-                    // deadlock in a cycle, each holding its own lock and
-                    // blocking on the next.
-                    let own = queues[w].lock().expect("queue lock").pop_front();
-                    let task = own.or_else(|| {
-                        (1..workers).find_map(|off| {
-                            queues[(w + off) % workers]
-                                .lock()
-                                .expect("queue lock")
-                                .pop_back()
-                        })
-                    });
-                    match task {
-                        Some((idx, job)) => {
-                            let out = job();
-                            results_ref.lock().expect("results lock").push((idx, out));
-                        }
-                        None => break,
-                    }
+                    let next = queue.lock().expect("queue lock").pop_front();
+                    let Some((idx, job)) = next else { break };
+                    let out = job();
+                    results_ref.lock().expect("results lock").push((idx, out));
                 }
             });
         }
@@ -136,8 +113,8 @@ mod tests {
 
     #[test]
     fn workers_steal_from_a_loaded_neighbour() {
-        // One long job pins worker 0; the 31 cheap jobs round-robined onto
-        // it must be stolen for the run to finish quickly.
+        // One long job pins a worker; the other workers must take the 31
+        // cheap jobs queued behind it for the run to finish quickly.
         let jobs: Vec<Job<'_, usize>> = (0..32)
             .map(|i| {
                 boxed(move || {
@@ -159,11 +136,11 @@ mod tests {
 
     #[test]
     fn empty_workers_stealing_from_each_other_do_not_deadlock() {
-        // Endgame regression: when every deque drains at once, all
-        // workers enter the steal path together. Holding the own-queue
-        // lock across the steal (the old code's temporary-lifetime bug)
-        // deadlocks a cycle of empty workers; many tiny jobs across many
-        // workers makes that window hot.
+        // Endgame regression: when the queue drains, every worker finds
+        // it empty at once and must exit rather than wait on a lock (a
+        // queue guard held past its statement would serialize or wedge
+        // them); many tiny jobs across many workers makes that window
+        // hot.
         for _ in 0..200 {
             let jobs: Vec<Job<'_, usize>> = (0..16).map(|i| boxed(move || i)).collect();
             let out = run_jobs(7, jobs);

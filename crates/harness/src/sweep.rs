@@ -11,13 +11,14 @@ use crate::manifest::Manifest;
 use crate::pool::{run_jobs, Job};
 use crate::report::{CellMetric, CellOutcome, SweepReport};
 use popt_sim::HierarchyStats;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// One schedulable unit: a uniquely-named simulation closure.
 pub struct SweepCell<'env> {
     id: String,
+    group: Option<u64>,
     run: Box<dyn FnOnce() -> HierarchyStats + Send + 'env>,
 }
 
@@ -27,8 +28,17 @@ impl<'env> SweepCell<'env> {
     pub fn new(id: impl Into<String>, run: impl FnOnce() -> HierarchyStats + Send + 'env) -> Self {
         SweepCell {
             id: id.into(),
+            group: None,
             run: Box::new(run),
         }
+    }
+
+    /// Puts the cell in scheduling group `group`: the cells of one group
+    /// in a batch run back to back (see [`SweepSession::run_cells`]).
+    #[must_use]
+    pub fn in_group(mut self, group: u64) -> Self {
+        self.group = Some(group);
+        self
     }
 
     /// The cell id.
@@ -39,7 +49,10 @@ impl<'env> SweepCell<'env> {
 
 impl std::fmt::Debug for SweepCell<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepCell").field("id", &self.id).finish()
+        f.debug_struct("SweepCell")
+            .field("id", &self.id)
+            .field("group", &self.group)
+            .finish()
     }
 }
 
@@ -96,6 +109,9 @@ impl SweepSession {
     ///
     /// Cells the journal already records are *not* re-simulated — their
     /// recorded stats are spliced into the result at the right position.
+    /// The rest start in submission order, except that the cells of one
+    /// [group](SweepCell::in_group) start back to back, where the group's
+    /// first cell was submitted.
     ///
     /// A panicking cell no longer aborts its batch mid-flight: the panic
     /// is caught, the cell is recorded as [`CellOutcome::Failed`], and
@@ -120,7 +136,10 @@ impl SweepSession {
             }
         }
         let mut results: Vec<Option<HierarchyStats>> = Vec::with_capacity(cells.len());
-        let mut pending: Vec<(usize, SweepCell<'_>)> = Vec::new();
+        // (start rank, submission index, cell): a group starts where its
+        // first cell was submitted.
+        let mut pending: Vec<(usize, usize, SweepCell<'_>)> = Vec::new();
+        let mut first_of_group: BTreeMap<u64, usize> = BTreeMap::new();
         for (i, cell) in cells.into_iter().enumerate() {
             let resumed = self.manifest.as_ref().and_then(|m| {
                 m.lock()
@@ -143,13 +162,17 @@ impl SweepSession {
                 }
                 None => {
                     results.push(None);
-                    pending.push((i, cell));
+                    let rank = cell
+                        .group
+                        .map_or(i, |g| *first_of_group.entry(g).or_insert(i));
+                    pending.push((rank, i, cell));
                 }
             }
         }
+        pending.sort_by_key(|&(rank, ..)| rank);
         let jobs: Vec<Job<'_, (usize, Result<HierarchyStats, String>)>> = pending
             .into_iter()
-            .map(|(i, cell)| {
+            .map(|(_, i, cell)| {
                 let manifest = self.manifest.as_ref();
                 let metrics = &self.metrics;
                 let fault = self.fault.as_deref();
@@ -363,6 +386,37 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 6, "exactly 3 more executions");
         assert_eq!(session.executed(), 3);
         assert_eq!(session.resumed(), 3);
+    }
+
+    #[test]
+    fn grouped_cells_run_back_to_back_in_submission_order() {
+        let ran = Mutex::new(Vec::new());
+        let groups = [Some(7), None, Some(3), Some(7), Some(3), None, Some(7)];
+        let batch = groups
+            .iter()
+            .enumerate()
+            .map(|(i, &group)| {
+                let ran = &ran;
+                let cell = SweepCell::new(format!("g/{i}"), move || {
+                    ran.lock().unwrap().push(i);
+                    stats(i as u64)
+                });
+                match group {
+                    Some(g) => cell.in_group(g),
+                    None => cell,
+                }
+            })
+            .collect();
+        let out = SweepSession::serial().run_cells(batch);
+        assert_eq!(
+            *ran.lock().unwrap(),
+            [0, 3, 6, 1, 2, 4, 5],
+            "each group runs where its first cell was submitted"
+        );
+        assert_eq!(
+            out.iter().map(|s| s.instructions).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<u64>>()
+        );
     }
 
     #[test]

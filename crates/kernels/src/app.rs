@@ -3,7 +3,7 @@ use popt_graph::{Direction, Graph};
 use popt_trace::TraceSink;
 
 /// The five applications of the paper's Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum App {
     /// PageRank (GAP): pull-only, dense.
     Pagerank,

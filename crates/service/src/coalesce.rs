@@ -23,6 +23,10 @@ pub struct CellSummary {
     pub executed: u64,
     /// Harness cells replayed from the resume manifest.
     pub resumed: u64,
+    /// LLC streams recorded (kernel + L1/L2 passes run).
+    pub streams_recorded: u64,
+    /// LLC replays run, one per executed sim cell.
+    pub streams_replayed: u64,
 }
 
 /// Lifecycle of one coalesced cell.
@@ -284,6 +288,7 @@ mod tests {
         j.set_state(JobState::Done(CellSummary {
             executed: 3,
             resumed: 1,
+            ..CellSummary::default()
         }));
         assert!(j.state().is_terminal());
         j.set_state(JobState::Failed("boom".into()));

@@ -1,14 +1,15 @@
 //! Service metrics in Prometheus text exposition format.
 //!
 //! Everything `/v1/metrics` serves is assembled here: admission and
-//! rejection counters, cell outcome counters, the per-cell latency
-//! histogram, and gauges sampled at render time (queue depth, in-flight
+//! rejection counters, cell outcome counters, LLC stream counters, the
+//! per-cell latency histogram, and gauges sampled at render time (queue depth, in-flight
 //! cells) plus the artifact-cache hit/build counters the runner reports.
 //! Counters are plain relaxed atomics — the daemon never blocks to count.
 //!
 //! Hot-path scope: nothing here panics; workers call
 //! [`Metrics::observe_latency`] on every cell completion.
 
+use crate::CellSummary;
 use popt_harness::CacheCounters;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +99,10 @@ pub struct Metrics {
     pub cells_failed: AtomicU64,
     /// Cells skipped because their deadline passed while queued.
     pub cells_expired: AtomicU64,
+    /// LLC streams the completed cells recorded.
+    pub llc_streams_recorded: AtomicU64,
+    /// LLC replays the completed cells ran.
+    pub llc_streams_replayed: AtomicU64,
     /// Per-cell wall-time histogram.
     pub latency: Histogram,
 }
@@ -111,6 +116,14 @@ impl Metrics {
     /// Relaxed increment helper for the counter fields.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds a completed cell's LLC stream counts.
+    pub fn count_streams(&self, summary: &CellSummary) {
+        self.llc_streams_recorded
+            .fetch_add(summary.streams_recorded, Ordering::Relaxed);
+        self.llc_streams_replayed
+            .fetch_add(summary.streams_replayed, Ordering::Relaxed);
     }
 
     /// Records one cell execution's wall time.
@@ -192,6 +205,21 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
+            "# HELP popt_llc_streams_total Post-L2 streams recorded, and LLC replays run from them."
+        );
+        let _ = writeln!(out, "# TYPE popt_llc_streams_total counter");
+        for (kind, count) in [
+            ("recorded", &self.llc_streams_recorded),
+            ("replayed", &self.llc_streams_replayed),
+        ] {
+            let _ = writeln!(
+                out,
+                "popt_llc_streams_total{{kind=\"{kind}\"}} {}",
+                count.load(Ordering::Relaxed)
+            );
+        }
+        let _ = writeln!(
+            out,
             "# HELP popt_cache_requests_total Artifact-cache requests, by kind and outcome."
         );
         let _ = writeln!(out, "# TYPE popt_cache_requests_total counter");
@@ -243,6 +271,11 @@ mod tests {
         let m = Metrics::new();
         Metrics::bump(&m.submits);
         Metrics::bump(&m.rejected_full);
+        m.count_streams(&CellSummary {
+            streams_recorded: 2,
+            streams_replayed: 7,
+            ..CellSummary::default()
+        });
         m.observe_latency(Duration::from_millis(2));
         let text = m.render(
             Gauges {
@@ -267,6 +300,8 @@ mod tests {
             "popt_rejected_total{reason=\"invalid\"} 0",
             "popt_coalesced_total 5",
             "popt_cells_total{outcome=\"completed\"} 0",
+            "popt_llc_streams_total{kind=\"recorded\"} 2",
+            "popt_llc_streams_total{kind=\"replayed\"} 7",
             "popt_cache_requests_total{kind=\"graph\",outcome=\"hit\"} 7",
             "popt_cache_requests_total{kind=\"matrix\",outcome=\"build\"} 2",
             "popt_cell_latency_seconds_count 1",

@@ -336,6 +336,7 @@ impl ServiceState {
         let next = match outcome {
             Ok(Ok(summary)) => {
                 Metrics::bump(&self.metrics.cells_completed);
+                self.metrics.count_streams(&summary);
                 JobState::Done(summary)
             }
             Ok(Err(msg)) => {
@@ -387,6 +388,8 @@ mod tests {
                 _ => Ok(CellSummary {
                     executed: 2,
                     resumed: 0,
+                    streams_recorded: 1,
+                    streams_replayed: 2,
                 }),
             }
         }
@@ -613,5 +616,26 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("popt_queue_capacity 8"), "{body}");
+    }
+
+    #[test]
+    fn metrics_sum_the_completed_cells_stream_counts() {
+        let s = state(8);
+        let r = s.handle(
+            "POST",
+            "/v1/sweeps",
+            "{\"experiments\":[\"fig2\",\"fig7\",\"boom\"],\"scale\":\"tiny\"}",
+        );
+        assert_eq!(r.status, 202, "{}", r.body);
+        drain_and_execute(&s);
+        let body = s.handle("GET", "/v1/metrics", "").body;
+        // Two completed cells of one recording and two replays each; the
+        // failed one reports nothing.
+        for needle in [
+            "popt_llc_streams_total{kind=\"recorded\"} 2",
+            "popt_llc_streams_total{kind=\"replayed\"} 4",
+        ] {
+            assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
+        }
     }
 }

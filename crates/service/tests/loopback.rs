@@ -42,6 +42,7 @@ impl CellRunner for GatedRunner {
         Ok(CellSummary {
             executed: 1,
             resumed: 0,
+            ..CellSummary::default()
         })
     }
 }

@@ -11,7 +11,7 @@ use crate::nuca::NucaConfig;
 /// assert_eq!(llc.num_sets(), 256);
 /// assert_eq!(llc.num_lines(), 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheConfig {
     size_bytes: usize,
     ways: usize,

@@ -73,12 +73,13 @@ impl PrivateStats {
 /// control events — plus that run's private-level statistics.
 ///
 /// The private levels never see the LLC policy, so this stream is the
-/// same whichever policy the recording run's LLC used.
-/// [`Hierarchy::replay_llc`] drives it into another hierarchy's LLC banks
-/// alone, which then reports the stats a full run under its own policy
-/// would.
+/// same whichever policy the recording run's LLC used, and whatever the
+/// LLC's size, associativity, reserved ways or banking.
+/// [`Hierarchy::record_llc`] records one; [`Hierarchy::replay_llc`]
+/// drives it into another hierarchy's LLC banks alone, which then reports
+/// the stats a full run under its own policy would.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LlcStream {
+pub struct LlcStream {
     ops: Vec<LlcOp>,
     private: PrivateStats,
 }
@@ -86,7 +87,7 @@ pub(crate) struct LlcStream {
 impl LlcStream {
     /// The demand-access lines in order: the stream
     /// [`Belady::from_trace`] is built from.
-    pub(crate) fn demand_lines(&self) -> Vec<u64> {
+    fn demand_lines(&self) -> Vec<u64> {
         self.ops
             .iter()
             .filter_map(|op| match *op {
@@ -152,8 +153,8 @@ pub struct Hierarchy {
     replayed: PrivateStats,
     recorder: Option<Vec<LlcOp>>,
     /// Whether requests below L2 are only recorded, never simulated (the
-    /// recording pass of [`Hierarchy::run_belady`], whose own LLC stats
-    /// nobody reads).
+    /// recorder of [`Hierarchy::record_llc`], whose own LLC stats nobody
+    /// reads).
     bypass_llc: bool,
 }
 
@@ -236,13 +237,50 @@ impl Hierarchy {
         }
     }
 
-    /// Belady's MIN in two passes, with the kernel run once. Pass 1 hands
-    /// a recording hierarchy under `cfg` to `drive`, which feeds it the
-    /// run's events; that hierarchy simulates L1 and L2 and only records
-    /// what reaches the LLC. Pass 2 builds the oracle from the recorded
-    /// demand lines and replays the recorded stream into a fresh
+    /// Records the post-L2 request stream of one run under `cfg`'s L1 and
+    /// L2. `drive` feeds the run's events to a single-core hierarchy that
+    /// simulates the private levels and only records what reaches the LLC
+    /// (its LLC banks are never touched), so the stream serves any LLC
+    /// configuration and policy: [`replay_llc`](Hierarchy::replay_llc)
+    /// and [`belady_from_stream`](Hierarchy::belady_from_stream) consume
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns `drive`'s error.
+    pub fn record_llc<E>(
+        cfg: &HierarchyConfig,
+        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+    ) -> Result<LlcStream, E> {
+        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
+        recorder.start_recording_llc();
+        recorder.bypass_llc = true;
+        drive(&mut recorder)?;
+        Ok(recorder.take_llc_recording())
+    }
+
+    /// Belady's MIN under `cfg` from a recorded stream: builds the oracle
+    /// from the stream's demand lines and replays the stream into a fresh
     /// hierarchy's LLC bank alone. The returned hierarchy reports exactly
-    /// what re-running the events under the oracle would.
+    /// what re-running the recorded events under the oracle would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLC has more than one bank: the oracle needs one
+    /// globally ordered LLC stream.
+    pub fn belady_from_stream(cfg: &HierarchyConfig, stream: &LlcStream) -> Hierarchy {
+        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
+        let lines = stream.demand_lines();
+        let mut hierarchy = Hierarchy::new(cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines))
+        });
+        hierarchy.replay_llc(stream);
+        hierarchy
+    }
+
+    /// Belady's MIN in two passes, with the kernel run once:
+    /// [`record_llc`](Hierarchy::record_llc) through `drive`, then
+    /// [`belady_from_stream`](Hierarchy::belady_from_stream).
     ///
     /// # Errors
     ///
@@ -250,24 +288,13 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if the LLC has more than one bank: the oracle needs one
-    /// globally ordered LLC stream.
+    /// Panics if the LLC has more than one bank.
     pub fn run_belady<E>(
         cfg: &HierarchyConfig,
         drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
     ) -> Result<Hierarchy, E> {
-        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
-        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
-        recorder.start_recording_llc();
-        recorder.bypass_llc = true;
-        drive(&mut recorder)?;
-        let stream = recorder.take_llc_recording();
-        let lines = stream.demand_lines();
-        let mut hierarchy = Hierarchy::new(cfg, |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &lines))
-        });
-        hierarchy.replay_llc(&stream);
-        Ok(hierarchy)
+        let stream = Self::record_llc(cfg, drive)?;
+        Ok(Self::belady_from_stream(cfg, &stream))
     }
 
     /// Registers the kernel's address space so irregular regions are
@@ -308,8 +335,8 @@ impl Hierarchy {
     /// bypassing the private levels, and adds the stream's private-level
     /// stats to this hierarchy's. On a fresh hierarchy the resulting
     /// stats equal those of running the recording run's events through
-    /// it.
-    pub(crate) fn replay_llc(&mut self, stream: &LlcStream) {
+    /// it, whatever its LLC configuration and policy.
+    pub fn replay_llc(&mut self, stream: &LlcStream) {
         for op in &stream.ops {
             match *op {
                 LlcOp::Access {
@@ -778,6 +805,66 @@ mod tests {
         replay.replay_llc(&stream);
         assert!(rerun.stats().prefetch_fills > 0);
         assert_eq!(replay.stats(), rerun.stats());
+    }
+
+    #[test]
+    fn one_recording_serves_every_llc_configuration() {
+        // The recorder's own LLC is 16 KB/16-way; the replays below vary
+        // the LLC's size, associativity, reserved ways and banking.
+        let recorded = HierarchyConfig::small_test();
+        let drive = |h: &mut Hierarchy| {
+            h.event(TraceEvent::IterationBegin);
+            for i in 0..20_000u32 {
+                let addr = 0x40_0000 + (u64::from(i).wrapping_mul(0x9e37_79b9) % 3000) * 64;
+                h.event(if i % 3 == 0 {
+                    TraceEvent::write(addr, i % 5)
+                } else {
+                    TraceEvent::read(addr, i % 5)
+                });
+            }
+        };
+        let Ok(stream) = Hierarchy::record_llc(&recorded, |h| {
+            drive(h);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        let mut banked = HierarchyConfig::scaled_with_llc(64 * 1024, 8);
+        banked.nuca = NucaConfig::uniform(4);
+        let llcs = [
+            recorded.clone(),
+            HierarchyConfig::scaled_with_llc(32 * 1024, 4),
+            HierarchyConfig::scaled_with_llc(32 * 1024, 16).with_reserved_ways(3),
+            banked,
+        ];
+        for llc in llcs {
+            let cfg = HierarchyConfig {
+                l1: recorded.l1,
+                l2: recorded.l2,
+                ..llc
+            };
+            for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
+                let mut rerun = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
+                drive(&mut rerun);
+                let mut replay = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
+                replay.replay_llc(&stream);
+                assert_eq!(replay.stats(), rerun.stats(), "{kind:?} under {cfg:?}");
+            }
+            if cfg.nuca.num_banks() == 1 {
+                let Ok(two_pass) = Hierarchy::run_belady(&cfg, |h| {
+                    drive(h);
+                    Ok::<(), std::convert::Infallible>(())
+                });
+                let shared = Hierarchy::belady_from_stream(&cfg, &stream);
+                assert_eq!(shared.stats(), two_pass.stats(), "OPT under {cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Belady needs a single-bank LLC")]
+    fn belady_refuses_a_banked_llc() {
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.nuca = NucaConfig::uniform(2);
+        Hierarchy::belady_from_stream(&cfg, &LlcStream::default());
     }
 
     #[test]

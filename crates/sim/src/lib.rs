@@ -46,7 +46,7 @@ mod timing;
 
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::Hierarchy;
+pub use hierarchy::{Hierarchy, LlcStream};
 pub use nuca::{BankMapping, NucaConfig};
 pub use policies::PolicyKind;
 pub use replace::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};

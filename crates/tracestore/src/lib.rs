@@ -4,7 +4,7 @@
 //! simulation: a Pin trace is recorded once and replayed against every
 //! policy configuration. This crate is that separation for our
 //! self-instrumented kernels — the `POPTTRC2` container plus the replay
-//! machinery that lets one recorded trace drive many cache hierarchies:
+//! machinery that drives a cache hierarchy from a recorded trace:
 //!
 //! * [`ChunkWriter`] — a streaming [`TraceSink`](popt_trace::TraceSink)
 //!   that encodes events into fixed-size, independently decodable chunks
@@ -17,9 +17,6 @@
 //!   granularity ([`trace_info`] and [`verify`] inspect without
 //!   replaying). Every entry point fails with a typed
 //!   [`TraceFileError`]; `POPTTRC2` is the only format they decode.
-//! * [`FanoutSink`] — broadcasts one decode pass to K attached sinks
-//!   (K independent cache hierarchies), turning a K-policy sweep into
-//!   one kernel execution plus one decode.
 //!
 //! # Example
 //!
@@ -44,14 +41,12 @@
 //! ```
 
 mod chunk;
-mod fanout;
 mod file;
 mod reader;
 mod varint;
 mod writer;
 
 pub use chunk::RegionTable;
-pub use fanout::FanoutSink;
 pub use file::TraceFileError;
 pub use reader::{replay_any, replay_path, trace_info, verify, ReplayStats, TraceInfo};
 pub use writer::{ChunkIndexEntry, ChunkWriter, TraceSummary, DEFAULT_CHUNK_EVENTS};

@@ -31,8 +31,7 @@ const MAX_PAYLOAD_LEN: u64 = 1 << 30;
 pub struct ReplayStats {
     /// Events delivered to the sink.
     pub events: u64,
-    /// Chunks decoded. Each chunk is decoded exactly once per replay,
-    /// however many sinks a [`FanoutSink`](crate::FanoutSink) fans out to.
+    /// Chunks decoded. Each chunk is decoded exactly once per replay.
     pub chunks_decoded: u64,
 }
 

@@ -5,9 +5,12 @@
 //!
 //! Policy bookkeeping (hash tables, memos, the Belady replay) may change
 //! how a decision is computed, never which decision is taken; any drift
-//! in any counter fails here, naming the first cell that moved.
+//! in any counter fails here, naming the first cell that moved. The table
+//! is produced twice: cell by cell through `runner::simulate`, and as one
+//! `Session` batch whose cells share each kernel's post-L2 stream.
 
 use p_opt::prelude::*;
+use popt_cli::exec::Session;
 use popt_cli::runner::{simulate, PolicySpec};
 use popt_graph::reorder;
 use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
@@ -127,28 +130,76 @@ fn zoo() -> Vec<PolicySpec> {
     specs
 }
 
-#[test]
-fn every_zoo_cell_reproduces_its_golden_stats() {
-    // The DBG-ordered tiny Kronecker graph `private_invariance.rs` uses.
+/// The DBG-ordered tiny Kronecker graph `private_invariance.rs` uses.
+fn zoo_graph() -> Graph {
     let base = suite_graph(SuiteGraph::Kron, SuiteScale::Tiny);
     let (perm, _) = reorder::degree_based_grouping(&base);
-    let g = base.relabel(&perm);
-    let cfg = HierarchyConfig::small_test();
+    base.relabel(&perm)
+}
+
+/// Checks one rendered row per (kernel, policy), in `App::ALL` × `zoo()`
+/// order, against the golden table.
+fn assert_golden(rows: impl IntoIterator<Item = HierarchyStats>) {
     let policies = zoo();
     assert_eq!(policies.len(), 14);
+    let cells: Vec<(App, &PolicySpec)> = App::ALL
+        .into_iter()
+        .flat_map(|app| policies.iter().map(move |p| (app, p)))
+        .collect();
     let golden: Vec<&str> = GOLDEN.lines().collect();
     let mut row = 0;
-    for app in App::ALL {
-        for policy in &policies {
-            let got = render(app, &policy.label(), &simulate(app, &g, &cfg, policy));
-            assert_eq!(
-                Some(got.as_str()),
-                golden.get(row).copied(),
-                "golden row {row} ({app} under {}) moved",
-                policy.label()
-            );
-            row += 1;
-        }
+    for ((app, policy), stats) in cells.iter().zip(rows) {
+        let got = render(*app, &policy.label(), &stats);
+        assert_eq!(
+            Some(got.as_str()),
+            golden.get(row).copied(),
+            "golden row {row} ({app} under {}) moved",
+            policy.label()
+        );
+        row += 1;
     }
     assert_eq!(row, golden.len(), "the golden table has extra rows");
+}
+
+#[test]
+fn every_zoo_cell_reproduces_its_golden_stats() {
+    let g = zoo_graph();
+    let cfg = HierarchyConfig::small_test();
+    let policies = zoo();
+    assert_golden(
+        App::ALL
+            .into_iter()
+            .flat_map(|app| policies.iter().map(move |p| (app, p)))
+            .map(|(app, policy)| simulate(app, &g, &cfg, policy)),
+    );
+}
+
+#[test]
+fn the_shared_stream_path_reproduces_the_golden_stats() {
+    // The same table as one session batch: each kernel's stream is
+    // recorded once and every policy replays only the LLC from it.
+    let session = Session::parallel(2);
+    let g = session.named_graph("zoo-golden/kron-tiny-dbg", zoo_graph);
+    let cfg = HierarchyConfig::small_test();
+    let policies = zoo();
+    let mut cells = Vec::new();
+    for app in App::ALL {
+        for policy in &policies {
+            cells.push(session.sim_cell(
+                format!("zoo/{app}/{}", policy.cell_tag()),
+                app,
+                &g,
+                "zoo-golden/kron-tiny-dbg",
+                &cfg,
+                policy,
+            ));
+        }
+    }
+    assert_golden(session.run(cells));
+    let streams = session.stream_counters();
+    assert_eq!(
+        (streams.recorded, streams.replayed, streams.live),
+        (5, 70, 0),
+        "one recording per kernel: {streams:?}"
+    );
 }
