@@ -247,16 +247,21 @@ pub fn simulate(app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec)
 /// artifact cache when `ctx` is provided. Results are bit-identical to the
 /// uncached path — the cache only changes *where* matrices come from.
 ///
-/// This is the one-pass direct path: it runs the kernel and both private
-/// levels itself and keeps nothing for later calls. Callers simulating a
-/// row of LLC policies over one stream share that work through
-/// [`record_stream`] and [`replay_cell`] instead.
+/// The cell runs as a [`Hierarchy::pipelined`] pair of threads: this one
+/// runs the kernel through the L1/L2 recorder, and a second one builds
+/// `policy`'s hierarchy (a P-OPT matrix build included) and replays the
+/// post-L2 stream into its LLC as it arrives. Belady, whose oracle needs
+/// the whole stream first, records and then replays. Nothing is kept for
+/// later calls; callers simulating a row of LLC policies over one stream
+/// share the recording through [`record_stream`] and [`replay_cell`]
+/// instead.
 ///
 /// # Panics
 ///
 /// Panics if the returned statistics break a conservation law of
 /// [`HierarchyStats::check`] — a simulator bug, reported loudly rather
-/// than written into a result table.
+/// than written into a result table — and re-raises any panic of the LLC
+/// thread.
 pub fn simulate_cached(
     app: App,
     g: &Graph,
@@ -264,9 +269,16 @@ pub fn simulate_cached(
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
 ) -> HierarchyStats {
-    checked_stats(&run_cell(app, g, cfg, policy, ctx), || {
-        format!("{app} under {policy:?}")
-    })
+    if matches!(policy, PolicySpec::Belady) {
+        return replay_cell(app, g, cfg, policy, ctx, &record_stream(app, g, cfg));
+    }
+    let plan = app.plan(g);
+    let Ok(stats) = Hierarchy::pipelined(
+        cfg,
+        || policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx),
+        |recorder| drive_kernel(app, g, &plan, recorder),
+    );
+    checked_stats(&stats, || format!("{app} under {policy:?}"))
 }
 
 /// Records the post-L2 request stream of `app` on `g` under `cfg`'s L1
@@ -275,12 +287,20 @@ pub fn simulate_cached(
 /// serves every [`replay_cell`] whose hierarchy shares those two levels.
 pub fn record_stream(app: App, g: &Graph, cfg: &HierarchyConfig) -> LlcStream {
     let plan = app.plan(g);
-    let Ok(stream) = Hierarchy::record_llc(cfg, |recorder| {
-        recorder.set_address_space(&plan.space);
-        app.trace(g, &plan, recorder);
-        Ok::<(), std::convert::Infallible>(())
-    });
+    let Ok(stream) = Hierarchy::record_llc(cfg, |recorder| drive_kernel(app, g, &plan, recorder));
     stream
+}
+
+/// Runs `app`'s kernel on `g` into an L1/L2 recorder.
+fn drive_kernel(
+    app: App,
+    g: &Graph,
+    plan: &TracePlan,
+    recorder: &mut Hierarchy,
+) -> Result<(), std::convert::Infallible> {
+    recorder.set_address_space(&plan.space);
+    app.trace(g, plan, recorder);
+    Ok(())
 }
 
 /// The LLC half of a cell: replays a [`record_stream`] recording into
@@ -300,61 +320,29 @@ pub fn replay_cell(
     ctx: Option<&MatrixCtx>,
     stream: &LlcStream,
 ) -> HierarchyStats {
-    checked_stats(&replay_hierarchy(app, g, cfg, policy, ctx, stream), || {
-        format!("{app} under {policy:?}")
-    })
+    let hierarchy = if matches!(policy, PolicySpec::Belady) {
+        Hierarchy::belady_from_stream(cfg, stream)
+    } else {
+        let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &app.plan(g), policy, ctx);
+        hierarchy.replay_llc(stream);
+        hierarchy
+    };
+    checked_stats(&hierarchy.stats(), || format!("{app} under {policy:?}"))
 }
 
-/// Returns the hierarchy's stats after asserting
-/// [`HierarchyStats::check`]; `what` names the run in the panic message.
-fn checked_stats(h: &Hierarchy, what: impl FnOnce() -> String) -> HierarchyStats {
-    let stats = h.stats();
+/// Returns `stats` after asserting [`HierarchyStats::check`]; `what` names
+/// the run in the panic message.
+fn checked_stats(stats: &HierarchyStats, what: impl FnOnce() -> String) -> HierarchyStats {
     if let Err(violation) = stats.check() {
         panic!("{}: {violation}", what());
     }
-    stats
-}
-
-/// The simulation behind [`simulate_cached`]: the hierarchy after the
-/// kernel's whole event stream, before its stats check. Belady, which is
-/// built from the recorded stream, records and replays.
-fn run_cell(
-    app: App,
-    g: &Graph,
-    cfg: &HierarchyConfig,
-    policy: &PolicySpec,
-    ctx: Option<&MatrixCtx>,
-) -> Hierarchy {
-    if matches!(policy, PolicySpec::Belady) {
-        return replay_hierarchy(app, g, cfg, policy, ctx, &record_stream(app, g, cfg));
-    }
-    let plan = app.plan(g);
-    let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx);
-    app.trace(g, &plan, &mut hierarchy);
-    hierarchy
-}
-
-/// The hierarchy behind [`replay_cell`], before its stats check.
-fn replay_hierarchy(
-    app: App,
-    g: &Graph,
-    cfg: &HierarchyConfig,
-    policy: &PolicySpec,
-    ctx: Option<&MatrixCtx>,
-    stream: &LlcStream,
-) -> Hierarchy {
-    if matches!(policy, PolicySpec::Belady) {
-        return Hierarchy::belady_from_stream(cfg, stream);
-    }
-    let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &app.plan(g), policy, ctx);
-    hierarchy.replay_llc(stream);
-    hierarchy
+    *stats
 }
 
 /// Builds a hierarchy configured for `policy`, with its address space set,
 /// ready to consume the kernel's event stream or a recorded LLC stream —
-/// the single construction path shared by [`simulate_cached`] and
-/// [`replay_cell`].
+/// the single construction path shared by [`simulate_cached`]'s LLC thread
+/// and [`replay_cell`].
 ///
 /// # Panics
 ///
@@ -524,7 +512,7 @@ pub fn simulate_tiled(
         let mut h = Hierarchy::new(cfg, factory);
         h.set_address_space(&plan.space);
         tiled::trace(g, &tiles, &plan, &mut h);
-        checked_stats(&h, || {
+        checked_stats(&h.stats(), || {
             format!("tiled PageRank x{num_tiles} under {policy:?}")
         })
     };
@@ -599,7 +587,7 @@ pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hie
     let run = |mut h: Hierarchy| {
         h.set_address_space(&plan.space);
         pb::trace_pb(g, bins, &plan, &mut h);
-        checked_stats(&h, || format!("PB binning under {policy:?}"))
+        checked_stats(&h.stats(), || format!("PB binning under {policy:?}"))
     };
     match policy {
         PhasePolicy::Drrip => run(Hierarchy::new(cfg, |sets, ways| {
@@ -652,7 +640,7 @@ pub fn simulate_phi(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hi
     let run = |mut h: Hierarchy, entries: usize| {
         h.set_address_space(&plan.space);
         pb::trace_phi(g, entries, &plan, &mut h);
-        checked_stats(&h, || format!("PHI scatter under {policy:?}"))
+        checked_stats(&h.stats(), || format!("PHI scatter under {policy:?}"))
     };
     match policy {
         PhasePolicy::Drrip => run(
@@ -891,6 +879,43 @@ mod tests {
         let second = cache.counters();
         assert_eq!(second.matrix_builds, first.matrix_builds, "no rebuild");
         assert!(second.matrix_hits > first.matrix_hits);
+    }
+
+    #[test]
+    fn pipelined_simulation_matches_a_live_run() {
+        // The reference is the one-thread path: the policy's hierarchy
+        // consuming the kernel's events directly, every level live.
+        let live = |app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec| {
+            let plan = app.plan(g);
+            let mut h = policy_hierarchy_cached(app, g, cfg, &plan, policy, None);
+            app.trace(g, &plan, &mut h);
+            h.stats()
+        };
+        let g = suite_graph(SuiteGraph::Kron, SuiteScale::Tiny);
+        let mut banked = small_cfg();
+        banked.nuca = popt_sim::NucaConfig::uniform(4);
+        let reserved = small_cfg().with_reserved_ways(3);
+        let mut policies: Vec<PolicySpec> = PolicyKind::ALL
+            .into_iter()
+            .map(PolicySpec::Baseline)
+            .collect();
+        policies.push(PolicySpec::Topt);
+        policies.push(PolicySpec::popt_default());
+        policies.push(PolicySpec::Grasp {
+            hot_end: 16,
+            warm_end: 64,
+        });
+        for cfg in [banked, reserved] {
+            for app in App::ALL {
+                for policy in &policies {
+                    assert_eq!(
+                        simulate(app, &g, &cfg, policy),
+                        live(app, &g, &cfg, policy),
+                        "{app} under {policy:?} on {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

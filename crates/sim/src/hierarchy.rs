@@ -5,6 +5,7 @@ use crate::{
     PolicyKind, ReplacementPolicy, SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
+use std::sync::mpsc::{self, SyncSender};
 
 impl BankMapping {
     /// Renumbers `line` into a bank-local dense line index, so consecutive
@@ -24,6 +25,14 @@ impl BankMapping {
 /// Per-bank counters in [`HierarchyStats::bank_accesses`]; construction
 /// refuses NUCA configurations with more banks.
 const MAX_BANKS: usize = 16;
+
+/// Ops per chunk a recording hands to its sink (64 KiB of 16-byte ops).
+pub(crate) const LLC_CHUNK: usize = 4096;
+
+/// Chunks [`Hierarchy::pipelined`]'s channel holds between its two
+/// threads: the handoff stays within `PIPELINE_DEPTH * LLC_CHUNK` ops
+/// (512 KiB) however long the run.
+const PIPELINE_DEPTH: usize = 8;
 
 /// One request that reached the LLC banks, as [`LlcStream`] records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +89,8 @@ impl PrivateStats {
 /// the stats a full run under its own policy would.
 #[derive(Debug, Clone, Default)]
 pub struct LlcStream {
-    ops: Vec<LlcOp>,
+    /// The ops in order, in the recorder's chunks.
+    chunks: Vec<Vec<LlcOp>>,
     private: PrivateStats,
 }
 
@@ -88,13 +98,78 @@ impl LlcStream {
     /// The demand-access lines in order: the stream
     /// [`Belady::from_trace`] is built from.
     fn demand_lines(&self) -> Vec<u64> {
-        self.ops
+        self.chunks
             .iter()
+            .flatten()
             .filter_map(|op| match *op {
                 LlcOp::Access { line, .. } => Some(line),
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// One message from [`Hierarchy::pipelined`]'s recorder to its LLC thread.
+enum Handoff {
+    /// The next chunk of the post-L2 stream.
+    Chunk(Vec<LlcOp>),
+    /// The run's private-level stats, sent after its last chunk.
+    Done(PrivateStats),
+}
+
+/// Where a recording's chunks go.
+enum ChunkSink {
+    /// Kept in order, for an [`LlcStream`].
+    Keep(Vec<Vec<LlcOp>>),
+    /// Sent to a pipelined run's LLC thread.
+    Send(SyncSender<Handoff>),
+}
+
+impl ChunkSink {
+    #[inline(never)]
+    fn deliver(&mut self, chunk: Vec<LlcOp>) {
+        match self {
+            ChunkSink::Keep(chunks) => chunks.push(chunk),
+            // A send fails only once the LLC thread has died of a panic,
+            // which `pipelined` re-raises after the drive returns.
+            ChunkSink::Send(sender) => {
+                let _ = sender.send(Handoff::Chunk(chunk));
+            }
+        }
+    }
+}
+
+/// A running recording of the post-L2 stream: the chunk being filled and
+/// where full chunks go.
+struct Recorder {
+    chunk: Vec<LlcOp>,
+    sink: ChunkSink,
+}
+
+impl Recorder {
+    #[inline(always)]
+    fn push(&mut self, op: LlcOp) {
+        self.chunk.push(op);
+        if self.chunk.len() == LLC_CHUNK {
+            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(LLC_CHUNK));
+            self.sink.deliver(full);
+        }
+    }
+
+    /// Delivers the last, partial chunk and closes the sink: returns the
+    /// kept chunks, or sends `private` to the LLC thread.
+    fn finish(mut self, private: PrivateStats) -> Vec<Vec<LlcOp>> {
+        if !self.chunk.is_empty() {
+            let tail = std::mem::take(&mut self.chunk);
+            self.sink.deliver(tail);
+        }
+        match self.sink {
+            ChunkSink::Keep(chunks) => chunks,
+            ChunkSink::Send(sender) => {
+                let _ = sender.send(Handoff::Done(private));
+                Vec::new()
+            }
+        }
     }
 }
 
@@ -151,7 +226,7 @@ pub struct Hierarchy {
     coherence_invalidations: u64,
     /// Private-level stats carried in by [`Hierarchy::replay_llc`].
     replayed: PrivateStats,
-    recorder: Option<Vec<LlcOp>>,
+    recorder: Option<Recorder>,
     /// Whether requests below L2 are only recorded, never simulated (the
     /// recorder of [`Hierarchy::record_llc`], whose own LLC stats nobody
     /// reads).
@@ -237,6 +312,16 @@ impl Hierarchy {
         }
     }
 
+    /// A single-core hierarchy that simulates `cfg`'s private levels and
+    /// hands every request below L2 to `sink`, never touching its own LLC
+    /// banks.
+    fn new_recorder(cfg: &HierarchyConfig, sink: ChunkSink) -> Hierarchy {
+        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
+        recorder.start_recording(sink);
+        recorder.bypass_llc = true;
+        recorder
+    }
+
     /// Records the post-L2 request stream of one run under `cfg`'s L1 and
     /// L2. `drive` feeds the run's events to a single-core hierarchy that
     /// simulates the private levels and only records what reaches the LLC
@@ -252,11 +337,61 @@ impl Hierarchy {
         cfg: &HierarchyConfig,
         drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
     ) -> Result<LlcStream, E> {
-        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
-        recorder.start_recording_llc();
-        recorder.bypass_llc = true;
+        let mut recorder = Self::new_recorder(cfg, ChunkSink::Keep(Vec::new()));
         drive(&mut recorder)?;
         Ok(recorder.take_llc_recording())
+    }
+
+    /// One run on two threads, with the stats of running `drive`'s events
+    /// through `build_llc`'s hierarchy. The calling thread runs `drive`
+    /// into the recorder of [`record_llc`](Hierarchy::record_llc) under
+    /// `cfg`'s L1 and L2. A scoped second thread calls `build_llc` (the
+    /// policies are built where they run) and
+    /// [`replay_llc`](Hierarchy::replay_llc)s each 4096-op chunk as it
+    /// arrives over a bounded channel, so the LLC keeps pace with the
+    /// kernel and the handoff never holds more than a few hundred KiB.
+    ///
+    /// # Errors
+    ///
+    /// Returns `drive`'s error. Its recorder is dropped first, which ends
+    /// the LLC thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, with its original payload, a panic on the LLC thread
+    /// (a policy assert, say) once `drive` has returned; a panic in `drive`
+    /// ends the LLC thread and propagates.
+    pub fn pipelined<E>(
+        cfg: &HierarchyConfig,
+        build_llc: impl FnOnce() -> Hierarchy + Send,
+        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+    ) -> Result<HierarchyStats, E> {
+        let (sender, handoffs) = mpsc::sync_channel(PIPELINE_DEPTH);
+        std::thread::scope(|scope| {
+            let llc = scope.spawn(move || {
+                let mut hierarchy = build_llc();
+                for handoff in handoffs {
+                    match handoff {
+                        Handoff::Chunk(ops) => hierarchy.replay_ops(&ops),
+                        Handoff::Done(private) => {
+                            hierarchy.replayed = hierarchy.replayed.merged(private);
+                        }
+                    }
+                }
+                hierarchy.stats()
+            });
+            let mut recorder = Self::new_recorder(cfg, ChunkSink::Send(sender));
+            let driven = drive(&mut recorder);
+            if driven.is_ok() {
+                recorder.finish_recording();
+            }
+            // Closes the channel: the LLC thread drains it and returns.
+            drop(recorder);
+            match llc.join() {
+                Ok(stats) => driven.map(|()| stats),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
     }
 
     /// Belady's MIN under `cfg` from a recorded stream: builds the oracle
@@ -307,26 +442,40 @@ impl Hierarchy {
             .collect();
     }
 
-    /// Starts recording the post-L2 request stream ([`LlcStream`]).
+    /// Starts recording the post-L2 request stream into `sink`.
     ///
     /// # Panics
     ///
     /// Panics if the hierarchy has already seen an access or instruction:
     /// the stream carries the whole run's private-level stats.
-    pub(crate) fn start_recording_llc(&mut self) {
+    fn start_recording(&mut self, sink: ChunkSink) {
         assert!(
             self.private_stats() == PrivateStats::default(),
             "LLC recording must start on a fresh hierarchy"
         );
-        self.recorder = Some(Vec::new());
+        self.recorder = Some(Recorder {
+            chunk: Vec::with_capacity(LLC_CHUNK),
+            sink,
+        });
+    }
+
+    /// Ends the recording, if one is running: delivers its last chunk and
+    /// closes its sink. Returns the kept chunks of a
+    /// [`ChunkSink::Keep`] recording.
+    fn finish_recording(&mut self) -> Vec<Vec<LlcOp>> {
+        let private = self.private_stats();
+        self.recorder
+            .take()
+            .map(|recorder| recorder.finish(private))
+            .unwrap_or_default()
     }
 
     /// Stops recording and takes the stream recorded since
-    /// [`start_recording_llc`](Hierarchy::start_recording_llc) (empty if
-    /// none was started), with the private-level stats so far.
-    pub(crate) fn take_llc_recording(&mut self) -> LlcStream {
+    /// [`start_recording`](Hierarchy::start_recording) into a kept sink
+    /// (empty if none was started), with the private-level stats so far.
+    fn take_llc_recording(&mut self) -> LlcStream {
         LlcStream {
-            ops: self.recorder.take().unwrap_or_default(),
+            chunks: self.finish_recording(),
             private: self.private_stats(),
         }
     }
@@ -337,7 +486,15 @@ impl Hierarchy {
     /// stats equal those of running the recording run's events through
     /// it, whatever its LLC configuration and policy.
     pub fn replay_llc(&mut self, stream: &LlcStream) {
-        for op in &stream.ops {
+        for chunk in &stream.chunks {
+            self.replay_ops(chunk);
+        }
+        self.replayed = self.replayed.merged(stream.private);
+    }
+
+    /// Drives recorded ops into the LLC banks.
+    fn replay_ops(&mut self, ops: &[LlcOp]) {
+        for op in ops {
             match *op {
                 LlcOp::Access {
                     line,
@@ -356,7 +513,6 @@ impl Hierarchy {
                 LlcOp::Flush => self.flush_banks(),
             }
         }
-        self.replayed = self.replayed.merged(stream.private);
     }
 
     /// Appends `op` to the recording, if one is running. Returns whether
@@ -365,8 +521,8 @@ impl Hierarchy {
     fn record(&mut self, op: LlcOp) -> bool {
         match &mut self.recorder {
             None => true,
-            Some(ops) => {
-                ops.push(op);
+            Some(recorder) => {
+                recorder.push(op);
                 !self.bypass_llc
             }
         }
@@ -406,6 +562,10 @@ impl Hierarchy {
         }
     }
 
+    /// The bank serving `line` and its bank-local line. The bank is below
+    /// the configured bank count, which construction gives `banks` and
+    /// caps at `bank_accesses`' length, so the `get_mut`s of the LLC
+    /// paths below always find it.
     fn llc_route(&self, line: u64, irregular: bool) -> (usize, u64) {
         if self.banks.len() == 1 {
             return (0, line);
@@ -434,7 +594,11 @@ impl Hierarchy {
             return;
         }
         let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        if !self.banks[bank].absorb_writeback(local) {
+        if self
+            .banks
+            .get_mut(bank)
+            .is_some_and(|bank| !bank.absorb_writeback(local))
+        {
             self.dram_writebacks += 1;
         }
     }
@@ -452,10 +616,14 @@ impl Hierarchy {
             return;
         }
         let (bank, local) = self.llc_route(meta.line, meta.class == RegionClass::Irregular);
-        self.bank_accesses[bank] += 1;
-        // Placement (set selection) uses the bank-local renumbering; the
-        // policy keeps seeing the global line.
-        let _ = self.banks[bank].access_placed(meta, local);
+        if let (Some(cache), Some(accesses)) =
+            (self.banks.get_mut(bank), self.bank_accesses.get_mut(bank))
+        {
+            *accesses += 1;
+            // Placement (set selection) uses the bank-local renumbering;
+            // the policy keeps seeing the global line.
+            let _ = cache.access_placed(meta, local);
+        }
     }
 
     /// The LLC side of a prefetch fill.
@@ -470,7 +638,11 @@ impl Hierarchy {
             kind: AccessKind::Read,
             class,
         };
-        if self.banks[bank].prefetch_placed(&meta, local) {
+        if self
+            .banks
+            .get_mut(bank)
+            .is_some_and(|bank| bank.prefetch_placed(&meta, local))
+        {
             self.prefetch_fills += 1;
         }
     }
@@ -508,7 +680,11 @@ impl Hierarchy {
                 }
             }
         }
-        let core = &mut self.cores[self.active_core];
+        // `active_core` is below the core count (0, or a core id taken
+        // modulo it), so the lookup always finds the core.
+        let Some(core) = self.cores.get_mut(self.active_core) else {
+            return;
+        };
         let out1 = core.l1.access(&meta);
         if out1.is_hit() {
             return;
@@ -702,7 +878,7 @@ mod tests {
         }
         let run = |h: &mut Hierarchy| events.iter().for_each(|&e| h.event(e));
         let mut h1 = lru_hierarchy(&cfg);
-        h1.start_recording_llc();
+        h1.start_recording(ChunkSink::Keep(Vec::new()));
         run(&mut h1);
         let stream = h1.take_llc_recording();
         let lru = h1.stats();
@@ -796,7 +972,7 @@ mod tests {
             }
         };
         let mut h1 = lru_hierarchy(&cfg);
-        h1.start_recording_llc();
+        h1.start_recording(ChunkSink::Keep(Vec::new()));
         drive(&mut h1);
         let stream = h1.take_llc_recording();
         let mut rerun = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
@@ -859,6 +1035,141 @@ mod tests {
         }
     }
 
+    /// A drive that sends exactly `ops` requests below L2: control events,
+    /// and reads of distinct lines, each missing both private levels.
+    fn exact_ops(ops: usize) -> impl Fn(&mut Hierarchy) -> Result<(), String> {
+        move |h| {
+            for i in 0..u32::try_from(ops).unwrap() {
+                if i % 3 == 0 {
+                    h.control(ControlEvent::CurrentVertex(i));
+                } else {
+                    h.event(TraceEvent::read(0x40_0000 + u64::from(i) * 64, i % 5));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn pipelined_runs_match_live_runs_at_every_chunk_edge() {
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.nuca = NucaConfig::uniform(2);
+        for ops in [
+            0,
+            LLC_CHUNK - 1,
+            LLC_CHUNK,
+            LLC_CHUNK + 1,
+            3 * LLC_CHUNK + 7,
+        ] {
+            let drive = exact_ops(ops);
+            let stream = Hierarchy::record_llc(&cfg, &drive).unwrap();
+            let lens: Vec<usize> = stream.chunks.iter().map(Vec::len).collect();
+            assert_eq!(lens.iter().sum::<usize>(), ops, "{ops} ops");
+            assert_eq!(lens.len(), ops.div_ceil(LLC_CHUNK), "{ops} ops: {lens:?}");
+            assert!(lens.iter().all(|&n| n > 0), "{ops} ops: {lens:?}");
+            for kind in [PolicyKind::Lru, PolicyKind::Drrip] {
+                let mut live = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
+                drive(&mut live).unwrap();
+                let piped = Hierarchy::pipelined(
+                    &cfg,
+                    || Hierarchy::new(&cfg, |s, w| kind.build(s, w)),
+                    &drive,
+                );
+                let mut replay = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
+                replay.replay_llc(&stream);
+                assert_eq!(piped, Ok(live.stats()), "{kind:?}, {ops} ops");
+                assert_eq!(replay.stats(), live.stats(), "{kind:?}, {ops} ops");
+            }
+        }
+    }
+
+    /// Picks one way past the last replaceable one, as a buggy policy might.
+    struct RogueVictim;
+
+    impl ReplacementPolicy for RogueVictim {
+        fn name(&self) -> String {
+            "rogue".to_string()
+        }
+        fn on_hit(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {}
+        fn on_fill(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {}
+        fn victim(&mut self, ctx: &crate::VictimCtx<'_>) -> usize {
+            ctx.ways.len()
+        }
+    }
+
+    /// Runs `f` on its own thread and returns its result or its panic's
+    /// message, failing the test if it has not settled within a minute.
+    fn settles<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Result<T, Option<String>> {
+        let (sender, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = sender.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        let settled = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the pipelined run hung");
+        settled.map_err(|panic| {
+            panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        })
+    }
+
+    #[test]
+    fn a_panic_on_the_llc_thread_reaches_the_caller() {
+        // The stream is many times the channel's depth, so the recorder
+        // keeps sending long after the LLC thread has died.
+        let outcome = settles(|| {
+            let cfg = HierarchyConfig::small_test();
+            Hierarchy::pipelined(
+                &cfg,
+                || Hierarchy::new(&cfg, |_, _| Box::new(RogueVictim)),
+                exact_ops(20 * PIPELINE_DEPTH * LLC_CHUNK),
+            )
+        });
+        let message = outcome.expect_err("a rogue victim must panic");
+        assert!(
+            message
+                .as_deref()
+                .is_some_and(|m| m.contains("beyond data ways")),
+            "{message:?}"
+        );
+    }
+
+    #[test]
+    fn a_failed_drive_returns_its_error() {
+        let outcome = settles(|| {
+            let cfg = HierarchyConfig::small_test();
+            Hierarchy::pipelined(
+                &cfg,
+                || lru_hierarchy(&cfg),
+                |h| {
+                    exact_ops(5 * LLC_CHUNK)(h)?;
+                    Err("trace ended early".to_string())
+                },
+            )
+        });
+        assert_eq!(outcome, Ok(Err("trace ended early".to_string())));
+    }
+
+    #[test]
+    fn a_panicking_drive_propagates_its_panic() {
+        let outcome = settles(|| {
+            let cfg = HierarchyConfig::small_test();
+            Hierarchy::pipelined(
+                &cfg,
+                || lru_hierarchy(&cfg),
+                |h| -> Result<(), String> {
+                    exact_ops(5 * LLC_CHUNK)(h)?;
+                    panic!("kernel bug")
+                },
+            )
+        });
+        assert_eq!(outcome, Err(Some("kernel bug".to_string())));
+    }
+
     #[test]
     #[should_panic(expected = "Belady needs a single-bank LLC")]
     fn belady_refuses_a_banked_llc() {
@@ -872,7 +1183,7 @@ mod tests {
     fn recording_refuses_a_used_hierarchy() {
         let mut h = lru_hierarchy(&HierarchyConfig::small_test());
         h.event(TraceEvent::read(0x4000, 0));
-        h.start_recording_llc();
+        h.start_recording(ChunkSink::Keep(Vec::new()));
     }
 
     #[test]
