@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use popt_bench::bench_graph;
 use popt_core::{Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt};
 use popt_kernels::App;
-use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
+use popt_sim::{Hierarchy, HierarchyConfig, Llc, PolicyKind};
 use popt_trace::TraceSink;
 use std::sync::Arc;
 
@@ -81,12 +81,12 @@ fn policy_throughput(c: &mut Criterion) {
     // replay, as every OPT cell runs them.
     group.bench_function("OPT", |b| {
         b.iter(|| {
-            let Ok(h) = Hierarchy::run_belady(&cfg, |h| {
+            let Ok(stream) = Hierarchy::record_llc(&cfg, |h| {
                 h.set_address_space(&plan.space);
                 app.trace(&g, &plan, h);
                 Ok::<(), std::convert::Infallible>(())
             });
-            h.stats().llc.misses
+            Llc::belady_from_stream(&cfg, &stream).llc.misses
         })
     });
 

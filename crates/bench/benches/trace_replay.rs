@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_hierarchy_cached, record_stream, replay_cell, PolicySpec};
+use popt_cli::runner::{policy_llc, record_stream, replay_cell, PolicySpec};
 use popt_kernels::App;
-use popt_sim::{HierarchyConfig, PolicyKind};
+use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
 use popt_tracestore::{replay_any, ChunkWriter};
 
@@ -34,14 +34,18 @@ fn cell_drive(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events));
     group.bench_function("kernel_reexec", |b| {
         b.iter(|| {
-            let mut h = policy_hierarchy_cached(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let mut h = Hierarchy::with_llc(&cfg, llc);
+            h.set_address_space(&plan.space);
             App::Pagerank.trace(&g, &plan, &mut h);
             h.stats()
         })
     });
     group.bench_function("trace_replay", |b| {
         b.iter(|| {
-            let mut h = policy_hierarchy_cached(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let mut h = Hierarchy::with_llc(&cfg, llc);
+            h.set_address_space(&plan.space);
             replay_any(&trace[..], &mut h).expect("pristine trace");
             h.stats()
         })

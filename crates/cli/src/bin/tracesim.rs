@@ -12,7 +12,7 @@
 
 use popt_cli::numeric_flag;
 use popt_cli::trace_cmd::parse_policy_kind;
-use popt_sim::{CacheConfig, Hierarchy, HierarchyConfig, PolicyKind};
+use popt_sim::{CacheConfig, Hierarchy, HierarchyConfig, Llc, PolicyKind, Recorder};
 use popt_trace::LINE_SIZE;
 use std::process::ExitCode;
 
@@ -95,9 +95,9 @@ fn main() -> ExitCode {
                 eprintln!("--policy opt requires --cores 1");
                 return ExitCode::FAILURE;
             }
-            let replay = |h: &mut Hierarchy| popt_tracestore::replay_any(&bytes[..], h).map(drop);
-            match Hierarchy::run_belady(&cfg, replay) {
-                Ok(h) => h.stats(),
+            let replay = |h: &mut Recorder| popt_tracestore::replay_any(&bytes[..], h).map(drop);
+            match Hierarchy::record_llc(&cfg, replay) {
+                Ok(stream) => Llc::belady_from_stream(&cfg, &stream),
                 Err(e) => {
                     eprintln!("replay failed: {e}");
                     return ExitCode::FAILURE;

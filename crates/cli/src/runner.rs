@@ -6,7 +6,9 @@ use popt_graph::{Graph, VertexId};
 use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Grasp, GraspRegions};
-use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, LlcStream, PolicyKind, TimingModel};
+use popt_sim::{
+    Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcStream, PolicyKind, Recorder, TimingModel,
+};
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -249,12 +251,11 @@ pub fn simulate(app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec)
 ///
 /// The cell runs as a [`Hierarchy::pipelined`] pair of threads: this one
 /// runs the kernel through the L1/L2 recorder, and a second one builds
-/// `policy`'s hierarchy (a P-OPT matrix build included) and replays the
-/// post-L2 stream into its LLC as it arrives. Belady, whose oracle needs
-/// the whole stream first, records and then replays. Nothing is kept for
-/// later calls; callers simulating a row of LLC policies over one stream
-/// share the recording through [`record_stream`] and [`replay_cell`]
-/// instead.
+/// `policy`'s LLC (a P-OPT matrix build included) and applies the post-L2
+/// stream to it as it arrives. Belady, whose oracle needs the whole
+/// stream first, records and then replays. Nothing is kept for later
+/// calls; callers simulating a row of LLC policies over one stream share
+/// the recording through [`record_stream`] and [`replay_cell`] instead.
 ///
 /// # Panics
 ///
@@ -275,7 +276,7 @@ pub fn simulate_cached(
     let plan = app.plan(g);
     let Ok(stats) = Hierarchy::pipelined(
         cfg,
-        || policy_hierarchy_cached(app, g, cfg, &plan, policy, ctx),
+        || policy_llc(app, g, cfg, &plan, policy, ctx),
         |recorder| drive_kernel(app, g, &plan, recorder),
     );
     checked_stats(&stats, || format!("{app} under {policy:?}"))
@@ -296,7 +297,7 @@ fn drive_kernel(
     app: App,
     g: &Graph,
     plan: &TracePlan,
-    recorder: &mut Hierarchy,
+    recorder: &mut Recorder,
 ) -> Result<(), std::convert::Infallible> {
     recorder.set_address_space(&plan.space);
     app.trace(g, plan, recorder);
@@ -320,14 +321,12 @@ pub fn replay_cell(
     ctx: Option<&MatrixCtx>,
     stream: &LlcStream,
 ) -> HierarchyStats {
-    let hierarchy = if matches!(policy, PolicySpec::Belady) {
-        Hierarchy::belady_from_stream(cfg, stream)
+    let stats = if matches!(policy, PolicySpec::Belady) {
+        Llc::belady_from_stream(cfg, stream)
     } else {
-        let mut hierarchy = policy_hierarchy_cached(app, g, cfg, &app.plan(g), policy, ctx);
-        hierarchy.replay_llc(stream);
-        hierarchy
+        policy_llc(app, g, cfg, &app.plan(g), policy, ctx).replay(stream)
     };
-    checked_stats(&hierarchy.stats(), || format!("{app} under {policy:?}"))
+    checked_stats(&stats, || format!("{app} under {policy:?}"))
 }
 
 /// Returns `stats` after asserting [`HierarchyStats::check`]; `what` names
@@ -339,28 +338,27 @@ fn checked_stats(stats: &HierarchyStats, what: impl FnOnce() -> String) -> Hiera
     *stats
 }
 
-/// Builds a hierarchy configured for `policy`, with its address space set,
-/// ready to consume the kernel's event stream or a recorded LLC stream —
-/// the single construction path shared by [`simulate_cached`]'s LLC thread
-/// and [`replay_cell`].
+/// Builds the LLC `policy` runs in under `cfg` (P-OPT's reserved ways
+/// included), ready for a post-L2 stream — the single construction path
+/// shared by [`simulate_cached`]'s LLC thread and [`replay_cell`].
 ///
 /// # Panics
 ///
 /// Panics on [`PolicySpec::Belady`]: the oracle is built *from* a recorded
 /// LLC stream, so it cannot be constructed ahead of event delivery. Use
 /// [`simulate_cached`] or [`replay_cell`] for Belady.
-pub fn policy_hierarchy_cached(
+pub fn policy_llc(
     app: App,
     g: &Graph,
     cfg: &HierarchyConfig,
     plan: &TracePlan,
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
-) -> Hierarchy {
-    let mut hierarchy = match policy {
+) -> Llc {
+    match policy {
         PolicySpec::Baseline(kind) => {
             let kind = *kind;
-            Hierarchy::new(cfg, move |sets, ways| kind.build(sets, ways))
+            Llc::new(cfg, move |sets, ways| kind.build(sets, ways))
         }
         PolicySpec::Belady => {
             panic!("Belady is two-pass; it cannot be built ahead of event delivery")
@@ -368,7 +366,7 @@ pub fn policy_hierarchy_cached(
         PolicySpec::Topt => {
             let transpose = Arc::new(g.transpose_of(app.direction()).clone());
             let streams = plan.irregular_streams();
-            Hierarchy::new(cfg, move |sets, ways| {
+            Llc::new(cfg, move |sets, ways| {
                 Box::new(Topt::new(
                     Arc::clone(&transpose),
                     streams.clone(),
@@ -390,7 +388,7 @@ pub fn policy_hierarchy_cached(
                     .with_reserved_ways(reserved_ways_for(&bindings, cfg))
             };
             let charge = !*limit_study;
-            Hierarchy::new(&run_cfg, move |sets, ways| {
+            Llc::new(&run_cfg, move |sets, ways| {
                 let mut pc = PoptConfig::new(bindings.clone());
                 pc.charge_streaming = charge;
                 Box::new(Popt::new(pc, sets, ways))
@@ -405,13 +403,11 @@ pub fn policy_hierarchy_cached(
             let hot = base_line + *hot_end as u64 / elems_per_line;
             let warm = base_line + *warm_end as u64 / elems_per_line;
             let regions = GraspRegions::new(base_line, hot, warm);
-            Hierarchy::new(cfg, move |sets, ways| {
+            Llc::new(cfg, move |sets, ways| {
                 Box::new(Grasp::new(sets, ways, regions))
             })
         }
-    };
-    hierarchy.set_address_space(&plan.space);
-    hierarchy
+    }
 }
 
 /// LLC policy choice for the special-phase runners (tiled PR, PB, PHI).
@@ -549,21 +545,19 @@ pub fn simulate_tiled(
                 .collect();
             // Only one tile's columns are resident at a time: reserve for
             // the largest tile (the Figure 13 capacity win).
-            let max_bytes = configs
+            let largest = configs
                 .iter()
-                .map(|c| {
-                    c.streams
+                .map(|c| c.streams.as_slice())
+                .max_by_key(|streams| {
+                    streams
                         .iter()
                         .map(|s| s.matrix.resident_bytes())
                         .sum::<u64>()
                 })
-                .max()
-                .unwrap_or(0) as usize;
-            let ways = max_bytes
-                .div_ceil(cfg.llc_bank().way_bytes())
-                .max(1)
-                .min(cfg.llc.ways() - 1);
-            let cfg = cfg.clone().with_reserved_ways(ways);
+                .unwrap_or_default();
+            let cfg = cfg
+                .clone()
+                .with_reserved_ways(reserved_ways_for(largest, cfg));
             let mut configs = Some(configs);
             run(&cfg, &mut |sets, ways| {
                 Box::new(TiledPopt::new(
@@ -883,11 +877,12 @@ mod tests {
 
     #[test]
     fn pipelined_simulation_matches_a_live_run() {
-        // The reference is the one-thread path: the policy's hierarchy
-        // consuming the kernel's events directly, every level live.
+        // The reference is the one-thread path: the policy's LLC below
+        // live private levels, consuming the kernel's events directly.
         let live = |app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec| {
             let plan = app.plan(g);
-            let mut h = policy_hierarchy_cached(app, g, cfg, &plan, policy, None);
+            let mut h = Hierarchy::with_llc(cfg, policy_llc(app, g, cfg, &plan, policy, None));
+            h.set_address_space(&plan.space);
             app.trace(g, &plan, &mut h);
             h.stats()
         };

@@ -2,7 +2,7 @@ use crate::nuca::BankMapping;
 use crate::policies::{Belady, BitPlru};
 use crate::{
     AccessMeta, AccessOutcome, CacheStats, ControlEvent, HierarchyConfig, HierarchyStats,
-    PolicyKind, ReplacementPolicy, SetAssocCache,
+    NucaConfig, ReplacementPolicy, SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
 use std::sync::mpsc::{self, SyncSender};
@@ -34,26 +34,47 @@ pub(crate) const LLC_CHUNK: usize = 4096;
 /// (512 KiB) however long the run.
 const PIPELINE_DEPTH: usize = 8;
 
-/// One request that reached the LLC banks, as [`LlcStream`] records it.
+/// One request the private levels send below L2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LlcOp {
+pub enum LlcOp {
     /// A demand access that missed L2 (an [`AccessMeta`], flattened so the
     /// op packs into 16 bytes).
     Access {
+        /// The global line number.
         line: u64,
+        /// The issuing instruction.
         site: SiteId,
+        /// Read or write.
         kind: AccessKind,
+        /// The line's region class.
         class: RegionClass,
     },
     /// A dirty private-level victim forwarded below L2.
-    Writeback { line: u64, class: RegionClass },
-    /// A prefetch fill ([`Hierarchy::prefetch_fill`]) of `line`.
-    Prefetch { line: u64, class: RegionClass },
-    /// A control event delivered to every bank.
+    Writeback {
+        /// The victim's line number.
+        line: u64,
+        /// The victim's region class.
+        class: RegionClass,
+    },
+    /// A prefetch fill ([`PrivateLevels::prefetch_fill`]) of `line`.
+    Prefetch {
+        /// The line to install.
+        line: u64,
+        /// The line's region class.
+        class: RegionClass,
+    },
+    /// A control event for every LLC bank.
     Control(ControlEvent),
-    /// The bank flush of a [`Hierarchy::context_switch`] (its
+    /// The bank flush of a [`PrivateLevels::context_switch`] (its
     /// `ContextSwitch` control event follows as its own op).
     Flush,
+}
+
+/// What the private levels send every request below L2 into. The edge is
+/// one-way: `push` returns nothing, so no LLC decision can reach L1 or L2.
+pub trait LlcSink {
+    /// Takes the next request below L2.
+    fn push(&mut self, op: LlcOp);
 }
 
 /// The statistics of the levels above the LLC, which no LLC policy can
@@ -66,27 +87,15 @@ struct PrivateStats {
     coherence_invalidations: u64,
 }
 
-impl PrivateStats {
-    fn merged(self, other: PrivateStats) -> PrivateStats {
-        PrivateStats {
-            l1: self.l1.merged(other.l1),
-            l2: self.l2.merged(other.l2),
-            instructions: self.instructions + other.instructions,
-            coherence_invalidations: self.coherence_invalidations + other.coherence_invalidations,
-        }
-    }
-}
-
 /// The post-L2 request stream of one run, in order — demand accesses
 /// (line, site, kind, class), writebacks below L2, prefetch fills and LLC
 /// control events — plus that run's private-level statistics.
 ///
-/// The private levels never see the LLC policy, so this stream is the
-/// same whichever policy the recording run's LLC used, and whatever the
-/// LLC's size, associativity, reserved ways or banking.
-/// [`Hierarchy::record_llc`] records one; [`Hierarchy::replay_llc`]
-/// drives it into another hierarchy's LLC banks alone, which then reports
-/// the stats a full run under its own policy would.
+/// The private levels never see the LLC, so this stream is the same
+/// whatever the LLC's policy, size, associativity, reserved ways or
+/// banking. [`Hierarchy::record_llc`] records one; [`Llc::replay`] drives
+/// it into an LLC alone, which then reports the stats a live run under
+/// its own configuration and policy would.
 #[derive(Debug, Clone, Default)]
 pub struct LlcStream {
     /// The ops in order, in the recorder's chunks.
@@ -139,20 +148,18 @@ impl ChunkSink {
     }
 }
 
-/// A running recording of the post-L2 stream: the chunk being filled and
-/// where full chunks go.
-struct Recorder {
+/// The sink below a [`Recorder`]'s private levels: it fills a chunk of
+/// requests and hands each full one on.
+pub struct ChunkRecorder {
     chunk: Vec<LlcOp>,
     sink: ChunkSink,
 }
 
-impl Recorder {
-    #[inline(always)]
-    fn push(&mut self, op: LlcOp) {
-        self.chunk.push(op);
-        if self.chunk.len() == LLC_CHUNK {
-            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(LLC_CHUNK));
-            self.sink.deliver(full);
+impl ChunkRecorder {
+    fn new(sink: ChunkSink) -> Self {
+        ChunkRecorder {
+            chunk: Vec::with_capacity(LLC_CHUNK),
+            sink,
         }
     }
 
@@ -169,6 +176,17 @@ impl Recorder {
                 let _ = sender.send(Handoff::Done(private));
                 Vec::new()
             }
+        }
+    }
+}
+
+impl LlcSink for ChunkRecorder {
+    #[inline(always)]
+    fn push(&mut self, op: LlcOp) {
+        self.chunk.push(op);
+        if self.chunk.len() == LLC_CHUNK {
+            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(LLC_CHUNK));
+            self.sink.deliver(full);
         }
     }
 }
@@ -191,14 +209,28 @@ impl Core {
     }
 }
 
-/// The simulated hierarchy of Table I: per-core L1/L2 with Bit-PLRU, and a
-/// shared, NUCA-banked LLC with a pluggable policy.
+/// The cores' private levels of Table I: per-core L1 and L2 with Bit-PLRU,
+/// region classification, write-invalidate coherence, the active core and
+/// the instruction count. Every request that leaves L2 is pushed into the
+/// sink `S` below them: an [`Llc`] in a live [`Hierarchy`], a
+/// [`ChunkRecorder`] in a [`Recorder`].
 ///
-/// The hierarchy consumes [`TraceEvent`]s (it implements [`TraceSink`]), so
-/// a kernel's instrumented run drives it directly. Multi-threaded traces
+/// The levels consume [`TraceEvent`]s (they implement [`TraceSink`]), so a
+/// kernel's instrumented run drives them directly. Multi-threaded traces
 /// switch the active core with [`TraceEvent::Core`] (paper Section V-F);
-/// single-threaded traces use core 0 implicitly. Fills are write-allocate;
-/// every miss installs into the missing level. Dirty LLC evictions count
+/// single-threaded traces use core 0 implicitly. Fills are
+/// write-allocate; every miss installs into the missing level.
+pub struct PrivateLevels<S> {
+    cores: Vec<Core>,
+    active_core: usize,
+    irreg_ranges: Vec<(u64, u64)>,
+    instructions: u64,
+    coherence_invalidations: u64,
+    below: S,
+}
+
+/// The simulated hierarchy of Table I: [`PrivateLevels`] above a shared,
+/// NUCA-banked [`Llc`] with a pluggable policy. Dirty LLC evictions count
 /// as DRAM writebacks.
 ///
 /// # Example
@@ -213,33 +245,18 @@ impl Core {
 /// h.event(TraceEvent::read(0x1000, 0));
 /// assert_eq!(h.stats().l1.hits, 1);
 /// ```
-pub struct Hierarchy {
-    cores: Vec<Core>,
-    active_core: usize,
-    banks: Vec<SetAssocCache>,
-    cfg: HierarchyConfig,
-    irreg_ranges: Vec<(u64, u64)>,
-    instructions: u64,
-    bank_accesses: [u64; MAX_BANKS],
-    prefetch_fills: u64,
-    dram_writebacks: u64,
-    coherence_invalidations: u64,
-    /// Private-level stats carried in by [`Hierarchy::replay_llc`].
-    replayed: PrivateStats,
-    recorder: Option<Recorder>,
-    /// Whether requests below L2 are only recorded, never simulated (the
-    /// recorder of [`Hierarchy::record_llc`], whose own LLC stats nobody
-    /// reads).
-    bypass_llc: bool,
-}
+pub type Hierarchy = PrivateLevels<Llc>;
 
-impl std::fmt::Debug for Hierarchy {
+/// Private levels recording the post-L2 stream, with no LLC below them:
+/// what [`Hierarchy::record_llc`] and [`Hierarchy::pipelined`] drive, with
+/// one core.
+pub type Recorder = PrivateLevels<ChunkRecorder>;
+
+impl<S> std::fmt::Debug for PrivateLevels<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hierarchy")
-            .field("cfg", &self.cfg)
+        f.debug_struct("PrivateLevels")
             .field("cores", &self.cores.len())
-            .field("banks", &self.banks.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -264,92 +281,42 @@ impl Hierarchy {
     pub fn with_cores(
         cfg: &HierarchyConfig,
         num_cores: usize,
-        mut make_llc_policy: impl FnMut(usize, usize) -> Box<dyn ReplacementPolicy>,
+        make_llc_policy: impl FnMut(usize, usize) -> Box<dyn ReplacementPolicy>,
     ) -> Self {
-        assert!(num_cores > 0, "need at least one core");
-        assert!(
-            cfg.nuca.num_banks() <= MAX_BANKS,
-            "{} NUCA banks exceed the {MAX_BANKS} per-bank access counters",
-            cfg.nuca.num_banks()
-        );
-        let bank_cfg = cfg.llc_bank();
-        let data_ways = bank_cfg.ways() - cfg.llc_reserved_ways;
-        let banks = (0..cfg.nuca.num_banks())
-            .map(|_| {
-                SetAssocCache::with_reserved_ways(
-                    bank_cfg,
-                    make_llc_policy(bank_cfg.num_sets(), data_ways),
-                    cfg.llc_reserved_ways,
-                )
-            })
-            .collect();
-        let cores = (0..num_cores)
-            .map(|_| Core {
-                l1: SetAssocCache::with_policy(
-                    cfg.l1,
-                    BitPlru::new(cfg.l1.num_sets(), cfg.l1.ways()),
-                ),
-                l2: SetAssocCache::with_policy(
-                    cfg.l2,
-                    BitPlru::new(cfg.l2.num_sets(), cfg.l2.ways()),
-                ),
-            })
-            .collect();
-        Hierarchy {
-            cores,
-            active_core: 0,
-            banks,
-            cfg: cfg.clone(),
-            irreg_ranges: Vec::new(),
-            instructions: 0,
-            bank_accesses: [0; MAX_BANKS],
-            prefetch_fills: 0,
-            dram_writebacks: 0,
-            coherence_invalidations: 0,
-            replayed: PrivateStats::default(),
-            recorder: None,
-            bypass_llc: false,
-        }
+        PrivateLevels::over(cfg, num_cores, Llc::new(cfg, make_llc_policy))
     }
 
-    /// A single-core hierarchy that simulates `cfg`'s private levels and
-    /// hands every request below L2 to `sink`, never touching its own LLC
-    /// banks.
-    fn new_recorder(cfg: &HierarchyConfig, sink: ChunkSink) -> Hierarchy {
-        let mut recorder = Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways));
-        recorder.start_recording(sink);
-        recorder.bypass_llc = true;
-        recorder
+    /// Builds a single-core hierarchy of `cfg`'s L1 and L2 above `llc`.
+    pub fn with_llc(cfg: &HierarchyConfig, llc: Llc) -> Self {
+        PrivateLevels::over(cfg, 1, llc)
     }
 
     /// Records the post-L2 request stream of one run under `cfg`'s L1 and
-    /// L2. `drive` feeds the run's events to a single-core hierarchy that
-    /// simulates the private levels and only records what reaches the LLC
-    /// (its LLC banks are never touched), so the stream serves any LLC
-    /// configuration and policy: [`replay_llc`](Hierarchy::replay_llc)
-    /// and [`belady_from_stream`](Hierarchy::belady_from_stream) consume
-    /// it.
+    /// L2. `drive` feeds the run's events to a single core's private
+    /// levels, which have no LLC below them, so the stream serves any LLC
+    /// configuration and policy: [`Llc::replay`] and
+    /// [`Llc::belady_from_stream`] consume it.
     ///
     /// # Errors
     ///
     /// Returns `drive`'s error.
     pub fn record_llc<E>(
         cfg: &HierarchyConfig,
-        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
     ) -> Result<LlcStream, E> {
-        let mut recorder = Self::new_recorder(cfg, ChunkSink::Keep(Vec::new()));
+        let mut recorder = Recorder::recording(cfg, 1, ChunkSink::Keep(Vec::new()));
         drive(&mut recorder)?;
-        Ok(recorder.take_llc_recording())
+        Ok(recorder.finish())
     }
 
     /// One run on two threads, with the stats of running `drive`'s events
-    /// through `build_llc`'s hierarchy. The calling thread runs `drive`
-    /// into the recorder of [`record_llc`](Hierarchy::record_llc) under
-    /// `cfg`'s L1 and L2. A scoped second thread calls `build_llc` (the
-    /// policies are built where they run) and
-    /// [`replay_llc`](Hierarchy::replay_llc)s each 4096-op chunk as it
-    /// arrives over a bounded channel, so the LLC keeps pace with the
-    /// kernel and the handoff never holds more than a few hundred KiB.
+    /// through `cfg`'s L1 and L2 above `build_llc`'s LLC. The calling
+    /// thread runs `drive` into the recorder of
+    /// [`record_llc`](Hierarchy::record_llc). A scoped second thread calls
+    /// `build_llc` (the policies are built where they run) and applies
+    /// each 4096-op chunk as it arrives over a bounded channel, so the LLC
+    /// keeps pace with the kernel and the handoff never holds more than a
+    /// few hundred KiB.
     ///
     /// # Errors
     ///
@@ -363,30 +330,31 @@ impl Hierarchy {
     /// ends the LLC thread and propagates.
     pub fn pipelined<E>(
         cfg: &HierarchyConfig,
-        build_llc: impl FnOnce() -> Hierarchy + Send,
-        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
+        build_llc: impl FnOnce() -> Llc + Send,
+        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
     ) -> Result<HierarchyStats, E> {
         let (sender, handoffs) = mpsc::sync_channel(PIPELINE_DEPTH);
         std::thread::scope(|scope| {
             let llc = scope.spawn(move || {
-                let mut hierarchy = build_llc();
+                let mut llc = build_llc();
+                let mut private = PrivateStats::default();
                 for handoff in handoffs {
                     match handoff {
-                        Handoff::Chunk(ops) => hierarchy.replay_ops(&ops),
-                        Handoff::Done(private) => {
-                            hierarchy.replayed = hierarchy.replayed.merged(private);
-                        }
+                        Handoff::Chunk(ops) => ops.into_iter().for_each(|op| llc.push(op)),
+                        Handoff::Done(stats) => private = stats,
                     }
                 }
-                hierarchy.stats()
+                llc.stats(private)
             });
-            let mut recorder = Self::new_recorder(cfg, ChunkSink::Send(sender));
+            let mut recorder = Recorder::recording(cfg, 1, ChunkSink::Send(sender));
             let driven = drive(&mut recorder);
+            // Either way the recorder's sender goes, closing the channel:
+            // the LLC thread drains it and returns.
             if driven.is_ok() {
-                recorder.finish_recording();
+                recorder.finish();
+            } else {
+                drop(recorder);
             }
-            // Closes the channel: the LLC thread drains it and returns.
-            drop(recorder);
             match llc.join() {
                 Ok(stats) => driven.map(|()| stats),
                 Err(payload) => std::panic::resume_unwind(payload),
@@ -394,42 +362,58 @@ impl Hierarchy {
         })
     }
 
-    /// Belady's MIN under `cfg` from a recorded stream: builds the oracle
-    /// from the stream's demand lines and replays the stream into a fresh
-    /// hierarchy's LLC bank alone. The returned hierarchy reports exactly
-    /// what re-running the recorded events under the oracle would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LLC has more than one bank: the oracle needs one
-    /// globally ordered LLC stream.
-    pub fn belady_from_stream(cfg: &HierarchyConfig, stream: &LlcStream) -> Hierarchy {
-        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
-        let lines = stream.demand_lines();
-        let mut hierarchy = Hierarchy::new(cfg, |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &lines))
-        });
-        hierarchy.replay_llc(stream);
-        hierarchy
+    /// Aggregated statistics. Private-level stats are summed across cores.
+    pub fn stats(&self) -> HierarchyStats {
+        self.below.stats(self.private_stats())
+    }
+}
+
+impl Recorder {
+    /// `num_cores` private levels under `cfg` recording into `sink`.
+    fn recording(cfg: &HierarchyConfig, num_cores: usize, sink: ChunkSink) -> Self {
+        PrivateLevels::over(cfg, num_cores, ChunkRecorder::new(sink))
     }
 
-    /// Belady's MIN in two passes, with the kernel run once:
-    /// [`record_llc`](Hierarchy::record_llc) through `drive`, then
-    /// [`belady_from_stream`](Hierarchy::belady_from_stream).
-    ///
-    /// # Errors
-    ///
-    /// Returns `drive`'s error, skipping pass 2.
+    /// Ends the recording: delivers its last chunk and closes its sink.
+    /// Returns the stream of a [`ChunkSink::Keep`] recording (a `Send`
+    /// recording's chunks are gone, so its stream is empty).
+    fn finish(self) -> LlcStream {
+        let private = self.private_stats();
+        LlcStream {
+            chunks: self.below.finish(private),
+            private,
+        }
+    }
+}
+
+impl<S: LlcSink> PrivateLevels<S> {
+    /// `num_cores` L1/L2 pairs under `cfg`, above `below`.
     ///
     /// # Panics
     ///
-    /// Panics if the LLC has more than one bank.
-    pub fn run_belady<E>(
-        cfg: &HierarchyConfig,
-        drive: impl FnOnce(&mut Hierarchy) -> Result<(), E>,
-    ) -> Result<Hierarchy, E> {
-        let stream = Self::record_llc(cfg, drive)?;
-        Ok(Self::belady_from_stream(cfg, &stream))
+    /// Panics if `num_cores` is zero.
+    fn over(cfg: &HierarchyConfig, num_cores: usize, below: S) -> Self {
+        assert!(num_cores > 0, "need at least one core");
+        let cores = (0..num_cores)
+            .map(|_| Core {
+                l1: SetAssocCache::with_policy(
+                    cfg.l1,
+                    BitPlru::new(cfg.l1.num_sets(), cfg.l1.ways()),
+                ),
+                l2: SetAssocCache::with_policy(
+                    cfg.l2,
+                    BitPlru::new(cfg.l2.num_sets(), cfg.l2.ways()),
+                ),
+            })
+            .collect();
+        PrivateLevels {
+            cores,
+            active_core: 0,
+            irreg_ranges: Vec::new(),
+            instructions: 0,
+            coherence_invalidations: 0,
+            below,
+        }
     }
 
     /// Registers the kernel's address space so irregular regions are
@@ -442,93 +426,7 @@ impl Hierarchy {
             .collect();
     }
 
-    /// Starts recording the post-L2 request stream into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hierarchy has already seen an access or instruction:
-    /// the stream carries the whole run's private-level stats.
-    fn start_recording(&mut self, sink: ChunkSink) {
-        assert!(
-            self.private_stats() == PrivateStats::default(),
-            "LLC recording must start on a fresh hierarchy"
-        );
-        self.recorder = Some(Recorder {
-            chunk: Vec::with_capacity(LLC_CHUNK),
-            sink,
-        });
-    }
-
-    /// Ends the recording, if one is running: delivers its last chunk and
-    /// closes its sink. Returns the kept chunks of a
-    /// [`ChunkSink::Keep`] recording.
-    fn finish_recording(&mut self) -> Vec<Vec<LlcOp>> {
-        let private = self.private_stats();
-        self.recorder
-            .take()
-            .map(|recorder| recorder.finish(private))
-            .unwrap_or_default()
-    }
-
-    /// Stops recording and takes the stream recorded since
-    /// [`start_recording`](Hierarchy::start_recording) into a kept sink
-    /// (empty if none was started), with the private-level stats so far.
-    fn take_llc_recording(&mut self) -> LlcStream {
-        LlcStream {
-            chunks: self.finish_recording(),
-            private: self.private_stats(),
-        }
-    }
-
-    /// Replays a recorded [`LlcStream`] into this hierarchy's LLC banks,
-    /// bypassing the private levels, and adds the stream's private-level
-    /// stats to this hierarchy's. On a fresh hierarchy the resulting
-    /// stats equal those of running the recording run's events through
-    /// it, whatever its LLC configuration and policy.
-    pub fn replay_llc(&mut self, stream: &LlcStream) {
-        for chunk in &stream.chunks {
-            self.replay_ops(chunk);
-        }
-        self.replayed = self.replayed.merged(stream.private);
-    }
-
-    /// Drives recorded ops into the LLC banks.
-    fn replay_ops(&mut self, ops: &[LlcOp]) {
-        for op in ops {
-            match *op {
-                LlcOp::Access {
-                    line,
-                    site,
-                    kind,
-                    class,
-                } => self.llc_access(&AccessMeta {
-                    line,
-                    site,
-                    kind,
-                    class,
-                }),
-                LlcOp::Writeback { line, class } => self.llc_writeback(line, class),
-                LlcOp::Prefetch { line, class } => self.llc_prefetch(line, class),
-                LlcOp::Control(event) => self.control(event),
-                LlcOp::Flush => self.flush_banks(),
-            }
-        }
-    }
-
-    /// Appends `op` to the recording, if one is running. Returns whether
-    /// the LLC banks are to process it too.
-    #[inline(always)]
-    fn record(&mut self, op: LlcOp) -> bool {
-        match &mut self.recorder {
-            None => true,
-            Some(recorder) => {
-                recorder.push(op);
-                !self.bypass_llc
-            }
-        }
-    }
-
-    /// Private-level stats summed across cores, plus any replayed ones.
+    /// Private-level stats summed across cores.
     fn private_stats(&self) -> PrivateStats {
         let mut l1 = CacheStats::default();
         let mut l2 = CacheStats::default();
@@ -542,12 +440,6 @@ impl Hierarchy {
             instructions: self.instructions,
             coherence_invalidations: self.coherence_invalidations,
         }
-        .merged(self.replayed)
-    }
-
-    /// Number of simulated cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     fn classify(&self, addr: u64) -> RegionClass {
@@ -562,102 +454,15 @@ impl Hierarchy {
         }
     }
 
-    /// The bank serving `line` and its bank-local line. The bank is below
-    /// the configured bank count, which construction gives `banks` and
-    /// caps at `bank_accesses`' length, so the `get_mut`s of the LLC
-    /// paths below always find it.
-    fn llc_route(&self, line: u64, irregular: bool) -> (usize, u64) {
-        if self.banks.len() == 1 {
-            return (0, line);
-        }
-        let nbanks = self.cfg.nuca.num_banks();
-        let bank = self.cfg.nuca.bank_of(line, irregular);
-        let mapping = if irregular {
-            self.cfg.nuca.irreg_mapping
-        } else {
-            self.cfg.nuca.default_mapping
-        };
-        (bank, mapping.local_line(line, nbanks))
-    }
-
-    /// Forwards a dirty victim line toward the LLC; if no bank holds it,
-    /// the writeback goes to DRAM (writebacks never allocate).
+    /// Sends a dirty victim line below L2, where the LLC absorbs it or
+    /// passes it to DRAM (writebacks never allocate).
     fn writeback_below_l2(&mut self, line: u64) {
         let class = self.classify(line << popt_trace::LINE_SHIFT);
-        self.llc_writeback(line, class);
+        self.below.push(LlcOp::Writeback { line, class });
     }
 
-    /// The LLC side of a writeback below L2.
-    #[inline(always)]
-    fn llc_writeback(&mut self, line: u64, class: RegionClass) {
-        if !self.record(LlcOp::Writeback { line, class }) {
-            return;
-        }
-        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        if self
-            .banks
-            .get_mut(bank)
-            .is_some_and(|bank| !bank.absorb_writeback(local))
-        {
-            self.dram_writebacks += 1;
-        }
-    }
-
-    /// The LLC side of a demand access that missed L2.
-    #[inline(always)]
-    fn llc_access(&mut self, meta: &AccessMeta) {
-        let op = LlcOp::Access {
-            line: meta.line,
-            site: meta.site,
-            kind: meta.kind,
-            class: meta.class,
-        };
-        if !self.record(op) {
-            return;
-        }
-        let (bank, local) = self.llc_route(meta.line, meta.class == RegionClass::Irregular);
-        if let (Some(cache), Some(accesses)) =
-            (self.banks.get_mut(bank), self.bank_accesses.get_mut(bank))
-        {
-            *accesses += 1;
-            // Placement (set selection) uses the bank-local renumbering;
-            // the policy keeps seeing the global line.
-            let _ = cache.access_placed(meta, local);
-        }
-    }
-
-    /// The LLC side of a prefetch fill.
-    fn llc_prefetch(&mut self, line: u64, class: RegionClass) {
-        if !self.record(LlcOp::Prefetch { line, class }) {
-            return;
-        }
-        let (bank, local) = self.llc_route(line, class == RegionClass::Irregular);
-        let meta = AccessMeta {
-            line,
-            site: SiteId(u32::MAX),
-            kind: AccessKind::Read,
-            class,
-        };
-        if self
-            .banks
-            .get_mut(bank)
-            .is_some_and(|bank| bank.prefetch_placed(&meta, local))
-        {
-            self.prefetch_fills += 1;
-        }
-    }
-
-    /// Drops every LLC bank's demand data (a context switch's LLC side).
-    fn flush_banks(&mut self) {
-        if !self.record(LlcOp::Flush) {
-            return;
-        }
-        for bank in &mut self.banks {
-            bank.invalidate_all();
-        }
-    }
-
-    /// Performs one demand access through all levels, from the active core.
+    /// Performs one demand access from the active core, sending it below
+    /// L2 if it misses both private levels.
     ///
     /// Writes from one core invalidate the line in every other core's
     /// private levels (write-invalidate coherence, the effect of Table I's
@@ -712,7 +517,12 @@ impl Hierarchy {
         if out2.is_hit() {
             return;
         }
-        self.llc_access(&meta);
+        self.below.push(LlcOp::Access {
+            line,
+            site,
+            kind,
+            class,
+        });
     }
 
     /// Installs `addr`'s line into the LLC without touching demand
@@ -720,7 +530,11 @@ impl Hierarchy {
     /// (paper Section VIII). Evictions triggered by the fill go through the
     /// bank's policy as usual.
     pub fn prefetch_fill(&mut self, addr: u64) {
-        self.llc_prefetch(addr >> popt_trace::LINE_SHIFT, self.classify(addr));
+        let class = self.classify(addr);
+        self.below.push(LlcOp::Prefetch {
+            line: addr >> popt_trace::LINE_SHIFT,
+            class,
+        });
     }
 
     /// Models a context switch (paper Section V-F): the co-running process
@@ -734,24 +548,139 @@ impl Hierarchy {
             core.l1.invalidate_all();
             core.l2.invalidate_all();
         }
-        self.flush_banks();
+        self.below.push(LlcOp::Flush);
         self.control(ControlEvent::ContextSwitch);
     }
 
     /// Forwards a control event to every LLC bank policy.
     pub fn control(&mut self, event: ControlEvent) {
-        if !self.record(LlcOp::Control(event)) {
-            return;
+        self.below.push(LlcOp::Control(event));
+    }
+}
+
+impl<S: LlcSink> TraceSink for PrivateLevels<S> {
+    fn event(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::Access(a) => self.access(a.addr, a.kind, a.site),
+            TraceEvent::CurrentVertex(v) => self.control(ControlEvent::CurrentVertex(v)),
+            TraceEvent::EpochBoundary => self.control(ControlEvent::EpochBoundary),
+            TraceEvent::IterationBegin => self.control(ControlEvent::IterationBegin),
+            TraceEvent::Instructions(n) => self.instructions += n as u64,
+            TraceEvent::Core(c) => {
+                self.active_core = (c as usize) % self.cores.len();
+            }
         }
-        for bank in &mut self.banks {
-            bank.control(&event);
+    }
+}
+
+/// The shared LLC of Table I: NUCA banks, each with its own instance of a
+/// pluggable policy, behind [`PrivateLevels`] in a live [`Hierarchy`] or
+/// alone, replaying an [`LlcStream`] with no L1 or L2.
+pub struct Llc {
+    banks: Vec<SetAssocCache>,
+    nuca: NucaConfig,
+    bank_accesses: [u64; MAX_BANKS],
+    prefetch_fills: u64,
+    dram_writebacks: u64,
+}
+
+impl std::fmt::Debug for Llc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Llc")
+            .field("banks", &self.banks.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Llc {
+    /// Builds `cfg`'s LLC; `make_llc_policy(sets, data_ways)` is invoked
+    /// once per NUCA bank with the bank's geometry (after subtracting
+    /// reserved ways).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLC has more NUCA banks than
+    /// [`HierarchyStats::bank_accesses`] has slots.
+    pub fn new(
+        cfg: &HierarchyConfig,
+        mut make_llc_policy: impl FnMut(usize, usize) -> Box<dyn ReplacementPolicy>,
+    ) -> Self {
+        assert!(
+            cfg.nuca.num_banks() <= MAX_BANKS,
+            "{} NUCA banks exceed the {MAX_BANKS} per-bank access counters",
+            cfg.nuca.num_banks()
+        );
+        let bank_cfg = cfg.llc_bank();
+        let data_ways = bank_cfg.ways() - cfg.llc_reserved_ways;
+        let banks = (0..cfg.nuca.num_banks())
+            .map(|_| {
+                SetAssocCache::with_reserved_ways(
+                    bank_cfg,
+                    make_llc_policy(bank_cfg.num_sets(), data_ways),
+                    cfg.llc_reserved_ways,
+                )
+            })
+            .collect();
+        Llc {
+            banks,
+            nuca: cfg.nuca,
+            bank_accesses: [0; MAX_BANKS],
+            prefetch_fills: 0,
+            dram_writebacks: 0,
         }
     }
 
-    /// Aggregated statistics. Private-level stats are summed across cores,
-    /// plus those a replayed LLC stream carried in.
-    pub fn stats(&self) -> HierarchyStats {
-        let private = self.private_stats();
+    /// Applies a recorded run's requests and returns that run's stats
+    /// under this LLC: the stream's private-level stats plus this LLC's.
+    /// On a fresh LLC they equal those of running the recorded events
+    /// through a live hierarchy with this LLC, whatever its configuration
+    /// and policy.
+    pub fn replay(mut self, stream: &LlcStream) -> HierarchyStats {
+        for &op in stream.chunks.iter().flatten() {
+            self.push(op);
+        }
+        self.stats(stream.private)
+    }
+
+    /// Belady's MIN under `cfg` from a recorded stream: builds the oracle
+    /// from the stream's demand lines and [`replay`](Llc::replay)s the
+    /// stream into an LLC alone. Returns exactly the stats of re-running
+    /// the recorded events under the oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLC has more than one bank: the oracle needs one
+    /// globally ordered LLC stream.
+    pub fn belady_from_stream(cfg: &HierarchyConfig, stream: &LlcStream) -> HierarchyStats {
+        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
+        let lines = stream.demand_lines();
+        Llc::new(cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines))
+        })
+        .replay(stream)
+    }
+
+    /// The bank serving `line` and its bank-local line. The bank is below
+    /// the configured bank count, which construction gives `banks` and
+    /// caps at `bank_accesses`' length, so the `get_mut`s of
+    /// [`push`](LlcSink::push) always find it.
+    fn route(&self, line: u64, class: RegionClass) -> (usize, u64) {
+        if self.banks.len() == 1 {
+            return (0, line);
+        }
+        let irregular = class == RegionClass::Irregular;
+        let bank = self.nuca.bank_of(line, irregular);
+        let mapping = if irregular {
+            self.nuca.irreg_mapping
+        } else {
+            self.nuca.default_mapping
+        };
+        (bank, mapping.local_line(line, self.nuca.num_banks()))
+    }
+
+    /// The whole run's stats: `private` from the levels above, the rest
+    /// from the banks.
+    fn stats(&self, private: PrivateStats) -> HierarchyStats {
         let mut llc = CacheStats::default();
         let mut overheads = crate::PolicyOverheads::default();
         for bank in &self.banks {
@@ -770,23 +699,69 @@ impl Hierarchy {
             overheads,
         }
     }
-
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.cfg
-    }
 }
 
-impl TraceSink for Hierarchy {
-    fn event(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::Access(a) => self.access(a.addr, a.kind, a.site),
-            TraceEvent::CurrentVertex(v) => self.control(ControlEvent::CurrentVertex(v)),
-            TraceEvent::EpochBoundary => self.control(ControlEvent::EpochBoundary),
-            TraceEvent::IterationBegin => self.control(ControlEvent::IterationBegin),
-            TraceEvent::Instructions(n) => self.instructions += n as u64,
-            TraceEvent::Core(c) => {
-                self.active_core = (c as usize) % self.cores.len();
+impl LlcSink for Llc {
+    #[inline(always)]
+    fn push(&mut self, op: LlcOp) {
+        match op {
+            LlcOp::Access {
+                line,
+                site,
+                kind,
+                class,
+            } => {
+                let (bank, local) = self.route(line, class);
+                if let (Some(cache), Some(accesses)) =
+                    (self.banks.get_mut(bank), self.bank_accesses.get_mut(bank))
+                {
+                    *accesses += 1;
+                    let meta = AccessMeta {
+                        line,
+                        site,
+                        kind,
+                        class,
+                    };
+                    // Placement (set selection) uses the bank-local
+                    // renumbering; the policy keeps seeing the global line.
+                    let _ = cache.access_placed(&meta, local);
+                }
+            }
+            LlcOp::Writeback { line, class } => {
+                let (bank, local) = self.route(line, class);
+                if self
+                    .banks
+                    .get_mut(bank)
+                    .is_some_and(|bank| !bank.absorb_writeback(local))
+                {
+                    self.dram_writebacks += 1;
+                }
+            }
+            LlcOp::Prefetch { line, class } => {
+                let (bank, local) = self.route(line, class);
+                let meta = AccessMeta {
+                    line,
+                    site: SiteId(u32::MAX),
+                    kind: AccessKind::Read,
+                    class,
+                };
+                if self
+                    .banks
+                    .get_mut(bank)
+                    .is_some_and(|bank| bank.prefetch_placed(&meta, local))
+                {
+                    self.prefetch_fills += 1;
+                }
+            }
+            LlcOp::Control(event) => {
+                for bank in &mut self.banks {
+                    bank.control(&event);
+                }
+            }
+            LlcOp::Flush => {
+                for bank in &mut self.banks {
+                    bank.invalidate_all();
+                }
             }
         }
     }
@@ -857,6 +832,20 @@ mod tests {
         assert_eq!(s.llc.demand_accesses(), 4096);
     }
 
+    /// Feeds `events` to any private levels.
+    fn feed<S: LlcSink>(h: &mut PrivateLevels<S>, events: &[TraceEvent]) {
+        events.iter().for_each(|&e| h.event(e));
+    }
+
+    /// Records `drive`'s post-L2 stream under `cfg`.
+    fn record_run(cfg: &HierarchyConfig, drive: impl FnOnce(&mut Recorder)) -> LlcStream {
+        let Ok(stream) = Hierarchy::record_llc(cfg, |h| {
+            drive(h);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        stream
+    }
+
     #[test]
     fn belady_replay_round_trip() {
         // Pass 1 records a dirty-heavy, mixed read/write walk over a
@@ -876,12 +865,10 @@ mod tests {
                 events.push(TraceEvent::CurrentVertex(i / 64));
             }
         }
-        let run = |h: &mut Hierarchy| events.iter().for_each(|&e| h.event(e));
-        let mut h1 = lru_hierarchy(&cfg);
-        h1.start_recording(ChunkSink::Keep(Vec::new()));
-        run(&mut h1);
-        let stream = h1.take_llc_recording();
-        let lru = h1.stats();
+        let stream = record_run(&cfg, |h| feed(h, &events));
+        let mut live_lru = lru_hierarchy(&cfg);
+        feed(&mut live_lru, &events);
+        let lru = live_lru.stats();
         let lines = stream.demand_lines();
         assert_eq!(lines.len() as u64, lru.llc.demand_accesses());
         assert!(
@@ -893,34 +880,31 @@ mod tests {
         // events, under the oracle and under a learned policy alike; the
         // private levels report pass 1's stats.
         let bank = cfg.llc_bank();
-        let oracle = |lines: &[u64]| {
-            Hierarchy::new(&cfg, |sets, ways| {
-                assert_eq!((sets, ways), (bank.num_sets(), bank.ways()));
-                Box::new(Belady::from_trace(sets, ways, lines))
-            })
+        let oracle = |sets: usize, ways: usize| -> Box<dyn ReplacementPolicy> {
+            assert_eq!((sets, ways), (bank.num_sets(), bank.ways()));
+            Box::new(Belady::from_trace(sets, ways, &lines))
         };
-        let drrip = || Hierarchy::new(&cfg, |s, w| PolicyKind::Drrip.build(s, w));
-        for (mut rerun, mut replay) in [(oracle(&lines), oracle(&lines)), (drrip(), drrip())] {
-            run(&mut rerun);
-            replay.replay_llc(&stream);
-            let (rerun, replayed) = (rerun.stats(), replay.stats());
-            assert_eq!(replayed, rerun);
+        let drrip = |s, w| PolicyKind::Drrip.build(s, w);
+        let makes: [&dyn Fn(usize, usize) -> Box<dyn ReplacementPolicy>; 2] = [&oracle, &drrip];
+        for make in makes {
+            let mut rerun = Hierarchy::new(&cfg, make);
+            feed(&mut rerun, &events);
+            let (rerun, replay) = (rerun.stats(), Llc::new(&cfg, make).replay(&stream));
+            assert_eq!(replay, rerun);
             assert_eq!(
-                (replayed.l1, replayed.l2, replayed.instructions),
+                (replay.l1, replay.l2, replay.instructions),
                 (lru.l1, lru.l2, lru.instructions)
             );
-            assert_eq!(replayed.check(), Ok(()));
+            assert_eq!(replay.check(), Ok(()));
         }
 
-        // The one-call two-pass run agrees, and OPT never loses to LRU.
-        let Ok(two_pass) = Hierarchy::run_belady(&cfg, |h| {
-            run(h);
-            Ok::<(), std::convert::Infallible>(())
-        });
-        let mut rerun = oracle(&lines);
-        run(&mut rerun);
-        assert_eq!(two_pass.stats(), rerun.stats());
-        let opt_misses = two_pass.stats().llc.misses;
+        // Belady from the recorded stream agrees, and OPT never loses to
+        // LRU.
+        let two_pass = Llc::belady_from_stream(&cfg, &stream);
+        let mut rerun = Hierarchy::new(&cfg, oracle);
+        feed(&mut rerun, &events);
+        assert_eq!(two_pass, rerun.stats());
+        let opt_misses = two_pass.llc.misses;
         assert!(
             opt_misses <= lru.llc.misses,
             "OPT misses {opt_misses} exceed LRU misses {}",
@@ -929,9 +913,11 @@ mod tests {
 
         // An oracle built from a shorter stream than the one replayed
         // into it still refuses to run past its trace.
-        let mut short = oracle(&lines[..lines.len() - 1]);
+        let short = Llc::new(&cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines[..lines.len() - 1]))
+        });
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            short.replay_llc(&stream);
+            short.replay(&stream);
         }))
         .expect_err("replaying past the oracle's trace must panic");
         let message = panic
@@ -951,44 +937,85 @@ mod tests {
         assert!(std::mem::size_of::<LlcOp>() <= 16);
     }
 
+    /// Writes, prefetch fills and a context switch from one core.
+    fn prefetching_drive<S: LlcSink>(h: &mut PrivateLevels<S>) {
+        for i in 0..6000u64 {
+            let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 4000) * 64;
+            if i % 5 == 0 {
+                h.event(TraceEvent::write(addr, 0));
+            } else {
+                h.event(TraceEvent::read(addr, 0));
+            }
+            if i % 7 == 0 {
+                h.prefetch_fill(addr + 64);
+            }
+            if i == 3000 {
+                h.context_switch();
+            }
+        }
+    }
+
     #[test]
     fn replay_carries_prefetches_and_context_switches() {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        let drive = |h: &mut Hierarchy| {
-            for i in 0..6000u64 {
-                let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 4000) * 64;
-                if i % 5 == 0 {
-                    h.event(TraceEvent::write(addr, 0));
-                } else {
-                    h.event(TraceEvent::read(addr, 0));
-                }
-                if i % 7 == 0 {
-                    h.prefetch_fill(addr + 64);
-                }
-                if i == 3000 {
-                    h.context_switch();
-                }
-            }
-        };
-        let mut h1 = lru_hierarchy(&cfg);
-        h1.start_recording(ChunkSink::Keep(Vec::new()));
-        drive(&mut h1);
-        let stream = h1.take_llc_recording();
+        let stream = record_run(&cfg, prefetching_drive);
         let mut rerun = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
-        drive(&mut rerun);
-        let mut replay = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
-        replay.replay_llc(&stream);
+        prefetching_drive(&mut rerun);
+        let replay = Llc::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w)).replay(&stream);
         assert!(rerun.stats().prefetch_fills > 0);
-        assert_eq!(replay.stats(), rerun.stats());
+        assert_eq!(replay, rerun.stats());
+    }
+
+    /// Two cores sharing a small footprint, so writes invalidate the other
+    /// core's copies, with prefetch fills and a context switch.
+    fn two_core_drive<S: LlcSink>(h: &mut PrivateLevels<S>) {
+        for i in 0..6000u64 {
+            let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 400) * 64;
+            h.event(TraceEvent::Core(u32::from(i % 3 == 0)));
+            if i % 5 == 0 {
+                h.event(TraceEvent::write(addr, 0));
+            } else {
+                h.event(TraceEvent::read(addr, 0));
+            }
+            if i % 7 == 0 {
+                h.prefetch_fill(addr + 64);
+            }
+            if i == 3000 {
+                h.context_switch();
+            }
+        }
+    }
+
+    #[test]
+    fn two_core_recordings_replay_to_the_live_stats() {
+        // Nothing flows up from the LLC, so the two cores' recorded stream
+        // (coherence, prefetches and a context switch included) replays
+        // into any LLC as the live two-core run of that LLC.
+        let mut cfg = HierarchyConfig::small_test();
+        cfg.nuca = NucaConfig::uniform(2);
+        let mut recorder = Recorder::recording(&cfg, 2, ChunkSink::Keep(Vec::new()));
+        two_core_drive(&mut recorder);
+        let stream = recorder.finish();
+        for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
+            let mut live = Hierarchy::with_cores(&cfg, 2, |s, w| kind.build(s, w));
+            two_core_drive(&mut live);
+            let live = live.stats();
+            assert!(
+                live.coherence_invalidations > 0 && live.prefetch_fills > 0,
+                "{live:?}"
+            );
+            let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
+            assert_eq!(replay, live, "{kind:?}");
+        }
     }
 
     #[test]
     fn one_recording_serves_every_llc_configuration() {
-        // The recorder's own LLC is 16 KB/16-way; the replays below vary
-        // the LLC's size, associativity, reserved ways and banking.
+        // The recording has no LLC at all; the replays below vary the
+        // LLC's size, associativity, reserved ways and banking.
         let recorded = HierarchyConfig::small_test();
-        let drive = |h: &mut Hierarchy| {
+        fn drive<S: LlcSink>(h: &mut PrivateLevels<S>) {
             h.event(TraceEvent::IterationBegin);
             for i in 0..20_000u32 {
                 let addr = 0x40_0000 + (u64::from(i).wrapping_mul(0x9e37_79b9) % 3000) * 64;
@@ -998,11 +1025,8 @@ mod tests {
                     TraceEvent::read(addr, i % 5)
                 });
             }
-        };
-        let Ok(stream) = Hierarchy::record_llc(&recorded, |h| {
-            drive(h);
-            Ok::<(), std::convert::Infallible>(())
-        });
+        }
+        let stream = record_run(&recorded, drive);
         let mut banked = HierarchyConfig::scaled_with_llc(64 * 1024, 8);
         banked.nuca = NucaConfig::uniform(4);
         let llcs = [
@@ -1020,34 +1044,28 @@ mod tests {
             for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
                 let mut rerun = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
                 drive(&mut rerun);
-                let mut replay = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
-                replay.replay_llc(&stream);
-                assert_eq!(replay.stats(), rerun.stats(), "{kind:?} under {cfg:?}");
+                let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
+                assert_eq!(replay, rerun.stats(), "{kind:?} under {cfg:?}");
             }
             if cfg.nuca.num_banks() == 1 {
-                let Ok(two_pass) = Hierarchy::run_belady(&cfg, |h| {
-                    drive(h);
-                    Ok::<(), std::convert::Infallible>(())
-                });
-                let shared = Hierarchy::belady_from_stream(&cfg, &stream);
-                assert_eq!(shared.stats(), two_pass.stats(), "OPT under {cfg:?}");
+                let own = Llc::belady_from_stream(&cfg, &record_run(&cfg, drive));
+                let shared = Llc::belady_from_stream(&cfg, &stream);
+                assert_eq!(shared, own, "OPT under {cfg:?}");
             }
         }
     }
 
-    /// A drive that sends exactly `ops` requests below L2: control events,
-    /// and reads of distinct lines, each missing both private levels.
-    fn exact_ops(ops: usize) -> impl Fn(&mut Hierarchy) -> Result<(), String> {
-        move |h| {
-            for i in 0..u32::try_from(ops).unwrap() {
-                if i % 3 == 0 {
-                    h.control(ControlEvent::CurrentVertex(i));
-                } else {
-                    h.event(TraceEvent::read(0x40_0000 + u64::from(i) * 64, i % 5));
-                }
+    /// Sends exactly `ops` requests below L2: control events, and reads of
+    /// distinct lines, each missing both private levels.
+    fn exact_ops<S: LlcSink>(h: &mut PrivateLevels<S>, ops: usize) -> Result<(), String> {
+        for i in 0..u32::try_from(ops).unwrap() {
+            if i % 3 == 0 {
+                h.control(ControlEvent::CurrentVertex(i));
+            } else {
+                h.event(TraceEvent::read(0x40_0000 + u64::from(i) * 64, i % 5));
             }
-            Ok(())
         }
+        Ok(())
     }
 
     #[test]
@@ -1061,24 +1079,22 @@ mod tests {
             LLC_CHUNK + 1,
             3 * LLC_CHUNK + 7,
         ] {
-            let drive = exact_ops(ops);
-            let stream = Hierarchy::record_llc(&cfg, &drive).unwrap();
+            let stream = Hierarchy::record_llc(&cfg, |h| exact_ops(h, ops)).unwrap();
             let lens: Vec<usize> = stream.chunks.iter().map(Vec::len).collect();
             assert_eq!(lens.iter().sum::<usize>(), ops, "{ops} ops");
             assert_eq!(lens.len(), ops.div_ceil(LLC_CHUNK), "{ops} ops: {lens:?}");
             assert!(lens.iter().all(|&n| n > 0), "{ops} ops: {lens:?}");
             for kind in [PolicyKind::Lru, PolicyKind::Drrip] {
                 let mut live = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
-                drive(&mut live).unwrap();
+                exact_ops(&mut live, ops).unwrap();
                 let piped = Hierarchy::pipelined(
                     &cfg,
-                    || Hierarchy::new(&cfg, |s, w| kind.build(s, w)),
-                    &drive,
+                    || Llc::new(&cfg, |s, w| kind.build(s, w)),
+                    |h| exact_ops(h, ops),
                 );
-                let mut replay = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
-                replay.replay_llc(&stream);
+                let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
                 assert_eq!(piped, Ok(live.stats()), "{kind:?}, {ops} ops");
-                assert_eq!(replay.stats(), live.stats(), "{kind:?}, {ops} ops");
+                assert_eq!(replay, live.stats(), "{kind:?}, {ops} ops");
             }
         }
     }
@@ -1117,6 +1133,10 @@ mod tests {
         })
     }
 
+    fn lru_llc(cfg: &HierarchyConfig) -> Llc {
+        Llc::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways))
+    }
+
     #[test]
     fn a_panic_on_the_llc_thread_reaches_the_caller() {
         // The stream is many times the channel's depth, so the recorder
@@ -1125,8 +1145,8 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
-                || Hierarchy::new(&cfg, |_, _| Box::new(RogueVictim)),
-                exact_ops(20 * PIPELINE_DEPTH * LLC_CHUNK),
+                || Llc::new(&cfg, |_, _| Box::new(RogueVictim)),
+                |h| exact_ops(h, 20 * PIPELINE_DEPTH * LLC_CHUNK),
             )
         });
         let message = outcome.expect_err("a rogue victim must panic");
@@ -1144,9 +1164,9 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
-                || lru_hierarchy(&cfg),
+                || lru_llc(&cfg),
                 |h| {
-                    exact_ops(5 * LLC_CHUNK)(h)?;
+                    exact_ops(h, 5 * LLC_CHUNK)?;
                     Err("trace ended early".to_string())
                 },
             )
@@ -1160,9 +1180,9 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
-                || lru_hierarchy(&cfg),
+                || lru_llc(&cfg),
                 |h| -> Result<(), String> {
-                    exact_ops(5 * LLC_CHUNK)(h)?;
+                    exact_ops(h, 5 * LLC_CHUNK)?;
                     panic!("kernel bug")
                 },
             )
@@ -1175,15 +1195,7 @@ mod tests {
     fn belady_refuses_a_banked_llc() {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        Hierarchy::belady_from_stream(&cfg, &LlcStream::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "LLC recording must start on a fresh hierarchy")]
-    fn recording_refuses_a_used_hierarchy() {
-        let mut h = lru_hierarchy(&HierarchyConfig::small_test());
-        h.event(TraceEvent::read(0x4000, 0));
-        h.start_recording(ChunkSink::Keep(Vec::new()));
+        Llc::belady_from_stream(&cfg, &LlcStream::default());
     }
 
     #[test]
@@ -1367,21 +1379,7 @@ mod tests {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
         let mut h = Hierarchy::with_cores(&cfg, 2, |s, w| PolicyKind::Drrip.build(s, w));
-        for i in 0..6000u64 {
-            let addr = 0x40_0000 + (i.wrapping_mul(0x9e37_79b9) % 400) * 64;
-            h.event(TraceEvent::Core(u32::from(i % 3 == 0)));
-            if i % 5 == 0 {
-                h.event(TraceEvent::write(addr, 0));
-            } else {
-                h.event(TraceEvent::read(addr, 0));
-            }
-            if i % 7 == 0 {
-                h.prefetch_fill(addr + 64);
-            }
-            if i == 3000 {
-                h.context_switch();
-            }
-        }
+        two_core_drive(&mut h);
         let s = h.stats();
         assert!(
             s.prefetch_fills > 0 && s.coherence_invalidations > 0,

@@ -46,7 +46,9 @@ mod timing;
 
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::{Hierarchy, LlcStream};
+pub use hierarchy::{
+    ChunkRecorder, Hierarchy, Llc, LlcOp, LlcSink, LlcStream, PrivateLevels, Recorder,
+};
 pub use nuca::{BankMapping, NucaConfig};
 pub use policies::PolicyKind;
 pub use replace::{AccessMeta, ControlEvent, PolicyOverheads, ReplacementPolicy, VictimCtx};

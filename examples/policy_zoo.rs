@@ -9,6 +9,7 @@
 
 use p_opt::graph::suite::{suite_graph, SuiteGraph, SuiteScale};
 use p_opt::prelude::*;
+use p_opt::sim::Llc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,12 +66,12 @@ fn main() {
 
     // Belady's MIN: record the LLC stream once, then replay it into the
     // oracle's LLC.
-    let Ok(oracle) = Hierarchy::run_belady(&cfg, |h| {
+    let Ok(stream) = Hierarchy::record_llc(&cfg, |h| {
         h.set_address_space(&plan.space);
         app.trace(&g, &plan, h);
         Ok::<(), std::convert::Infallible>(())
     });
-    let s = oracle.stats();
+    let s = Llc::belady_from_stream(&cfg, &stream);
     results.push((
         "OPT (MIN)".to_string(),
         s.llc.misses,
