@@ -35,7 +35,7 @@ fn cell_drive(c: &mut Criterion) {
     group.bench_function("kernel_reexec", |b| {
         b.iter(|| {
             let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
-            let mut h = Hierarchy::with_llc(&cfg, llc);
+            let mut h = Hierarchy::with_llc(&cfg, 1, llc);
             h.set_address_space(&plan.space);
             App::Pagerank.trace(&g, &plan, &mut h);
             h.stats()
@@ -44,7 +44,7 @@ fn cell_drive(c: &mut Criterion) {
     group.bench_function("trace_replay", |b| {
         b.iter(|| {
             let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
-            let mut h = Hierarchy::with_llc(&cfg, llc);
+            let mut h = Hierarchy::with_llc(&cfg, 1, llc);
             h.set_address_space(&plan.space);
             replay_any(&trace[..], &mut h).expect("pristine trace");
             h.stats()

@@ -319,9 +319,12 @@ impl Session {
         self.sim_cell(id, app, &entry.graph, &entry.desc, cfg, policy)
     }
 
-    /// A custom cell (for the special-phase runners the standard
-    /// `simulate` path doesn't cover: tiled, PB, PHI, custom hierarchies).
-    /// It runs its whole simulation itself and shares no stream.
+    /// A custom cell, for a run that is not a plain (app, graph, policy)
+    /// [`sim_cell`](Session::sim_cell): more cores, a prefetcher, context
+    /// switches, a page mapping, a visit order or tie-break no
+    /// [`PolicySpec`] names, tiling, PB or PHI. `run` drives its whole
+    /// simulation through [`simulate_custom`](crate::runner::simulate_custom),
+    /// which checks its stats, and shares no stream.
     pub fn cell(
         &self,
         id: impl Into<String>,

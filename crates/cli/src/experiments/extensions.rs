@@ -2,16 +2,25 @@
 //! describes but does not plot (parallel execution §V-F, context switches
 //! §V-F), its stated future work (matrix-driven prefetching §VIII), and
 //! the related-work SDBP baseline (§VIII).
+//!
+//! Every run that is a plain single-core PageRank under a [`PolicySpec`]
+//! is a sim cell and replays from the row engine's shared stream: serial
+//! ext1, ext2 without prefetching, ext4 without switches, ext5's RRIP
+//! tie-break (a limit-study P-OPT) and ext6's huge-page runs. The rest
+//! change what the hierarchy is fed (more cores, a prefetcher, context
+//! switches, a scattered page mapping) or, in ext5, a tie-break no
+//! [`PolicySpec`] names. They run through [`simulate_custom`] with an LLC
+//! from [`policy_llc`] or [`popt_llc`].
 
 use crate::exec::Session;
-use crate::runner::{popt_bindings_cached, reserved_ways_for, PolicySpec};
+use crate::runner::{policy_llc, popt_bindings_cached, popt_llc, simulate_custom, PolicySpec};
 use crate::table::{f2, pct, Table};
 use crate::Scale;
-use popt_core::{Encoding, Popt, PoptConfig, Quantization, StreamBinding, Topt};
+use popt_core::{Encoding, PoptConfig, Quantization};
 use popt_graph::suite::SuiteGraph;
 use popt_graph::Graph;
 use popt_kernels::{pagerank, App};
-use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind};
+use popt_sim::PolicyKind;
 use popt_trace::TraceSink;
 use std::sync::Arc;
 
@@ -19,23 +28,6 @@ use std::sync::Arc;
 /// epoch-serial execution the paper requires of P-OPT runs).
 fn parallel_block(g: &Graph) -> usize {
     Quantization::EIGHT.epoch_size(g.num_vertices()) as usize
-}
-
-fn run_parallel(
-    g: &Graph,
-    cfg: &HierarchyConfig,
-    threads: usize,
-    make: &mut dyn FnMut(usize, usize) -> Box<dyn popt_sim::ReplacementPolicy>,
-) -> HierarchyStats {
-    let plan = pagerank::plan(g);
-    let mut h = Hierarchy::with_cores(cfg, threads.max(1), make);
-    h.set_address_space(&plan.space);
-    if threads <= 1 {
-        pagerank::trace(g, &plan, &mut h);
-    } else {
-        pagerank::trace_parallel(g, &plan, &mut h, threads, parallel_block(g));
-    }
-    h.stats()
 }
 
 /// Extension 1 — parallel execution (paper Section V-F): P-OPT's LLC miss
@@ -58,37 +50,27 @@ pub fn ext_parallel(session: &Session, scale: Scale) -> Vec<Table> {
             Encoding::InterIntra,
             ctx.as_ref(),
         );
-        let popt_cfg = cfg
-            .clone()
-            .with_reserved_ways(reserved_ways_for(&bindings, &cfg));
-        for threads in THREADS {
-            let g = Arc::clone(&entry.graph);
-            let popt_cfg = popt_cfg.clone();
-            let b = bindings.clone();
-            cells.push(session.cell(
-                format!("ext1/{}/{}/popt/t{threads}", scale.name(), entry.which),
-                move || {
-                    run_parallel(&g, &popt_cfg, threads, &mut |s, w| {
-                        Box::new(Popt::new(PoptConfig::new(b.clone()), s, w))
+        for (tag, spec) in [
+            ("popt", PolicySpec::popt_default()),
+            ("topt", PolicySpec::Topt),
+        ] {
+            let prefix = format!("ext1/{}/{}/{tag}", scale.name(), entry.which);
+            cells.push(session.sim(format!("{prefix}/t1"), App::Pagerank, entry, &cfg, &spec));
+            for &threads in &THREADS[1..] {
+                let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
+                let spec = spec.clone();
+                cells.push(session.cell(format!("{prefix}/t{threads}"), move || {
+                    let plan = pagerank::plan(&g);
+                    let llc = match spec {
+                        PolicySpec::Topt => policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, None),
+                        _ => popt_llc(&cfg, PoptConfig::new(b), false),
+                    };
+                    let what = format!("PageRank on {threads} cores");
+                    simulate_custom(&cfg, threads, llc, &plan.space, &what, |h| {
+                        pagerank::trace_parallel(&g, &plan, h, threads, parallel_block(&g));
                     })
-                },
-            ));
-        }
-        let transpose = Arc::new(entry.graph.out_csr().clone());
-        let streams = plan.irregular_streams();
-        for threads in THREADS {
-            let g = Arc::clone(&entry.graph);
-            let cfg = cfg.clone();
-            let t = Arc::clone(&transpose);
-            let s2 = streams.clone();
-            cells.push(session.cell(
-                format!("ext1/{}/{}/topt/t{threads}", scale.name(), entry.which),
-                move || {
-                    run_parallel(&g, &cfg, threads, &mut |s, w| {
-                        Box::new(Topt::new(Arc::clone(&t), s2.clone(), s, w))
-                    })
-                },
-            ));
+                }));
+            }
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -120,37 +102,7 @@ pub fn ext_parallel(session: &Session, scale: Scale) -> Vec<Table> {
 /// VIII): epoch-ahead prefetch of the next epoch's irregular lines,
 /// composed with DRRIP and with P-OPT.
 pub fn ext_prefetch(session: &Session, scale: Scale) -> Vec<Table> {
-    fn run_prefetch(
-        g: &Graph,
-        cfg: &HierarchyConfig,
-        binding: &StreamBinding,
-        popt: bool,
-        prefetch: bool,
-    ) -> HierarchyStats {
-        let plan = App::Pagerank.plan(g);
-        let cfg = if popt {
-            cfg.clone()
-                .with_reserved_ways(binding.matrix.reserved_llc_ways(&cfg.llc))
-        } else {
-            cfg.clone()
-        };
-        let mut h = Hierarchy::new(&cfg, |s, w| {
-            if popt {
-                Box::new(Popt::new(PoptConfig::new(vec![binding.clone()]), s, w))
-            } else {
-                PolicyKind::Drrip.build(s, w)
-            }
-        });
-        h.set_address_space(&plan.space);
-        if prefetch {
-            let mut sink =
-                popt_core::prefetch::PrefetchingSink::new(&mut h, &binding.matrix, binding.base);
-            App::Pagerank.trace(g, &plan, &mut sink);
-        } else {
-            App::Pagerank.trace(g, &plan, &mut h);
-        }
-        h.stats()
-    }
+    use popt_core::prefetch::PrefetchingSink;
     let cfg = scale.config();
     let suite = session.suite(scale);
     let mut cells = Vec::new();
@@ -165,20 +117,25 @@ pub fn ext_prefetch(session: &Session, scale: Scale) -> Vec<Table> {
             Encoding::InterIntra,
             ctx.as_ref(),
         );
-        let binding = bindings[0].clone();
-        for (tag, popt, prefetch) in [
-            ("drrip", false, false),
-            ("drrip-pf", false, true),
-            ("popt", true, false),
-            ("popt-pf", true, true),
+        let prefix = format!("ext2/{}/{}", scale.name(), entry.which);
+        for (tag, spec) in [
+            ("drrip", PolicySpec::Baseline(PolicyKind::Drrip)),
+            ("popt", PolicySpec::popt_default()),
         ] {
-            let g = Arc::clone(&entry.graph);
-            let cfg = cfg.clone();
-            let binding = binding.clone();
-            cells.push(session.cell(
-                format!("ext2/{}/{}/{tag}", scale.name(), entry.which),
-                move || run_prefetch(&g, &cfg, &binding, popt, prefetch),
-            ));
+            cells.push(session.sim(format!("{prefix}/{tag}"), App::Pagerank, entry, &cfg, &spec));
+            let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
+            cells.push(session.cell(format!("{prefix}/{tag}-pf"), move || {
+                let plan = App::Pagerank.plan(&g);
+                let binding = b[0].clone();
+                let llc = match spec {
+                    PolicySpec::Popt { .. } => popt_llc(&cfg, PoptConfig::new(b), false),
+                    _ => policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, None),
+                };
+                simulate_custom(&cfg, 1, llc, &plan.space, "prefetching PageRank", |h| {
+                    let mut sink = PrefetchingSink::new(h, &binding.matrix, binding.base);
+                    App::Pagerank.trace(&g, &plan, &mut sink);
+                })
+            }));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -295,28 +252,33 @@ pub fn ext_tiebreak(session: &Session, scale: Scale) -> Vec<Table> {
                 Encoding::InterIntra,
                 ctx.as_ref(),
             );
-            for (tag, tie_break) in [
-                ("first", TieBreak::FirstCandidate),
-                ("rrip", TieBreak::Rrip),
-            ] {
-                let g = Arc::clone(&entry.graph);
-                let cfg = cfg.clone();
-                let b = bindings.clone();
-                cells.push(
-                    session.cell(format!("{prefix}/q{}-{tag}", quant.bits()), move || {
-                        let plan = App::Pagerank.plan(&g);
-                        let mut h = Hierarchy::new(&cfg, move |s, w| {
-                            let mut pc = PoptConfig::new(b.clone());
-                            pc.charge_streaming = false;
-                            pc.tie_break = tie_break;
-                            Box::new(Popt::new(pc, s, w))
-                        });
-                        h.set_address_space(&plan.space);
-                        App::Pagerank.trace(&g, &plan, &mut h);
-                        h.stats()
-                    }),
-                );
-            }
+            let (g, c) = (Arc::clone(&entry.graph), cfg.clone());
+            cells.push(
+                session.cell(format!("{prefix}/q{}-first", quant.bits()), move || {
+                    let plan = App::Pagerank.plan(&g);
+                    let config = PoptConfig {
+                        tie_break: TieBreak::FirstCandidate,
+                        ..PoptConfig::new(bindings)
+                    };
+                    let llc = popt_llc(&c, config, true);
+                    simulate_custom(&c, 1, llc, &plan.space, "first-way P-OPT", |h| {
+                        App::Pagerank.trace(&g, &plan, h);
+                    })
+                }),
+            );
+            // RRIP is P-OPT's own tie-break: a limit-study P-OPT cell.
+            let rrip = PolicySpec::Popt {
+                quant,
+                encoding: Encoding::InterIntra,
+                limit_study: true,
+            };
+            cells.push(session.sim(
+                format!("{prefix}/q{}-rrip", quant.bits()),
+                App::Pagerank,
+                entry,
+                &cfg,
+                &rrip,
+            ));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -360,40 +322,32 @@ pub fn ext_context_switch(session: &Session, scale: Scale) -> Vec<Table> {
         Encoding::InterIntra,
         ctx.as_ref(),
     );
-    let popt_cfg = cfg
-        .clone()
-        .with_reserved_ways(reserved_ways_for(&bindings, &cfg));
     let mut cells = Vec::new();
     for switches in SWITCHES {
-        let g = Arc::clone(&entry.graph);
-        let popt_cfg = popt_cfg.clone();
-        let b = bindings.clone();
-        cells.push(session.cell(
-            format!("ext4/{}/urand/s{switches}", scale.name()),
-            move || {
-                let plan = App::Pagerank.plan(&g);
-                let mut h = Hierarchy::new(&popt_cfg, move |s, w| {
-                    Box::new(Popt::new(PoptConfig::new(b.clone()), s, w))
-                });
-                h.set_address_space(&plan.space);
-                // Interleave the kernel trace with evenly spaced preemptions.
-                let mut rec = popt_trace::RecordingSink::new();
-                App::Pagerank.trace(&g, &plan, &mut rec);
-                let events = rec.into_events();
-                let period = if switches == 0 {
-                    usize::MAX
-                } else {
-                    events.len() / (switches + 1)
-                };
+        let id = format!("ext4/{}/urand/s{switches}", scale.name());
+        if switches == 0 {
+            let popt = PolicySpec::popt_default();
+            cells.push(session.sim(id, App::Pagerank, &entry, &cfg, &popt));
+            continue;
+        }
+        let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
+        cells.push(session.cell(id, move || {
+            let plan = App::Pagerank.plan(&g);
+            // Interleave the kernel trace with evenly spaced preemptions.
+            let mut rec = popt_trace::RecordingSink::new();
+            App::Pagerank.trace(&g, &plan, &mut rec);
+            let events = rec.into_events();
+            let period = events.len() / (switches + 1);
+            let llc = popt_llc(&cfg, PoptConfig::new(b), false);
+            simulate_custom(&cfg, 1, llc, &plan.space, "context-switched P-OPT", |h| {
                 for (i, ev) in events.into_iter().enumerate() {
-                    if period != usize::MAX && i > 0 && i % period == 0 {
+                    if i > 0 && i % period == 0 {
                         h.context_switch();
                     }
                     h.event(ev);
                 }
-                h.stats()
-            },
-        ));
+            })
+        }));
     }
     let mut results = session.run(cells).into_iter();
     let mut table = Table::new(
@@ -419,64 +373,29 @@ pub fn ext_context_switch(session: &Session, scale: Scale) -> Vec<Table> {
 /// the address-agnostic DRRIP is unaffected.
 pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
     use popt_trace::paging::PageScrambler;
-    fn run_mapping(
-        g: &Graph,
-        c: &HierarchyConfig,
-        bindings: &[StreamBinding],
-        popt: bool,
-        scramble: bool,
-    ) -> HierarchyStats {
-        let plan = App::Pagerank.plan(g);
-        let b = bindings.to_vec();
-        let mut h = Hierarchy::new(c, move |s, w| {
-            if popt {
-                Box::new(Popt::new(PoptConfig::new(b.clone()), s, w))
-            } else {
-                PolicyKind::Drrip.build(s, w)
-            }
-        });
-        h.set_address_space(&plan.space);
-        if scramble {
-            let mut sink = PageScrambler::new(&mut h, 0xfeed);
-            App::Pagerank.trace(g, &plan, &mut sink);
-        } else {
-            App::Pagerank.trace(g, &plan, &mut h);
-        }
-        h.stats()
-    }
     let cfg = scale.config();
     let suite = session.suite(scale);
     let mut cells = Vec::new();
     for entry in &suite {
-        let plan = App::Pagerank.plan(&entry.graph);
-        let ctx = session.matrix_ctx(&entry.desc);
-        let bindings = popt_bindings_cached(
-            App::Pagerank,
-            &entry.graph,
-            &plan,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-            ctx.as_ref(),
-        );
-        let popt_cfg = cfg
-            .clone()
-            .with_reserved_ways(reserved_ways_for(&bindings, &cfg));
+        let prefix = format!("ext6/{}/{}", scale.name(), entry.which);
         // Compare P-OPT against DRRIP *within* each mapping, so the
         // page-mapping's own set-indexing effects cancel out and only the
         // policy difference remains.
-        for (tag, popt, scramble) in [
-            ("drrip-huge", false, false),
-            ("drrip-4k", false, true),
-            ("popt-huge", true, false),
-            ("popt-4k", true, true),
+        for (tag, spec) in [
+            ("drrip", PolicySpec::Baseline(PolicyKind::Drrip)),
+            ("popt", PolicySpec::popt_default()),
         ] {
-            let g = Arc::clone(&entry.graph);
-            let c = if popt { popt_cfg.clone() } else { cfg.clone() };
-            let b = bindings.clone();
-            cells.push(session.cell(
-                format!("ext6/{}/{}/{tag}", scale.name(), entry.which),
-                move || run_mapping(&g, &c, &b, popt, scramble),
-            ));
+            let id = format!("{prefix}/{tag}-huge");
+            cells.push(session.sim(id, App::Pagerank, entry, &cfg, &spec));
+            let (g, cfg) = (Arc::clone(&entry.graph), cfg.clone());
+            let ctx = session.matrix_ctx(&entry.desc);
+            cells.push(session.cell(format!("{prefix}/{tag}-4k"), move || {
+                let plan = App::Pagerank.plan(&g);
+                let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, ctx.as_ref());
+                simulate_custom(&cfg, 1, llc, &plan.space, "4 KiB-mapped PageRank", |h| {
+                    App::Pagerank.trace(&g, &plan, &mut PageScrambler::new(h, 0xfeed));
+                })
+            }));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -501,8 +420,9 @@ pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::popt_bindings;
+    use crate::runner::{popt_bindings, simulate};
     use popt_graph::suite::{suite_graph, SuiteScale};
+    use popt_sim::HierarchyConfig;
 
     #[test]
     fn parallel_popt_stays_near_topt_and_ahead_of_drrip() {
@@ -521,29 +441,21 @@ mod tests {
             Quantization::EIGHT,
             Encoding::InterIntra,
         );
-        let popt_cfg = cfg
-            .clone()
-            .with_reserved_ways(reserved_ways_for(&bindings, &cfg));
         let threads = 8;
         // Compare on *irregular* misses: coherence traffic on shared
         // streaming lines adds policy-independent misses that dilute the
         // overall rate.
-        let b = bindings.clone();
-        let popt = run_parallel(&g, &popt_cfg, threads, &mut move |s, w| {
-            Box::new(Popt::new(PoptConfig::new(b.clone()), s, w))
-        })
-        .llc
-        .irregular_misses;
-        let transpose = Arc::new(g.out_csr().clone());
-        let streams = plan.irregular_streams();
-        let topt = run_parallel(&g, &cfg, threads, &mut move |s, w| {
-            Box::new(Topt::new(Arc::clone(&transpose), streams.clone(), s, w))
-        })
-        .llc
-        .irregular_misses;
-        let drrip = run_parallel(&g, &cfg, threads, &mut |s, w| PolicyKind::Drrip.build(s, w))
+        let irregular_misses = |llc| {
+            simulate_custom(&cfg, threads, llc, &plan.space, "parallel PageRank", |h| {
+                pagerank::trace_parallel(&g, &plan, h, threads, parallel_block(&g));
+            })
             .llc
-            .irregular_misses;
+            .irregular_misses
+        };
+        let spec_llc = |spec| policy_llc(App::Pagerank, &g, &cfg, &plan, spec, None);
+        let popt = irregular_misses(popt_llc(&cfg, PoptConfig::new(bindings), false));
+        let topt = irregular_misses(spec_llc(&PolicySpec::Topt));
+        let drrip = irregular_misses(spec_llc(&PolicySpec::Baseline(PolicyKind::Drrip)));
         assert!(
             popt <= topt * 115 / 100,
             "8-thread P-OPT ({popt}) should track T-OPT ({topt}) on irregular misses"
@@ -560,37 +472,22 @@ mod tests {
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
         let plan = App::Pagerank.plan(&g);
-        let bindings = popt_bindings(
-            App::Pagerank,
-            &g,
-            &plan,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-        );
-        let popt_cfg = cfg
-            .clone()
-            .with_reserved_ways(reserved_ways_for(&bindings, &cfg));
-        let run = |popt: bool, scramble: bool| -> u64 {
-            let b = bindings.clone();
-            let mut h = Hierarchy::new(if popt { &popt_cfg } else { &cfg }, move |s, w| {
-                if popt {
-                    Box::new(Popt::new(PoptConfig::new(b.clone()), s, w))
+        let run = |spec: &PolicySpec, scramble: bool| -> u64 {
+            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, spec, None);
+            simulate_custom(&cfg, 1, llc, &plan.space, "PageRank", |h| {
+                if scramble {
+                    App::Pagerank.trace(&g, &plan, &mut PageScrambler::new(h, 0xfeed));
                 } else {
-                    PolicyKind::Drrip.build(s, w)
+                    App::Pagerank.trace(&g, &plan, h);
                 }
-            });
-            h.set_address_space(&plan.space);
-            if scramble {
-                let mut sink = PageScrambler::new(&mut h, 0xfeed);
-                App::Pagerank.trace(&g, &plan, &mut sink);
-            } else {
-                App::Pagerank.trace(&g, &plan, &mut h);
-            }
-            h.stats().llc.misses
+            })
+            .llc
+            .misses
         };
-        let popt_huge = run(true, false);
-        let popt_4k = run(true, true);
-        let drrip = run(false, true);
+        let popt = PolicySpec::popt_default();
+        let popt_huge = run(&popt, false);
+        let popt_4k = run(&popt, true);
+        let drrip = run(&PolicySpec::Baseline(PolicyKind::Drrip), true);
         assert!(
             popt_huge * 110 / 100 < popt_4k,
             "scattering must cost P-OPT: huge {popt_huge} vs 4k {popt_4k}"
@@ -599,6 +496,36 @@ mod tests {
             popt_4k >= drrip,
             "misconfigured P-OPT ({popt_4k}) cannot beat DRRIP ({drrip})"
         );
+    }
+
+    #[test]
+    fn plain_extension_runs_replay_shared_streams() {
+        // ext2 and ext6 run DRRIP and P-OPT as sim cells: one recording per
+        // graph serves both replays, and every stream is freed.
+        let graphs = SuiteGraph::ALL.len() as u64;
+        for ext in [ext_prefetch, ext_hugepage] {
+            let session = Session::parallel(2);
+            ext(&session, Scale::Tiny);
+            let counters = session.stream_counters();
+            assert_eq!(
+                (counters.recorded, counters.replayed, counters.live),
+                (graphs, 2 * graphs, 0),
+                "{counters:?}"
+            );
+        }
+        // ext1's serial column is the plain simulation of each policy.
+        let session = Session::parallel(2);
+        let table = &ext_parallel(&session, Scale::Tiny)[0];
+        let cfg = Scale::Tiny.config();
+        let mut rows = table.rows.iter();
+        for entry in session.suite(Scale::Tiny) {
+            for spec in [PolicySpec::popt_default(), PolicySpec::Topt] {
+                let row = rows.next().expect("two rows per graph");
+                let serial = simulate(App::Pagerank, &entry.graph, &cfg, &spec);
+                assert_eq!(row[2], pct(serial.llc.miss_rate()), "{row:?}");
+            }
+        }
+        assert!(rows.next().is_none());
     }
 
     #[test]

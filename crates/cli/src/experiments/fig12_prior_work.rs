@@ -8,12 +8,12 @@
 //!   while P-OPT improves every input.
 
 use crate::exec::Session;
-use crate::runner::PolicySpec;
+use crate::runner::{policy_llc, simulate_custom, PolicySpec};
 use crate::table::{pct, Table};
 use crate::Scale;
-use popt_graph::reorder;
+use popt_graph::{reorder, Graph};
 use popt_kernels::{hats, pagerank, App};
-use popt_sim::{Hierarchy, HierarchyConfig, HierarchyStats, PolicyKind};
+use popt_sim::{HierarchyConfig, HierarchyStats, PolicyKind};
 use std::sync::Arc;
 
 /// GRASP's hot/warm boundaries from the DBG grouping: the hottest DBG
@@ -26,19 +26,15 @@ fn grasp_spec(boundaries: &[u32]) -> PolicySpec {
     PolicySpec::Grasp { hot_end, warm_end }
 }
 
-/// Runs a PageRank trace with a custom destination visit order (the HATS
-/// hook) under a baseline policy.
-fn simulate_ordered(
-    g: &popt_graph::Graph,
-    cfg: &HierarchyConfig,
-    kind: PolicyKind,
-    order: Option<&[u32]>,
-) -> HierarchyStats {
+/// PageRank under DRRIP visiting destinations in HATS-BDFS order.
+fn simulate_bdfs(g: &Graph, cfg: &HierarchyConfig) -> HierarchyStats {
+    let order = hats::bdfs_order(g, hats::DEFAULT_DEPTH_BOUND);
     let plan = pagerank::plan(g);
-    let mut h = Hierarchy::new(cfg, |sets, ways| kind.build(sets, ways));
-    h.set_address_space(&plan.space);
-    pagerank::trace_ordered(g, &plan, &mut h, order);
-    h.stats()
+    let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
+    let llc = policy_llc(App::Pagerank, g, cfg, &plan, &drrip, None);
+    simulate_custom(cfg, 1, llc, &plan.space, "HATS-BDFS PageRank", |h| {
+        pagerank::trace_ordered(g, &plan, h, Some(&order));
+    })
 }
 
 /// Runs both sub-experiments.
@@ -84,7 +80,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     // nothing to rediscover. Real crawls are not always so lucky: add a
     // shuffled-ID variant ("uk02*"), the regime where HATS shines in the
     // paper.
-    let mut inputs: Vec<(String, Arc<popt_graph::Graph>, String)> = suite
+    let mut inputs: Vec<(String, Arc<Graph>, String)> = suite
         .iter()
         .map(|e| (e.which.to_string(), Arc::clone(&e.graph), e.desc.clone()))
         .collect();
@@ -98,19 +94,16 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
         Arc::new(uk02.graph.relabel(&perm)),
         format!("{}/shuffle-c0ffee", uk02.desc),
     ));
+    let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
     for (name, g, desc) in &inputs {
         let tag = name.replace('*', "-shuffled");
         let prefix = format!("fig12b/{}/{tag}", scale.name());
-        let ordered_cell = |id: String, order: Option<Vec<u32>>| {
-            let g = Arc::clone(g);
-            let cfg = cfg.clone();
-            session.cell(id, move || {
-                simulate_ordered(&g, &cfg, PolicyKind::Drrip, order.as_deref())
-            })
-        };
-        cells.push(ordered_cell(format!("{prefix}/drrip-seq"), None));
-        let order = hats::bdfs_order(g, hats::DEFAULT_DEPTH_BOUND);
-        cells.push(ordered_cell(format!("{prefix}/drrip-bdfs"), Some(order)));
+        let seq = format!("{prefix}/drrip-seq");
+        cells.push(session.sim_cell(seq, App::Pagerank, g, desc, &cfg, &drrip));
+        let (g_bdfs, cfg_bdfs) = (Arc::clone(g), cfg.clone());
+        cells.push(session.cell(format!("{prefix}/drrip-bdfs"), move || {
+            simulate_bdfs(&g_bdfs, &cfg_bdfs)
+        }));
         for spec in [PolicySpec::popt_default(), PolicySpec::Topt] {
             cells.push(session.sim_cell(
                 format!("{prefix}/{}", spec.cell_tag()),
@@ -189,12 +182,16 @@ mod tests {
         // hides; on a uniform graph there is nothing to discover. Shuffle
         // both graphs' IDs so neither has numbering locality to start with.
         let cfg = HierarchyConfig::small_test();
-        let ratio = |g: &popt_graph::Graph| {
+        let ratio = |g: &Graph| {
             let perm = reorder::random_permutation(g.num_vertices(), 7);
             let g = g.relabel(&perm);
-            let base = simulate_ordered(&g, &cfg, PolicyKind::Drrip, None);
-            let order = hats::bdfs_order(&g, hats::DEFAULT_DEPTH_BOUND);
-            let hats_stats = simulate_ordered(&g, &cfg, PolicyKind::Drrip, Some(&order));
+            let base = simulate(
+                App::Pagerank,
+                &g,
+                &cfg,
+                &PolicySpec::Baseline(PolicyKind::Drrip),
+            );
+            let hats_stats = simulate_bdfs(&g, &cfg);
             hats_stats.llc.misses as f64 / base.llc.misses as f64
         };
         let community = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);

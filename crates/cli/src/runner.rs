@@ -9,6 +9,7 @@ use popt_sim::policies::{Grasp, GraspRegions};
 use popt_sim::{
     Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcStream, PolicyKind, Recorder, TimingModel,
 };
+use popt_trace::AddressSpace;
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -381,18 +382,7 @@ pub fn policy_llc(
             limit_study,
         } => {
             let bindings = popt_bindings_cached(app, g, plan, *quant, *encoding, ctx);
-            let run_cfg = if *limit_study {
-                cfg.clone()
-            } else {
-                cfg.clone()
-                    .with_reserved_ways(reserved_ways_for(&bindings, cfg))
-            };
-            let charge = !*limit_study;
-            Llc::new(&run_cfg, move |sets, ways| {
-                let mut pc = PoptConfig::new(bindings.clone());
-                pc.charge_streaming = charge;
-                Box::new(Popt::new(pc, sets, ways))
-            })
+            popt_llc(cfg, PoptConfig::new(bindings), *limit_study)
         }
         PolicySpec::Grasp { hot_end, warm_end } => {
             // Map DBG vertex boundaries to line numbers of the first
@@ -410,6 +400,49 @@ pub fn policy_llc(
     }
 }
 
+/// Builds a P-OPT LLC under `cfg` from `config`'s stream bindings: the
+/// P-OPT arm of [`policy_llc`], for callers that build their bindings (or
+/// tie-break choice) themselves. A limit study reserves no ways and
+/// charges no streaming (Figure 15); otherwise [`reserved_ways_for`] the
+/// bindings are reserved and epoch refills are charged.
+pub fn popt_llc(cfg: &HierarchyConfig, mut config: PoptConfig, limit_study: bool) -> Llc {
+    config.charge_streaming = !limit_study;
+    let cfg = if limit_study {
+        cfg.clone()
+    } else {
+        cfg.clone()
+            .with_reserved_ways(reserved_ways_for(&config.streams, cfg))
+    };
+    Llc::new(&cfg, move |sets, ways| {
+        Box::new(Popt::new(config.clone(), sets, ways))
+    })
+}
+
+/// Runs one custom simulation: `drive` feeds a run's events to `cores`
+/// L1/L2 pairs of `cfg` above `llc`, with `space`'s irregular regions
+/// registered, and the stats are checked like every cell's. This is the
+/// one path of the runs that are not a plain (app, graph, policy) cell:
+/// more than one core, a prefetcher, context switches, a page mapping, a
+/// custom visit order, tiling, PB and PHI.
+///
+/// # Panics
+///
+/// Panics, like [`simulate_cached`], if the stats break a conservation
+/// law of [`HierarchyStats::check`]; `what` names the run.
+pub fn simulate_custom(
+    cfg: &HierarchyConfig,
+    cores: usize,
+    llc: Llc,
+    space: &AddressSpace,
+    what: &str,
+    drive: impl FnOnce(&mut Hierarchy),
+) -> HierarchyStats {
+    let mut h = Hierarchy::with_llc(cfg, cores, llc);
+    h.set_address_space(space);
+    drive(&mut h);
+    checked_stats(&h.stats(), || what.to_string())
+}
+
 /// LLC policy choice for the special-phase runners (tiled PR, PB, PHI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhasePolicy {
@@ -417,6 +450,16 @@ pub enum PhasePolicy {
     Drrip,
     /// P-OPT with the default 8-bit inter+intra configuration.
     Popt,
+}
+
+impl PhasePolicy {
+    /// This policy's LLC under `cfg`; `popt` builds the phase's P-OPT LLC.
+    fn llc(self, cfg: &HierarchyConfig, popt: impl FnOnce() -> Llc) -> Llc {
+        match self {
+            PhasePolicy::Drrip => Llc::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways)),
+            PhasePolicy::Popt => popt(),
+        }
+    }
 }
 
 /// Wrapper policy for CSR-segmented execution: each tile is a separate
@@ -502,72 +545,61 @@ pub fn simulate_tiled(
     use popt_kernels::tiled;
     let plan = tiled::plan(g);
     let tiles = popt_graph::tiling::segment(g, num_tiles);
-    let run = |cfg: &HierarchyConfig,
-               factory: &mut dyn FnMut(usize, usize) -> Box<dyn popt_sim::ReplacementPolicy>|
-     -> HierarchyStats {
-        let mut h = Hierarchy::new(cfg, factory);
-        h.set_address_space(&plan.space);
-        tiled::trace(g, &tiles, &plan, &mut h);
-        checked_stats(&h.stats(), || {
-            format!("tiled PageRank x{num_tiles} under {policy:?}")
-        })
-    };
-    match policy {
-        PhasePolicy::Drrip => run(cfg, &mut |sets, ways| PolicyKind::Drrip.build(sets, ways)),
-        PhasePolicy::Popt => {
-            let src_region = plan.space.region(plan.irregs[0].region);
-            let quant = Quantization::EIGHT;
-            let encoding = Encoding::InterIntra;
-            let configs: Vec<PoptConfig> = tiles
-                .iter()
-                .map(|tile| {
-                    // The tile's transpose: only this tile's edges, in the
-                    // push direction (src -> dst), over global IDs.
-                    let edges: Vec<(VertexId, VertexId)> =
-                        tile.csc.iter_edges().map(|(dst, src)| (src, dst)).collect();
-                    let transpose = popt_graph::Csr::from_edges(g.num_vertices(), &edges)
-                        .expect("tile edges come from the graph");
-                    let matrix = popt_core::RerefMatrix::build_range(
-                        &transpose,
-                        tile.src_begin,
-                        tile.src_span(),
-                        src_region.elems_per_line() as u32,
-                        1,
-                        quant,
-                        encoding,
-                    );
-                    PoptConfig::new(vec![StreamBinding {
-                        base: src_region.base() + tile.src_begin as u64 * src_region.elem_size(),
-                        bound: src_region.base() + tile.src_end as u64 * src_region.elem_size(),
-                        matrix: Arc::new(matrix),
-                    }])
-                })
-                .collect();
-            // Only one tile's columns are resident at a time: reserve for
-            // the largest tile (the Figure 13 capacity win).
-            let largest = configs
-                .iter()
-                .map(|c| c.streams.as_slice())
-                .max_by_key(|streams| {
-                    streams
-                        .iter()
-                        .map(|s| s.matrix.resident_bytes())
-                        .sum::<u64>()
-                })
-                .unwrap_or_default();
-            let cfg = cfg
-                .clone()
-                .with_reserved_ways(reserved_ways_for(largest, cfg));
-            let mut configs = Some(configs);
-            run(&cfg, &mut |sets, ways| {
-                Box::new(TiledPopt::new(
-                    configs.take().expect("single-bank LLC for tiled P-OPT"),
-                    sets,
-                    ways,
-                ))
+    let llc = policy.llc(cfg, || {
+        let src_region = plan.space.region(plan.irregs[0].region);
+        let configs: Vec<PoptConfig> = tiles
+            .iter()
+            .map(|tile| {
+                // The tile's transpose: only this tile's edges, in the
+                // push direction (src -> dst), over global IDs.
+                let edges: Vec<(VertexId, VertexId)> =
+                    tile.csc.iter_edges().map(|(dst, src)| (src, dst)).collect();
+                let transpose = popt_graph::Csr::from_edges(g.num_vertices(), &edges)
+                    .expect("tile edges come from the graph");
+                let matrix = popt_core::RerefMatrix::build_range(
+                    &transpose,
+                    tile.src_begin,
+                    tile.src_span(),
+                    src_region.elems_per_line() as u32,
+                    1,
+                    Quantization::EIGHT,
+                    Encoding::InterIntra,
+                );
+                PoptConfig::new(vec![StreamBinding {
+                    base: src_region.base() + tile.src_begin as u64 * src_region.elem_size(),
+                    bound: src_region.base() + tile.src_end as u64 * src_region.elem_size(),
+                    matrix: Arc::new(matrix),
+                }])
             })
-        }
-    }
+            .collect();
+        // Only one tile's columns are resident at a time: reserve for the
+        // largest tile (the Figure 13 capacity win).
+        let largest = configs
+            .iter()
+            .map(|c| c.streams.as_slice())
+            .max_by_key(|streams| {
+                streams
+                    .iter()
+                    .map(|s| s.matrix.resident_bytes())
+                    .sum::<u64>()
+            })
+            .unwrap_or_default();
+        let cfg = cfg
+            .clone()
+            .with_reserved_ways(reserved_ways_for(largest, cfg));
+        let mut configs = Some(configs);
+        Llc::new(&cfg, |sets, ways| {
+            Box::new(TiledPopt::new(
+                configs.take().expect("single-bank LLC for tiled P-OPT"),
+                sets,
+                ways,
+            ))
+        })
+    });
+    let what = format!("tiled PageRank x{num_tiles} under {policy:?}");
+    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
+        tiled::trace(g, &tiles, &plan, h);
+    })
 }
 
 /// Simulates the Propagation Blocking binning phase (Figure 14).
@@ -578,43 +610,29 @@ pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hie
     use popt_kernels::pb;
     let bins = pb::BinningConfig::for_graph(g);
     let plan = pb::plan_pb(g, bins);
-    let run = |mut h: Hierarchy| {
-        h.set_address_space(&plan.space);
-        pb::trace_pb(g, bins, &plan, &mut h);
-        checked_stats(&h.stats(), || format!("PB binning under {policy:?}"))
-    };
-    match policy {
-        PhasePolicy::Drrip => run(Hierarchy::new(cfg, |sets, ways| {
-            PolicyKind::Drrip.build(sets, ways)
-        })),
-        PhasePolicy::Popt => {
-            let region = plan.space.region(plan.irregs[0].region);
-            let transpose = pb::bin_transpose(g, bins);
-            let matrix = Arc::new(popt_core::RerefMatrix::build_range(
-                &transpose,
-                0,
-                bins.num_bins,
-                1,
-                1,
-                Quantization::EIGHT,
-                Encoding::InterIntra,
-            ));
-            let binding = StreamBinding {
-                base: region.base(),
-                bound: region.bound(),
-                matrix,
-            };
-            let ways = reserved_ways_for(std::slice::from_ref(&binding), cfg);
-            let cfg = cfg.clone().with_reserved_ways(ways);
-            run(Hierarchy::new(&cfg, |sets, ways| {
-                Box::new(Popt::new(
-                    PoptConfig::new(vec![binding.clone()]),
-                    sets,
-                    ways,
-                ))
-            }))
-        }
-    }
+    let llc = policy.llc(cfg, || {
+        let region = plan.space.region(plan.irregs[0].region);
+        let transpose = pb::bin_transpose(g, bins);
+        let matrix = Arc::new(popt_core::RerefMatrix::build_range(
+            &transpose,
+            0,
+            bins.num_bins,
+            1,
+            1,
+            Quantization::EIGHT,
+            Encoding::InterIntra,
+        ));
+        let binding = StreamBinding {
+            base: region.base(),
+            bound: region.bound(),
+            matrix,
+        };
+        popt_llc(cfg, PoptConfig::new(vec![binding]), false)
+    });
+    let what = format!("PB binning under {policy:?}");
+    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
+        pb::trace_pb(g, bins, &plan, h);
+    })
 }
 
 /// PHI aggregation capacity for a hierarchy: the paper's PHI coalesces
@@ -631,44 +649,28 @@ pub fn phi_entries(cfg: &HierarchyConfig) -> usize {
 pub fn simulate_phi(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> HierarchyStats {
     use popt_kernels::pb;
     let plan = pb::plan_phi(g);
-    let run = |mut h: Hierarchy, entries: usize| {
-        h.set_address_space(&plan.space);
-        pb::trace_phi(g, entries, &plan, &mut h);
-        checked_stats(&h.stats(), || format!("PHI scatter under {policy:?}"))
-    };
-    match policy {
-        PhasePolicy::Drrip => run(
-            Hierarchy::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways)),
-            phi_entries(cfg),
-        ),
-        PhasePolicy::Popt => {
-            // Push-style scatter: the transpose is the in-CSC, as for CC.
-            let region = plan.space.region(plan.irregs[0].region);
-            let matrix = Arc::new(popt_core::preprocess::build_parallel(
-                g.in_csr(),
-                region.elems_per_line() as u32,
-                1,
-                Quantization::EIGHT,
-                Encoding::InterIntra,
-                preprocess_threads(),
-            ));
-            let binding = StreamBinding {
-                base: region.base(),
-                bound: region.bound(),
-                matrix,
-            };
-            let ways = reserved_ways_for(std::slice::from_ref(&binding), cfg);
-            let cfg = cfg.clone().with_reserved_ways(ways);
-            let h = Hierarchy::new(&cfg, |sets, ways| {
-                Box::new(Popt::new(
-                    PoptConfig::new(vec![binding.clone()]),
-                    sets,
-                    ways,
-                ))
-            });
-            run(h, phi_entries(&cfg))
-        }
-    }
+    let llc = policy.llc(cfg, || {
+        // Push-style scatter: the transpose is the in-CSC, as for CC.
+        let region = plan.space.region(plan.irregs[0].region);
+        let matrix = Arc::new(popt_core::preprocess::build_parallel(
+            g.in_csr(),
+            region.elems_per_line() as u32,
+            1,
+            Quantization::EIGHT,
+            Encoding::InterIntra,
+            preprocess_threads(),
+        ));
+        let binding = StreamBinding {
+            base: region.base(),
+            bound: region.bound(),
+            matrix,
+        };
+        popt_llc(cfg, PoptConfig::new(vec![binding]), false)
+    });
+    let what = format!("PHI scatter under {policy:?}");
+    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
+        pb::trace_phi(g, phi_entries(cfg), &plan, h);
+    })
 }
 
 /// Convenience bundle: a baseline result and the metrics derived from it.
@@ -881,7 +883,7 @@ mod tests {
         // live private levels, consuming the kernel's events directly.
         let live = |app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec| {
             let plan = app.plan(g);
-            let mut h = Hierarchy::with_llc(cfg, policy_llc(app, g, cfg, &plan, policy, None));
+            let mut h = Hierarchy::with_llc(cfg, 1, policy_llc(app, g, cfg, &plan, policy, None));
             h.set_address_space(&plan.space);
             app.trace(g, &plan, &mut h);
             h.stats()

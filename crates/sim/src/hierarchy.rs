@@ -286,9 +286,13 @@ impl Hierarchy {
         PrivateLevels::over(cfg, num_cores, Llc::new(cfg, make_llc_policy))
     }
 
-    /// Builds a single-core hierarchy of `cfg`'s L1 and L2 above `llc`.
-    pub fn with_llc(cfg: &HierarchyConfig, llc: Llc) -> Self {
-        PrivateLevels::over(cfg, 1, llc)
+    /// Builds `num_cores` private L1/L2 pairs of `cfg` above `llc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_cores` is zero.
+    pub fn with_llc(cfg: &HierarchyConfig, num_cores: usize, llc: Llc) -> Self {
+        PrivateLevels::over(cfg, num_cores, llc)
     }
 
     /// Records the post-L2 request stream of one run under `cfg`'s L1 and
