@@ -81,7 +81,7 @@ fn policy_throughput(c: &mut Criterion) {
     // replay, as every OPT cell runs them.
     group.bench_function("OPT", |b| {
         b.iter(|| {
-            let Ok(stream) = Hierarchy::record_llc(&cfg, |h| {
+            let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
                 h.set_address_space(&plan.space);
                 app.trace(&g, &plan, h);
                 Ok::<(), std::convert::Infallible>(())

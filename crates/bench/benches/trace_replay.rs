@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_llc, record_stream, replay_cell, PolicySpec};
+use popt_cli::runner::{policy_llc, replay_cell, Feed, PolicySpec};
 use popt_kernels::App;
 use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
@@ -51,7 +51,7 @@ fn cell_drive(c: &mut Criterion) {
         })
     });
     // What a sweep cell costs once its row's stream is recorded.
-    let stream = record_stream(App::Pagerank, &g, &cfg);
+    let stream = Feed::Kernel(App::Pagerank).record(&g, &cfg, None);
     group.bench_function("llc_stream_replay", |b| {
         b.iter(|| replay_cell(App::Pagerank, &g, &cfg, &lru, None, &stream))
     });

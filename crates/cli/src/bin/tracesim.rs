@@ -1,10 +1,12 @@
 //! `tracesim` — replay a recorded `POPTTRC2` trace file (see `graphgen
 //! trace` and `experiments trace record`) through the cache hierarchy
 //! under a chosen baseline policy, printing hierarchy statistics.
-//! Completes the decoupled capture/simulate workflow of Pin-style studies;
-//! runs with `--policy opt` perform the two-pass Belady run
-//! automatically, decoding the file once. A numeric flag whose value does
-//! not parse or is out of range prints the usage and exits nonzero.
+//! Completes the decoupled capture/simulate workflow of Pin-style studies.
+//! Every run decodes the file once into the private levels' recorder,
+//! whose post-L2 stream the policy's LLC replays on a second thread as it
+//! is recorded; `--policy opt` builds Belady's oracle from the whole
+//! recorded stream. A numeric flag whose value does not parse or is out
+//! of range prints the usage and exits nonzero.
 //!
 //! ```text
 //! tracesim <trace.trc> [--policy NAME] [--llc BYTES] [--ways N] [--cores N]
@@ -31,7 +33,7 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 /// The `--llc`, `--ways` and `--cores` values, checked so that neither
-/// `CacheConfig::new` nor `Hierarchy::with_cores` can panic on them.
+/// `CacheConfig::new` nor the recorder can panic on them.
 fn geometry(args: &[String]) -> Result<(usize, usize, usize), String> {
     // Bit-PLRU caps associativity at 64 ways.
     let ways = numeric_flag(args, "--ways", 16, 1..=64)?;
@@ -79,30 +81,30 @@ fn main() -> ExitCode {
         }
     };
 
+    // Belady is built from one globally ordered LLC stream, which a
+    // multi-core recording interleaves.
+    if kind.is_none() && cores != 1 {
+        eprintln!("--policy opt requires --cores 1");
+        return ExitCode::FAILURE;
+    }
+    // The file is decoded once, into the private levels' recorder, and the
+    // policy's LLC consumes only their post-L2 stream: chunk by chunk on a
+    // second thread as it is recorded, or, for Belady's oracle, which
+    // needs the whole stream first, after the recording ends.
+    let replay = |h: &mut Recorder| popt_tracestore::replay_any(&bytes[..], h).map(drop);
     let stats = match kind {
         Some(kind) => {
-            let mut h = Hierarchy::with_cores(&cfg, cores, |s, w| kind.build(s, w));
-            if let Err(e) = popt_tracestore::replay_any(&bytes[..], &mut h) {
-                eprintln!("replay failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            h.stats()
+            let llc = || Llc::new(&cfg, |s, w| kind.build(s, w));
+            Hierarchy::pipelined(&cfg, cores, llc, replay)
         }
-        None => {
-            // Two-pass Belady: the file is decoded once, into the
-            // recording pass; the oracle pass replays only the LLC.
-            if cores != 1 {
-                eprintln!("--policy opt requires --cores 1");
-                return ExitCode::FAILURE;
-            }
-            let replay = |h: &mut Recorder| popt_tracestore::replay_any(&bytes[..], h).map(drop);
-            match Hierarchy::record_llc(&cfg, replay) {
-                Ok(stream) => Llc::belady_from_stream(&cfg, &stream),
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        None => Hierarchy::record_llc(&cfg, cores, replay)
+            .map(|stream| Llc::belady_from_stream(&cfg, &stream)),
+    };
+    let stats = match stats {
+        Ok(stats) => stats,
+        Err(e) => {
+            eprintln!("replay failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

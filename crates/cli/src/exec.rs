@@ -11,13 +11,13 @@
 //! 3. read results back in that same order — which keeps emitted CSVs
 //!    byte-identical to the historical serial runs at any `--jobs` level.
 //!
-//! It is also the row engine: the [`Session::sim_cell`] cells that share
-//! a kernel, a graph and L1/L2 geometry share one kernel + private-level
-//! pass. The first of them to run records the post-L2 stream
-//! ([`record_stream`]); every one of them replays only the LLC from it
-//! ([`replay_cell`]).
+//! It is also the row engine. Every cell is a recording of what its
+//! private levels are fed ([`Feed::record`]) plus an LLC half that
+//! replays it, and the cells that share a graph, a [`Feed`] and L1/L2
+//! geometry share one recording: the first of them to run records the
+//! post-L2 stream, and every one of them replays only its LLC from it.
 
-use crate::runner::{record_stream, replay_cell, MatrixCtx, PolicySpec};
+use crate::runner::{checked_stats, replay_cell, Feed, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -25,7 +25,6 @@ use popt_harness::{
     ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters, Manifest, SweepCell, SweepReport,
     SweepSession,
 };
-use popt_kernels::App;
 use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, LlcStream};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -42,15 +41,14 @@ pub struct SuiteEntry {
     pub desc: String,
 }
 
-/// Everything a sim cell's post-L2 stream depends on. Sim cells are
-/// single-core, with no prefetcher and no context switch, and the LLC
-/// never feeds back into the private levels, so the LLC's size, ways,
-/// reserved ways, banks and policy stay out: cells differing only there
-/// share one stream.
+/// Everything a cell's post-L2 stream depends on. The LLC never feeds
+/// back into the private levels, so the LLC's size, ways, reserved ways,
+/// banks and policy stay out: cells differing only there share one
+/// stream.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct StreamKey {
     graph_desc: String,
-    app: App,
+    feed: Feed,
     l1: CacheConfig,
     l2: CacheConfig,
 }
@@ -68,7 +66,7 @@ struct StreamSlot {
 pub struct StreamCounters {
     /// Streams recorded: kernel + L1/L2 passes run.
     pub recorded: u64,
-    /// LLC replays run, one per executed sim cell.
+    /// LLC replays run, one per executed cell.
     pub replayed: u64,
     /// Streams held right now.
     pub live: u64,
@@ -86,7 +84,7 @@ impl StreamCounters {
     }
 }
 
-/// The streams of the sim cells submitted and not yet finished, keyed by
+/// The streams of the cells submitted and not yet finished, keyed by
 /// what they depend on, each with its count of registered consumers.
 #[derive(Debug, Default)]
 struct StreamMemo(Mutex<MemoState>);
@@ -125,7 +123,7 @@ impl StreamMemo {
     }
 }
 
-/// One sim cell's claim on a shared stream. Dropping it — after the cell
+/// One cell's claim on a shared stream. Dropping it — after the cell
 /// ran, failed, or was resumed from the journal without running — releases
 /// the claim; the last release frees the stream.
 #[derive(Debug)]
@@ -271,70 +269,84 @@ impl Session {
         })
     }
 
-    /// A standard simulation cell: `simulate(app, graph, cfg, policy)`
-    /// against a graph known by descriptor, with matrix construction
-    /// deduped through the session cache.
+    /// A simulation cell: `feed`'s post-L2 stream on a graph known by
+    /// descriptor, under `cfg`'s L1 and L2, replayed by `llc`, the cell's
+    /// LLC half. `llc` gets the graph, `cfg`, the session's matrix cache
+    /// context and the stream; the session checks the stats it returns
+    /// against the conservation laws of [`HierarchyStats::check`].
     ///
-    /// Sim cells with the same app, graph descriptor and L1/L2 geometry
-    /// share one kernel + private-level pass: the first of them to run
-    /// records the post-L2 stream, each replays only the LLC from it, and
-    /// the stream is freed once the last of them is done (or dropped
-    /// unrun). [`run`](Session::run) starts such cells back to back.
-    pub fn sim_cell(
+    /// Cells with the same graph descriptor, feed and L1/L2 geometry share
+    /// one kernel + private-level pass: the first of them to run records
+    /// the stream, each replays only its LLC from it, and the stream is
+    /// freed once the last of them is done (or dropped unrun).
+    /// [`run`](Session::run) starts such cells back to back.
+    pub fn cell(
         &self,
         id: impl Into<String>,
-        app: App,
         graph: &Arc<Graph>,
         graph_desc: &str,
         cfg: &HierarchyConfig,
-        policy: &PolicySpec,
+        feed: Feed,
+        llc: impl FnOnce(&Graph, &HierarchyConfig, Option<&MatrixCtx>, &LlcStream) -> HierarchyStats
+            + Send
+            + 'static,
     ) -> SweepCell<'static> {
+        let id = id.into();
+        let what = id.clone();
         let graph = Arc::clone(graph);
         let cfg = cfg.clone();
-        let policy = policy.clone();
         let ctx = self.matrix_ctx(graph_desc);
         let consumer = self.streams.register(StreamKey {
             graph_desc: graph_desc.to_string(),
-            app,
+            feed,
             l1: cfg.l1,
             l2: cfg.l2,
         });
         let group = consumer.slot.group;
         SweepCell::new(id, move || {
-            let stream = consumer.stream(|| record_stream(app, &graph, &cfg));
-            replay_cell(app, &graph, &cfg, &policy, ctx.as_ref(), stream)
+            let stream = consumer.stream(|| feed.record(&graph, &cfg, ctx.as_ref()));
+            checked_stats(&llc(&graph, &cfg, ctx.as_ref(), stream), || what)
         })
         .in_group(group)
+    }
+
+    /// A standard simulation cell: `feed`'s stream against a graph known
+    /// by descriptor, replayed into `policy`'s LLC for the feed's
+    /// [`app`](Feed::app) — a [`cell`](Session::cell) whose LLC half is
+    /// [`replay_cell`], with matrix construction deduped through the
+    /// session cache. An [`App`](popt_kernels::App) is its
+    /// [`Feed::Kernel`], so `sim_cell(id, app, ..)` is `simulate(app,
+    /// graph, cfg, policy)`.
+    pub fn sim_cell(
+        &self,
+        id: impl Into<String>,
+        feed: impl Into<Feed>,
+        graph: &Arc<Graph>,
+        graph_desc: &str,
+        cfg: &HierarchyConfig,
+        policy: &PolicySpec,
+    ) -> SweepCell<'static> {
+        let feed = feed.into();
+        let policy = policy.clone();
+        self.cell(id, graph, graph_desc, cfg, feed, move |g, cfg, ctx, s| {
+            replay_cell(feed.app(), g, cfg, &policy, ctx, s)
+        })
     }
 
     /// [`sim_cell`](Session::sim_cell) against a suite entry.
     pub fn sim(
         &self,
         id: impl Into<String>,
-        app: App,
+        feed: impl Into<Feed>,
         entry: &SuiteEntry,
         cfg: &HierarchyConfig,
         policy: &PolicySpec,
     ) -> SweepCell<'static> {
-        self.sim_cell(id, app, &entry.graph, &entry.desc, cfg, policy)
-    }
-
-    /// A custom cell, for a run that is not a plain (app, graph, policy)
-    /// [`sim_cell`](Session::sim_cell): more cores, a prefetcher, context
-    /// switches, a page mapping, a visit order or tie-break no
-    /// [`PolicySpec`] names, tiling, PB or PHI. `run` drives its whole
-    /// simulation through [`simulate_custom`](crate::runner::simulate_custom),
-    /// which checks its stats, and shares no stream.
-    pub fn cell(
-        &self,
-        id: impl Into<String>,
-        run: impl FnOnce() -> HierarchyStats + Send + 'static,
-    ) -> SweepCell<'static> {
-        SweepCell::new(id, run)
+        self.sim_cell(id, feed, &entry.graph, &entry.desc, cfg, policy)
     }
 
     /// Runs a batch of cells, returning stats in submission order (see
-    /// [`SweepSession::run_cells`]). Sim cells sharing a stream start back
+    /// [`SweepSession::run_cells`]). Cells sharing a stream start back
     /// to back, so about one stream per worker is held at a time.
     pub fn run(&self, cells: Vec<SweepCell<'_>>) -> Vec<HierarchyStats> {
         self.sweep.run_cells(cells)
@@ -368,7 +380,9 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popt_sim::PolicyKind;
+    use crate::runner::{phase_llc, phi_entries, policy_llc, PhasePolicy};
+    use popt_kernels::App;
+    use popt_sim::{Hierarchy, Llc, PolicyKind};
     use std::path::{Path, PathBuf};
 
     fn scratch(name: &str) -> PathBuf {
@@ -515,6 +529,78 @@ mod tests {
             "two workers hold at most two streams: {counters:?}"
         );
         assert_eq!(counters.live, 0, "every stream is freed after the batch");
+    }
+
+    /// The LLC a differential check runs `feed` under: `policy`'s for
+    /// PageRank (or the feed's kernel), or for a phase feed its own LLC
+    /// under DRRIP for a baseline and P-OPT otherwise.
+    fn feed_llc(feed: Feed, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec) -> Llc {
+        let phase = match policy {
+            PolicySpec::Baseline(_) => PhasePolicy::Drrip,
+            _ => PhasePolicy::Popt,
+        };
+        if let Feed::Tiled { .. } | Feed::Pb | Feed::Phi { .. } = feed {
+            return phase_llc(g, cfg, feed, phase);
+        }
+        let app = feed.app();
+        policy_llc(app, g, cfg, &app.plan(g), policy, None)
+    }
+
+    #[test]
+    fn every_feed_replays_to_its_live_run() {
+        // One session cell per feed and policy, all on one graph and one
+        // L1/L2: each feed must get its own recording, and each replay must
+        // equal the live hierarchy (the cell's LLC below the feed's private
+        // levels, consuming its events directly).
+        let session = Session::parallel(2);
+        let entry = session.graph(SuiteGraph::Kron, Scale::Tiny);
+        let (g, cfg) = (&entry.graph, Scale::Tiny.config());
+        let feeds = [
+            Feed::Kernel(App::Pagerank),
+            Feed::Kernel(App::Components),
+            Feed::Parallel { cores: 2 },
+            Feed::Prefetch,
+            Feed::Switches(4),
+            Feed::PageMap,
+            Feed::Bdfs,
+            Feed::Tiled { tiles: 4 },
+            Feed::Pb,
+            Feed::Phi {
+                entries: phi_entries(&cfg),
+            },
+        ];
+        let mut cells = Vec::new();
+        let mut live = Vec::new();
+        for feed in feeds {
+            let mut policies = vec![
+                PolicySpec::Baseline(PolicyKind::Drrip),
+                PolicySpec::popt_default(),
+            ];
+            if feed.cores() > 1 {
+                policies.push(PolicySpec::Topt);
+            }
+            for policy in policies {
+                let mut h =
+                    Hierarchy::with_llc(&cfg, feed.cores(), feed_llc(feed, g, &cfg, &policy));
+                let Ok(()) = feed.drive(g, None, &mut h);
+                live.push((feed, policy.clone(), h.stats()));
+                let id = format!("exec/feeds/{feed:?}/{}", policy.cell_tag());
+                cells.push(
+                    session.cell(id, g, &entry.desc, &cfg, feed, move |g, cfg, _, s| {
+                        feed_llc(feed, g, cfg, &policy).replay(s)
+                    }),
+                );
+            }
+        }
+        let out = session.run(cells);
+        for ((feed, policy, live), replayed) in live.iter().zip(&out) {
+            assert_eq!(replayed, live, "{feed:?} under {policy:?}");
+        }
+        let counters = session.stream_counters();
+        assert_eq!(
+            (counters.recorded, counters.replayed, counters.live),
+            (feeds.len() as u64, out.len() as u64, 0)
+        );
     }
 
     #[test]

@@ -3,32 +3,26 @@
 //! §V-F), its stated future work (matrix-driven prefetching §VIII), and
 //! the related-work SDBP baseline (§VIII).
 //!
-//! Every run that is a plain single-core PageRank under a [`PolicySpec`]
-//! is a sim cell and replays from the row engine's shared stream: serial
-//! ext1, ext2 without prefetching, ext4 without switches, ext5's RRIP
-//! tie-break (a limit-study P-OPT) and ext6's huge-page runs. The rest
-//! change what the hierarchy is fed (more cores, a prefetcher, context
-//! switches, a scattered page mapping) or, in ext5, a tie-break no
-//! [`PolicySpec`] names. They run through [`simulate_custom`] with an LLC
-//! from [`policy_llc`] or [`popt_llc`].
+//! Every run is a session cell: a [`Feed`] recording replayed into an
+//! LLC. The plain single-core PageRank runs (serial ext1, ext2 without
+//! prefetching, ext4 without switches, ext5's DRRIP and RRIP tie-break
+//! runs, ext6's huge-page runs) are [`Feed::Kernel`] sim cells and share
+//! one stream per graph. The rest are sim cells of feeds that change
+//! only what the private levels are fed — more cores
+//! ([`Feed::Parallel`]), a prefetcher ([`Feed::Prefetch`]), context
+//! switches ([`Feed::Switches`]), scattered frames ([`Feed::PageMap`]) —
+//! and share one stream per graph and feed between their policies. ext5's
+//! first-way tie-break, which no [`PolicySpec`] names, replays the plain
+//! PageRank stream into a P-OPT LLC from [`popt_llc`].
 
 use crate::exec::Session;
-use crate::runner::{policy_llc, popt_bindings_cached, popt_llc, simulate_custom, PolicySpec};
+use crate::runner::{popt_bindings_cached, popt_llc, Feed, PolicySpec};
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use popt_core::{Encoding, PoptConfig, Quantization};
 use popt_graph::suite::SuiteGraph;
-use popt_graph::Graph;
-use popt_kernels::{pagerank, App};
+use popt_kernels::App;
 use popt_sim::PolicyKind;
-use popt_trace::TraceSink;
-use std::sync::Arc;
-
-/// Vertices per serial block in the parallel traces (stands in for the
-/// epoch-serial execution the paper requires of P-OPT runs).
-fn parallel_block(g: &Graph) -> usize {
-    Quantization::EIGHT.epoch_size(g.num_vertices()) as usize
-}
 
 /// Extension 1 — parallel execution (paper Section V-F): P-OPT's LLC miss
 /// rate with multi-threaded, epoch-serial execution should track the
@@ -40,36 +34,15 @@ pub fn ext_parallel(session: &Session, scale: Scale) -> Vec<Table> {
     const THREADS: [usize; 4] = [1, 2, 4, 8];
     let mut cells = Vec::new();
     for entry in &suite {
-        let plan = pagerank::plan(&entry.graph);
-        let ctx = session.matrix_ctx(&entry.desc);
-        let bindings = popt_bindings_cached(
-            App::Pagerank,
-            &entry.graph,
-            &plan,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-            ctx.as_ref(),
-        );
         for (tag, spec) in [
             ("popt", PolicySpec::popt_default()),
             ("topt", PolicySpec::Topt),
         ] {
             let prefix = format!("ext1/{}/{}/{tag}", scale.name(), entry.which);
             cells.push(session.sim(format!("{prefix}/t1"), App::Pagerank, entry, &cfg, &spec));
-            for &threads in &THREADS[1..] {
-                let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
-                let spec = spec.clone();
-                cells.push(session.cell(format!("{prefix}/t{threads}"), move || {
-                    let plan = pagerank::plan(&g);
-                    let llc = match spec {
-                        PolicySpec::Topt => policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, None),
-                        _ => popt_llc(&cfg, PoptConfig::new(b), false),
-                    };
-                    let what = format!("PageRank on {threads} cores");
-                    simulate_custom(&cfg, threads, llc, &plan.space, &what, |h| {
-                        pagerank::trace_parallel(&g, &plan, h, threads, parallel_block(&g));
-                    })
-                }));
+            for &cores in &THREADS[1..] {
+                let feed = Feed::Parallel { cores };
+                cells.push(session.sim(format!("{prefix}/t{cores}"), feed, entry, &cfg, &spec));
             }
         }
     }
@@ -102,40 +75,18 @@ pub fn ext_parallel(session: &Session, scale: Scale) -> Vec<Table> {
 /// VIII): epoch-ahead prefetch of the next epoch's irregular lines,
 /// composed with DRRIP and with P-OPT.
 pub fn ext_prefetch(session: &Session, scale: Scale) -> Vec<Table> {
-    use popt_core::prefetch::PrefetchingSink;
     let cfg = scale.config();
     let suite = session.suite(scale);
     let mut cells = Vec::new();
     for entry in &suite {
-        let plan = App::Pagerank.plan(&entry.graph);
-        let ctx = session.matrix_ctx(&entry.desc);
-        let bindings = popt_bindings_cached(
-            App::Pagerank,
-            &entry.graph,
-            &plan,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-            ctx.as_ref(),
-        );
         let prefix = format!("ext2/{}/{}", scale.name(), entry.which);
         for (tag, spec) in [
             ("drrip", PolicySpec::Baseline(PolicyKind::Drrip)),
             ("popt", PolicySpec::popt_default()),
         ] {
             cells.push(session.sim(format!("{prefix}/{tag}"), App::Pagerank, entry, &cfg, &spec));
-            let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
-            cells.push(session.cell(format!("{prefix}/{tag}-pf"), move || {
-                let plan = App::Pagerank.plan(&g);
-                let binding = b[0].clone();
-                let llc = match spec {
-                    PolicySpec::Popt { .. } => popt_llc(&cfg, PoptConfig::new(b), false),
-                    _ => policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, None),
-                };
-                simulate_custom(&cfg, 1, llc, &plan.space, "prefetching PageRank", |h| {
-                    let mut sink = PrefetchingSink::new(h, &binding.matrix, binding.base);
-                    App::Pagerank.trace(&g, &plan, &mut sink);
-                })
-            }));
+            let (id, feed) = (format!("{prefix}/{tag}-pf"), Feed::Prefetch);
+            cells.push(session.sim(id, feed, entry, &cfg, &spec));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -252,20 +203,18 @@ pub fn ext_tiebreak(session: &Session, scale: Scale) -> Vec<Table> {
                 Encoding::InterIntra,
                 ctx.as_ref(),
             );
-            let (g, c) = (Arc::clone(&entry.graph), cfg.clone());
-            cells.push(
-                session.cell(format!("{prefix}/q{}-first", quant.bits()), move || {
-                    let plan = App::Pagerank.plan(&g);
-                    let config = PoptConfig {
-                        tie_break: TieBreak::FirstCandidate,
-                        ..PoptConfig::new(bindings)
-                    };
-                    let llc = popt_llc(&c, config, true);
-                    simulate_custom(&c, 1, llc, &plan.space, "first-way P-OPT", |h| {
-                        App::Pagerank.trace(&g, &plan, h);
-                    })
-                }),
-            );
+            let config = PoptConfig {
+                tie_break: TieBreak::FirstCandidate,
+                ..PoptConfig::new(bindings)
+            };
+            cells.push(session.cell(
+                format!("{prefix}/q{}-first", quant.bits()),
+                &entry.graph,
+                &entry.desc,
+                &cfg,
+                Feed::Kernel(App::Pagerank),
+                move |_, cfg, _, stream| popt_llc(cfg, config, true).replay(stream),
+            ));
             // RRIP is P-OPT's own tie-break: a limit-study P-OPT cell.
             let rrip = PolicySpec::Popt {
                 quant,
@@ -312,42 +261,15 @@ pub fn ext_context_switch(session: &Session, scale: Scale) -> Vec<Table> {
     const SWITCHES: [usize; 4] = [0, 4, 16, 64];
     let cfg = scale.config();
     let entry = session.graph(SuiteGraph::Urand, scale);
-    let plan = App::Pagerank.plan(&entry.graph);
-    let ctx = session.matrix_ctx(&entry.desc);
-    let bindings = popt_bindings_cached(
-        App::Pagerank,
-        &entry.graph,
-        &plan,
-        Quantization::EIGHT,
-        Encoding::InterIntra,
-        ctx.as_ref(),
-    );
+    let popt = PolicySpec::popt_default();
     let mut cells = Vec::new();
     for switches in SWITCHES {
         let id = format!("ext4/{}/urand/s{switches}", scale.name());
-        if switches == 0 {
-            let popt = PolicySpec::popt_default();
-            cells.push(session.sim(id, App::Pagerank, &entry, &cfg, &popt));
-            continue;
-        }
-        let (g, cfg, b) = (Arc::clone(&entry.graph), cfg.clone(), bindings.clone());
-        cells.push(session.cell(id, move || {
-            let plan = App::Pagerank.plan(&g);
-            // Interleave the kernel trace with evenly spaced preemptions.
-            let mut rec = popt_trace::RecordingSink::new();
-            App::Pagerank.trace(&g, &plan, &mut rec);
-            let events = rec.into_events();
-            let period = events.len() / (switches + 1);
-            let llc = popt_llc(&cfg, PoptConfig::new(b), false);
-            simulate_custom(&cfg, 1, llc, &plan.space, "context-switched P-OPT", |h| {
-                for (i, ev) in events.into_iter().enumerate() {
-                    if i > 0 && i % period == 0 {
-                        h.context_switch();
-                    }
-                    h.event(ev);
-                }
-            })
-        }));
+        let feed = match switches {
+            0 => Feed::Kernel(App::Pagerank),
+            n => Feed::Switches(n),
+        };
+        cells.push(session.sim(id, feed, &entry, &cfg, &popt));
     }
     let mut results = session.run(cells).into_iter();
     let mut table = Table::new(
@@ -372,7 +294,6 @@ pub fn ext_context_switch(session: &Session, scale: Scale) -> Vec<Table> {
 /// mapping leaves the registers meaningless: P-OPT silently degrades while
 /// the address-agnostic DRRIP is unaffected.
 pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
-    use popt_trace::paging::PageScrambler;
     let cfg = scale.config();
     let suite = session.suite(scale);
     let mut cells = Vec::new();
@@ -387,15 +308,8 @@ pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
         ] {
             let id = format!("{prefix}/{tag}-huge");
             cells.push(session.sim(id, App::Pagerank, entry, &cfg, &spec));
-            let (g, cfg) = (Arc::clone(&entry.graph), cfg.clone());
-            let ctx = session.matrix_ctx(&entry.desc);
-            cells.push(session.cell(format!("{prefix}/{tag}-4k"), move || {
-                let plan = App::Pagerank.plan(&g);
-                let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &spec, ctx.as_ref());
-                simulate_custom(&cfg, 1, llc, &plan.space, "4 KiB-mapped PageRank", |h| {
-                    App::Pagerank.trace(&g, &plan, &mut PageScrambler::new(h, 0xfeed));
-                })
-            }));
+            let id = format!("{prefix}/{tag}-4k");
+            cells.push(session.sim(id, Feed::PageMap, entry, &cfg, &spec));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -420,7 +334,8 @@ pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{popt_bindings, simulate};
+    use crate::experiments::{fig13_tiling, fig14_pb_phi};
+    use crate::runner::{replay_cell, simulate};
     use popt_graph::suite::{suite_graph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -433,29 +348,18 @@ mod tests {
         // thread count, not against the serial run.
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        let plan = pagerank::plan(&g);
-        let bindings = popt_bindings(
-            App::Pagerank,
-            &g,
-            &plan,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-        );
-        let threads = 8;
+        let stream = Feed::Parallel { cores: 8 }.record(&g, &cfg, None);
         // Compare on *irregular* misses: coherence traffic on shared
         // streaming lines adds policy-independent misses that dilute the
         // overall rate.
-        let irregular_misses = |llc| {
-            simulate_custom(&cfg, threads, llc, &plan.space, "parallel PageRank", |h| {
-                pagerank::trace_parallel(&g, &plan, h, threads, parallel_block(&g));
-            })
-            .llc
-            .irregular_misses
+        let irregular_misses = |spec: &PolicySpec| {
+            replay_cell(App::Pagerank, &g, &cfg, spec, None, &stream)
+                .llc
+                .irregular_misses
         };
-        let spec_llc = |spec| policy_llc(App::Pagerank, &g, &cfg, &plan, spec, None);
-        let popt = irregular_misses(popt_llc(&cfg, PoptConfig::new(bindings), false));
-        let topt = irregular_misses(spec_llc(&PolicySpec::Topt));
-        let drrip = irregular_misses(spec_llc(&PolicySpec::Baseline(PolicyKind::Drrip)));
+        let popt = irregular_misses(&PolicySpec::popt_default());
+        let topt = irregular_misses(&PolicySpec::Topt);
+        let drrip = irregular_misses(&PolicySpec::Baseline(PolicyKind::Drrip));
         assert!(
             popt <= topt * 115 / 100,
             "8-thread P-OPT ({popt}) should track T-OPT ({topt}) on irregular misses"
@@ -468,21 +372,18 @@ mod tests {
 
     #[test]
     fn scattered_frames_break_popt_but_not_drrip() {
-        use popt_trace::paging::PageScrambler;
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        let plan = App::Pagerank.plan(&g);
         let run = |spec: &PolicySpec, scramble: bool| -> u64 {
-            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, spec, None);
-            simulate_custom(&cfg, 1, llc, &plan.space, "PageRank", |h| {
-                if scramble {
-                    App::Pagerank.trace(&g, &plan, &mut PageScrambler::new(h, 0xfeed));
-                } else {
-                    App::Pagerank.trace(&g, &plan, h);
-                }
-            })
-            .llc
-            .misses
+            let feed = if scramble {
+                Feed::PageMap
+            } else {
+                Feed::Kernel(App::Pagerank)
+            };
+            let stream = feed.record(&g, &cfg, None);
+            replay_cell(App::Pagerank, &g, &cfg, spec, None, &stream)
+                .llc
+                .misses
         };
         let popt = PolicySpec::popt_default();
         let popt_huge = run(&popt, false);
@@ -500,18 +401,32 @@ mod tests {
 
     #[test]
     fn plain_extension_runs_replay_shared_streams() {
-        // ext2 and ext6 run DRRIP and P-OPT as sim cells: one recording per
-        // graph serves both replays, and every stream is freed.
+        // Every cell replays a recording, and the policies of one graph
+        // and feed share it: ext1 records one plain and three multi-core
+        // streams per graph, ext2 a plain and a prefetching one, ext5 only
+        // the plain one (its first-way cells replay it too), ext6 a
+        // huge-page and a 4 KiB one, fig13 one per tile count on two
+        // graphs, and fig14 a PB and a PHI one. Every stream is freed.
         let graphs = SuiteGraph::ALL.len() as u64;
-        for ext in [ext_prefetch, ext_hugepage] {
+        type Experiment = fn(&Session, Scale) -> Vec<Table>;
+        let expected: [(&str, Experiment, (u64, u64, u64)); 6] = [
+            ("ext1", ext_parallel, (4 * graphs, 8 * graphs, 0)),
+            ("ext2", ext_prefetch, (2 * graphs, 4 * graphs, 0)),
+            ("ext5", ext_tiebreak, (graphs, 5 * graphs, 0)),
+            ("ext6", ext_hugepage, (2 * graphs, 4 * graphs, 0)),
+            ("fig13", fig13_tiling::run, (10, 20, 0)),
+            ("fig14", fig14_pb_phi::run, (2 * graphs, 4 * graphs, 0)),
+        ];
+        for (name, experiment, counts) in expected {
             let session = Session::parallel(2);
-            ext(&session, Scale::Tiny);
+            experiment(&session, Scale::Tiny);
             let counters = session.stream_counters();
             assert_eq!(
                 (counters.recorded, counters.replayed, counters.live),
-                (graphs, 2 * graphs, 0),
-                "{counters:?}"
+                counts,
+                "{name}: {counters:?}"
             );
+            assert_eq!(counters.replayed, session.executed() as u64, "{name}");
         }
         // ext1's serial column is the plain simulation of each policy.
         let session = Session::parallel(2);

@@ -5,15 +5,16 @@
 //!   gains are structure-agnostic and larger.
 //! * **12b — HATS-BDFS** (zero-overhead traversal scheduling): BDFS helps
 //!   community graphs and *hurts* graphs without community structure,
-//!   while P-OPT improves every input.
+//!   while P-OPT improves every input. Its BDFS runs are
+//!   [`Feed::Bdfs`] cells.
 
 use crate::exec::Session;
-use crate::runner::{policy_llc, simulate_custom, PolicySpec};
+use crate::runner::{Feed, PolicySpec};
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_graph::{reorder, Graph};
-use popt_kernels::{hats, pagerank, App};
-use popt_sim::{HierarchyConfig, HierarchyStats, PolicyKind};
+use popt_kernels::App;
+use popt_sim::{HierarchyStats, PolicyKind};
 use std::sync::Arc;
 
 /// GRASP's hot/warm boundaries from the DBG grouping: the hottest DBG
@@ -24,17 +25,6 @@ fn grasp_spec(boundaries: &[u32]) -> PolicySpec {
     let hot_end = boundaries[2];
     let warm_end = boundaries[4];
     PolicySpec::Grasp { hot_end, warm_end }
-}
-
-/// PageRank under DRRIP visiting destinations in HATS-BDFS order.
-fn simulate_bdfs(g: &Graph, cfg: &HierarchyConfig) -> HierarchyStats {
-    let order = hats::bdfs_order(g, hats::DEFAULT_DEPTH_BOUND);
-    let plan = pagerank::plan(g);
-    let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
-    let llc = policy_llc(App::Pagerank, g, cfg, &plan, &drrip, None);
-    simulate_custom(cfg, 1, llc, &plan.space, "HATS-BDFS PageRank", |h| {
-        pagerank::trace_ordered(g, &plan, h, Some(&order));
-    })
 }
 
 /// Runs both sub-experiments.
@@ -100,10 +90,8 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
         let prefix = format!("fig12b/{}/{tag}", scale.name());
         let seq = format!("{prefix}/drrip-seq");
         cells.push(session.sim_cell(seq, App::Pagerank, g, desc, &cfg, &drrip));
-        let (g_bdfs, cfg_bdfs) = (Arc::clone(g), cfg.clone());
-        cells.push(session.cell(format!("{prefix}/drrip-bdfs"), move || {
-            simulate_bdfs(&g_bdfs, &cfg_bdfs)
-        }));
+        let bdfs = format!("{prefix}/drrip-bdfs");
+        cells.push(session.sim_cell(bdfs, Feed::Bdfs, g, desc, &cfg, &drrip));
         for spec in [PolicySpec::popt_default(), PolicySpec::Topt] {
             cells.push(session.sim_cell(
                 format!("{prefix}/{}", spec.cell_tag()),
@@ -156,8 +144,9 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate;
+    use crate::runner::{replay_cell, simulate};
     use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
+    use popt_sim::HierarchyConfig;
 
     #[test]
     fn popt_beats_grasp_on_uniform_graphs() {
@@ -185,13 +174,10 @@ mod tests {
         let ratio = |g: &Graph| {
             let perm = reorder::random_permutation(g.num_vertices(), 7);
             let g = g.relabel(&perm);
-            let base = simulate(
-                App::Pagerank,
-                &g,
-                &cfg,
-                &PolicySpec::Baseline(PolicyKind::Drrip),
-            );
-            let hats_stats = simulate_bdfs(&g, &cfg);
+            let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
+            let base = simulate(App::Pagerank, &g, &cfg, &drrip);
+            let bdfs = Feed::Bdfs.record(&g, &cfg, None);
+            let hats_stats = replay_cell(App::Pagerank, &g, &cfg, &drrip, None, &bdfs);
             hats_stats.llc.misses as f64 / base.llc.misses as f64
         };
         let community = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);

@@ -3,14 +3,14 @@
 //! Paper claims reproduced: tiling helps both policies, P-OPT reaches a
 //! given miss level with *fewer tiles* than DRRIP ("P-OPT with two tiles
 //! has the same LLC miss reduction as DRRIP with 10 tiles"), and tiling
-//! shrinks P-OPT's resident column (fewer reserved ways).
+//! shrinks P-OPT's resident column (fewer reserved ways). Each tile count
+//! is one [`Feed::Tiled`] recording, shared by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{simulate_tiled, PhasePolicy};
+use crate::runner::{phase_llc, Feed, PhasePolicy};
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_graph::suite::SuiteGraph;
-use std::sync::Arc;
 
 /// Tile counts swept (the paper sweeps 1..10+; powers of two keep tile
 /// boundaries line-aligned).
@@ -27,11 +27,14 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     for entry in &entries {
         for tiles in TILE_COUNTS {
             for (tag, policy) in [("drrip", PhasePolicy::Drrip), ("popt", PhasePolicy::Popt)] {
-                let g = Arc::clone(&entry.graph);
-                let cfg = cfg.clone();
+                let feed = Feed::Tiled { tiles };
                 cells.push(session.cell(
                     format!("fig13/{}/{}/t{tiles}/{tag}", scale.name(), entry.which),
-                    move || simulate_tiled(&g, &cfg, tiles, policy),
+                    &entry.graph,
+                    &entry.desc,
+                    &cfg,
+                    feed,
+                    move |g, cfg, _, stream| phase_llc(g, cfg, feed, policy).replay(stream),
                 ));
             }
         }
@@ -66,6 +69,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::simulate_phase;
     use popt_graph::suite::{suite_graph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -76,8 +80,8 @@ mod tests {
         // small scale.
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        let popt2 = simulate_tiled(&g, &cfg, 2, PhasePolicy::Popt);
-        let drrip4 = simulate_tiled(&g, &cfg, 4, PhasePolicy::Drrip);
+        let popt2 = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 2 }, PhasePolicy::Popt);
+        let drrip4 = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 4 }, PhasePolicy::Drrip);
         assert!(
             popt2.llc.misses <= drrip4.llc.misses * 11 / 10,
             "P-OPT@2 tiles ({}) should roughly match DRRIP@4 tiles ({})",
@@ -91,8 +95,8 @@ mod tests {
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
         for policy in [PhasePolicy::Drrip, PhasePolicy::Popt] {
-            let one = simulate_tiled(&g, &cfg, 1, policy);
-            let four = simulate_tiled(&g, &cfg, 4, policy);
+            let one = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 1 }, policy);
+            let four = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 4 }, policy);
             assert!(
                 four.llc.misses < one.llc.misses,
                 "{policy:?}: 4 tiles ({}) should beat 1 tile ({})",

@@ -3,35 +3,40 @@
 //! Paper claims reproduced: PHI's in-cache update aggregation cuts DRAM
 //! traffic on power-law graphs and barely moves it on URAND/HBUBL (poor
 //! private-cache locality impedes aggregation), better replacement
-//! improves PHI, and P-OPT helps even where PHI does not.
+//! improves PHI, and P-OPT helps even where PHI does not. PB and PHI are
+//! one [`Feed::Pb`] and one [`Feed::Phi`] recording per graph, each shared
+//! by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{simulate_pb, simulate_phi, PhasePolicy};
+use crate::runner::{phase_llc, phi_entries, Feed, PhasePolicy};
 use crate::table::{pct, Table};
 use crate::Scale;
-use std::sync::Arc;
 
 /// Runs the experiment. The metric is DRAM transfers (fills + writebacks)
 /// of the scatter/binning phase, normalized to PB+DRRIP.
 pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     let cfg = scale.config();
     let suite = session.suite(scale);
-    type Phase =
-        fn(&popt_graph::Graph, &popt_sim::HierarchyConfig, PhasePolicy) -> popt_sim::HierarchyStats;
-    const VARIANTS: [(&str, Phase, PhasePolicy); 4] = [
-        ("pb/drrip", simulate_pb, PhasePolicy::Drrip),
-        ("pb/popt", simulate_pb, PhasePolicy::Popt),
-        ("phi/drrip", simulate_phi, PhasePolicy::Drrip),
-        ("phi/popt", simulate_phi, PhasePolicy::Popt),
+    // PHI's capacity follows the LLC, so it is part of the feed.
+    let phi = Feed::Phi {
+        entries: phi_entries(&cfg),
+    };
+    let variants = [
+        ("pb/drrip", Feed::Pb, PhasePolicy::Drrip),
+        ("pb/popt", Feed::Pb, PhasePolicy::Popt),
+        ("phi/drrip", phi, PhasePolicy::Drrip),
+        ("phi/popt", phi, PhasePolicy::Popt),
     ];
     let mut cells = Vec::new();
     for entry in &suite {
-        for (tag, phase, policy) in VARIANTS {
-            let g = Arc::clone(&entry.graph);
-            let cfg = cfg.clone();
+        for (tag, feed, policy) in variants {
             cells.push(session.cell(
                 format!("fig14/{}/{}/{tag}", scale.name(), entry.which),
-                move || phase(&g, &cfg, policy),
+                &entry.graph,
+                &entry.desc,
+                &cfg,
+                feed,
+                move |g, cfg, _, stream| phase_llc(g, cfg, feed, policy).replay(stream),
             ));
         }
     }
@@ -72,16 +77,24 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::simulate_phase;
     use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
     use popt_sim::HierarchyConfig;
+
+    /// The PHI scatter phase's feed under `cfg`'s LLC.
+    fn phi(cfg: &HierarchyConfig) -> Feed {
+        Feed::Phi {
+            entries: phi_entries(cfg),
+        }
+    }
 
     #[test]
     fn phi_cuts_traffic_on_skewed_graphs_more_than_uniform() {
         let cfg = HierarchyConfig::small_test();
         let benefit = |which: SuiteGraph| {
             let g = suite_graph(which, SuiteScale::Small);
-            let pb = simulate_pb(&g, &cfg, PhasePolicy::Drrip).dram_transfers();
-            let phi = simulate_phi(&g, &cfg, PhasePolicy::Drrip).dram_transfers();
+            let pb = simulate_phase(&g, &cfg, Feed::Pb, PhasePolicy::Drrip).dram_transfers();
+            let phi = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
             phi as f64 / pb.max(1) as f64
         };
         let kron = benefit(SuiteGraph::Kron);
@@ -98,8 +111,8 @@ mod tests {
         // the LLC past the aggregation filter; P-OPT must exploit it.
         let cfg = HierarchyConfig::small_test();
         let g = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);
-        let drrip = simulate_phi(&g, &cfg, PhasePolicy::Drrip).dram_transfers();
-        let popt = simulate_phi(&g, &cfg, PhasePolicy::Popt).dram_transfers();
+        let drrip = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
+        let popt = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Popt).dram_transfers();
         assert!(
             popt < drrip,
             "PHI+P-OPT ({popt}) should beat PHI+DRRIP ({drrip}) on uk02"

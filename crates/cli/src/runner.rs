@@ -1,15 +1,19 @@
 //! Simulation plumbing: composes kernels, graphs, hierarchy configurations
 //! and replacement policies into end-to-end trace-driven runs.
 
+use popt_core::prefetch::PrefetchingSink;
 use popt_core::{Encoding, Popt, PoptConfig, Quantization, StreamBinding, Topt};
 use popt_graph::{Graph, VertexId};
 use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Grasp, GraspRegions};
 use popt_sim::{
-    Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcStream, PolicyKind, Recorder, TimingModel,
+    Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcSink, LlcStream, PolicyKind, PrivateLevels,
+    TimingModel,
 };
-use popt_trace::AddressSpace;
+use popt_trace::paging::PageScrambler;
+use popt_trace::TraceSink;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate.
@@ -145,18 +149,6 @@ pub struct MatrixCtx {
     pub graph_desc: String,
 }
 
-impl MatrixCtx {
-    /// Builds (or loads) a Rereference Matrix through the artifact cache.
-    fn matrix(
-        &self,
-        desc: &str,
-        build: impl FnOnce() -> popt_core::RerefMatrix,
-    ) -> Arc<popt_core::RerefMatrix> {
-        self.cache
-            .matrix(&ArtifactKey::new(ArtifactKind::Matrix, desc), build)
-    }
-}
-
 /// Builds the P-OPT stream bindings for a kernel's plan: one Rereference
 /// Matrix per irregular region, built from the traversal's transpose.
 pub fn popt_bindings(
@@ -208,7 +200,8 @@ pub fn popt_bindings_cached(
                         quant.bits(),
                         encoding_tag(encoding),
                     );
-                    ctx.matrix(&desc, build)
+                    let key = ArtifactKey::new(ArtifactKind::Matrix, &desc);
+                    ctx.cache.matrix(&key, build)
                 }
                 None => Arc::new(build()),
             };
@@ -256,7 +249,7 @@ pub fn simulate(app: App, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec)
 /// stream to it as it arrives. Belady, whose oracle needs the whole
 /// stream first, records and then replays. Nothing is kept for later
 /// calls; callers simulating a row of LLC policies over one stream share
-/// the recording through [`record_stream`] and [`replay_cell`] instead.
+/// the recording through [`Feed::record`] and [`replay_cell`] instead.
 ///
 /// # Panics
 ///
@@ -271,42 +264,164 @@ pub fn simulate_cached(
     policy: &PolicySpec,
     ctx: Option<&MatrixCtx>,
 ) -> HierarchyStats {
+    let feed = Feed::Kernel(app);
     if matches!(policy, PolicySpec::Belady) {
-        return replay_cell(app, g, cfg, policy, ctx, &record_stream(app, g, cfg));
+        return replay_cell(app, g, cfg, policy, ctx, &feed.record(g, cfg, ctx));
     }
-    let plan = app.plan(g);
     let Ok(stats) = Hierarchy::pipelined(
         cfg,
-        || policy_llc(app, g, cfg, &plan, policy, ctx),
-        |recorder| drive_kernel(app, g, &plan, recorder),
+        1,
+        || policy_llc(app, g, cfg, &app.plan(g), policy, ctx),
+        |recorder| feed.drive(g, ctx, recorder),
     );
     checked_stats(&stats, || format!("{app} under {policy:?}"))
 }
 
-/// Records the post-L2 request stream of `app` on `g` under `cfg`'s L1
-/// and L2: the kernel and private-level half of a cell. The stream does
-/// not depend on the LLC's configuration or policy, so one recording
-/// serves every [`replay_cell`] whose hierarchy shares those two levels.
-pub fn record_stream(app: App, g: &Graph, cfg: &HierarchyConfig) -> LlcStream {
-    let plan = app.plan(g);
-    let Ok(stream) = Hierarchy::record_llc(cfg, |recorder| drive_kernel(app, g, &plan, recorder));
-    stream
+/// What a cell's private levels are fed: everything its post-L2 stream
+/// depends on besides the graph and the L1/L2 geometry. The LLC never
+/// feeds back into the private levels, so every cell is a recording of
+/// its feed ([`Feed::record`]) plus an LLC that replays it, and cells
+/// whose graph, feed and L1/L2 agree share one recording, whatever their
+/// LLCs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Feed {
+    /// A kernel's single-core trace: the plain (app, graph, policy) cells.
+    Kernel(App),
+    /// PageRank on `cores` cores, interleaved within epoch-serial blocks
+    /// (paper Section V-F).
+    Parallel {
+        /// Cores with their own L1 and L2.
+        cores: usize,
+    },
+    /// PageRank with epoch-ahead prefetching from its 8-bit Rereference
+    /// Matrix (paper Section VIII).
+    Prefetch,
+    /// PageRank preempted by this many evenly spaced context switches
+    /// (paper Section V-F).
+    Switches(usize),
+    /// PageRank with its pages mapped to scattered 4 KiB frames (paper
+    /// Section V-B).
+    PageMap,
+    /// PageRank visiting destinations in HATS-BDFS order (Figure 12b).
+    Bdfs,
+    /// CSR-segmented PageRank (Figure 13).
+    Tiled {
+        /// Number of tiles.
+        tiles: usize,
+    },
+    /// Propagation Blocking's binning phase (Figure 14).
+    Pb,
+    /// The PHI-filtered scatter phase (Figure 14).
+    Phi {
+        /// PHI's aggregation capacity ([`phi_entries`] of the LLC).
+        entries: usize,
+    },
 }
 
-/// Runs `app`'s kernel on `g` into an L1/L2 recorder.
-fn drive_kernel(
-    app: App,
-    g: &Graph,
-    plan: &TracePlan,
-    recorder: &mut Recorder,
-) -> Result<(), std::convert::Infallible> {
-    recorder.set_address_space(&plan.space);
-    app.trace(g, plan, recorder);
-    Ok(())
+/// Seed of [`Feed::PageMap`]'s frame scrambler.
+const PAGE_MAP_SEED: u64 = 0xfeed;
+
+impl From<App> for Feed {
+    fn from(app: App) -> Self {
+        Feed::Kernel(app)
+    }
 }
 
-/// The LLC half of a cell: replays a [`record_stream`] recording into
-/// `policy`'s LLC under `cfg`. Returns exactly the stats
+impl Feed {
+    /// The kernel this feed runs: PageRank unless it is a [`Feed::Kernel`].
+    pub(crate) fn app(self) -> App {
+        match self {
+            Feed::Kernel(app) => app,
+            _ => App::Pagerank,
+        }
+    }
+
+    /// Cores with their own L1 and L2 in this feed's runs.
+    pub(crate) fn cores(self) -> usize {
+        match self {
+            Feed::Parallel { cores } => cores,
+            _ => 1,
+        }
+    }
+
+    /// Records this feed's post-L2 stream on `g` under `cfg`'s L1 and L2:
+    /// the kernel and private-level half of a cell. `ctx` dedupes the
+    /// prefetcher's matrix build. The stream does not depend on the LLC's
+    /// configuration or policy, so one recording serves every LLC that
+    /// replays it.
+    pub fn record(self, g: &Graph, cfg: &HierarchyConfig, ctx: Option<&MatrixCtx>) -> LlcStream {
+        let Ok(stream) = Hierarchy::record_llc(cfg, self.cores(), |r| self.drive(g, ctx, r));
+        stream
+    }
+
+    /// The memory layout of this feed's kernel on `g`.
+    fn plan(self, g: &Graph) -> TracePlan {
+        use popt_kernels::{pagerank, pb, tiled};
+        match self {
+            Feed::Kernel(app) => app.plan(g),
+            Feed::Tiled { .. } => tiled::plan(g),
+            Feed::Pb => pb::plan_pb(g, pb::BinningConfig::for_graph(g)),
+            Feed::Phi { .. } => pb::plan_phi(g),
+            _ => pagerank::plan(g),
+        }
+    }
+
+    /// Feeds this feed's events on `g` to `levels`, whose cores must number
+    /// [`cores`](Feed::cores), with its irregular regions registered.
+    pub(crate) fn drive<S: LlcSink>(
+        self,
+        g: &Graph,
+        ctx: Option<&MatrixCtx>,
+        levels: &mut PrivateLevels<S>,
+    ) -> Result<(), Infallible> {
+        use popt_kernels::{hats, pagerank, pb, tiled};
+        let plan = self.plan(g);
+        levels.set_address_space(&plan.space);
+        match self {
+            Feed::Kernel(app) => app.trace(g, &plan, levels),
+            Feed::Parallel { cores } => {
+                // Serial blocks of one 8-bit epoch stand in for the
+                // epoch-serial execution the paper requires of P-OPT runs.
+                let block = Quantization::EIGHT.epoch_size(g.num_vertices()) as usize;
+                pagerank::trace_parallel(g, &plan, levels, cores, block);
+            }
+            Feed::Prefetch => {
+                let (q, e) = (Quantization::EIGHT, Encoding::InterIntra);
+                let bindings = popt_bindings_cached(App::Pagerank, g, &plan, q, e, ctx);
+                let binding = &bindings[0];
+                let sink = PrefetchingSink::new(levels, &binding.matrix, binding.base);
+                pagerank::trace(g, &plan, sink);
+            }
+            Feed::Switches(switches) => {
+                // Interleave the kernel trace with evenly spaced preemptions.
+                let mut rec = popt_trace::RecordingSink::new();
+                pagerank::trace(g, &plan, &mut rec);
+                let events = rec.into_events();
+                let period = events.len() / (switches + 1);
+                for (i, event) in events.into_iter().enumerate() {
+                    if i > 0 && i % period == 0 {
+                        levels.context_switch();
+                    }
+                    levels.event(event);
+                }
+            }
+            Feed::PageMap => pagerank::trace(g, &plan, PageScrambler::new(levels, PAGE_MAP_SEED)),
+            Feed::Bdfs => {
+                let order = hats::bdfs_order(g, hats::DEFAULT_DEPTH_BOUND);
+                pagerank::trace_ordered(g, &plan, levels, Some(&order));
+            }
+            Feed::Tiled { tiles } => {
+                tiled::trace(g, &popt_graph::tiling::segment(g, tiles), &plan, levels);
+            }
+            Feed::Pb => pb::trace_pb(g, pb::BinningConfig::for_graph(g), &plan, levels),
+            Feed::Phi { entries } => pb::trace_phi(g, entries, &plan, levels),
+        }
+        Ok(())
+    }
+}
+
+/// The LLC half of a [`Feed::Kernel`] cell: replays a recording of `app`
+/// on `g` into `policy`'s LLC under `cfg`. Returns exactly the stats
 /// [`simulate_cached`] returns for the same arguments, checked the same
 /// way.
 ///
@@ -332,7 +447,10 @@ pub fn replay_cell(
 
 /// Returns `stats` after asserting [`HierarchyStats::check`]; `what` names
 /// the run in the panic message.
-fn checked_stats(stats: &HierarchyStats, what: impl FnOnce() -> String) -> HierarchyStats {
+pub(crate) fn checked_stats(
+    stats: &HierarchyStats,
+    what: impl FnOnce() -> String,
+) -> HierarchyStats {
     if let Err(violation) = stats.check() {
         panic!("{}: {violation}", what());
     }
@@ -418,32 +536,8 @@ pub fn popt_llc(cfg: &HierarchyConfig, mut config: PoptConfig, limit_study: bool
     })
 }
 
-/// Runs one custom simulation: `drive` feeds a run's events to `cores`
-/// L1/L2 pairs of `cfg` above `llc`, with `space`'s irregular regions
-/// registered, and the stats are checked like every cell's. This is the
-/// one path of the runs that are not a plain (app, graph, policy) cell:
-/// more than one core, a prefetcher, context switches, a page mapping, a
-/// custom visit order, tiling, PB and PHI.
-///
-/// # Panics
-///
-/// Panics, like [`simulate_cached`], if the stats break a conservation
-/// law of [`HierarchyStats::check`]; `what` names the run.
-pub fn simulate_custom(
-    cfg: &HierarchyConfig,
-    cores: usize,
-    llc: Llc,
-    space: &AddressSpace,
-    what: &str,
-    drive: impl FnOnce(&mut Hierarchy),
-) -> HierarchyStats {
-    let mut h = Hierarchy::with_llc(cfg, cores, llc);
-    h.set_address_space(space);
-    drive(&mut h);
-    checked_stats(&h.stats(), || what.to_string())
-}
-
-/// LLC policy choice for the special-phase runners (tiled PR, PB, PHI).
+/// LLC policy choice for the phase feeds: [`Feed::Tiled`], [`Feed::Pb`]
+/// and [`Feed::Phi`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhasePolicy {
     /// DRRIP baseline.
@@ -452,14 +546,62 @@ pub enum PhasePolicy {
     Popt,
 }
 
-impl PhasePolicy {
-    /// This policy's LLC under `cfg`; `popt` builds the phase's P-OPT LLC.
-    fn llc(self, cfg: &HierarchyConfig, popt: impl FnOnce() -> Llc) -> Llc {
-        match self {
-            PhasePolicy::Drrip => Llc::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways)),
-            PhasePolicy::Popt => popt(),
-        }
+/// The LLC of a phase feed's run on `g` under `policy`: DRRIP, or P-OPT
+/// over the phase's own Rereference Matrix — the bins' transpose for
+/// [`Feed::Pb`], the in-CSC for [`Feed::Phi`]'s push-style scatter, and
+/// one matrix per tile for [`Feed::Tiled`] (Figures 13 and 14).
+///
+/// # Panics
+///
+/// Panics under P-OPT if `feed` is not a phase feed.
+pub(crate) fn phase_llc(g: &Graph, cfg: &HierarchyConfig, feed: Feed, policy: PhasePolicy) -> Llc {
+    use popt_kernels::pb;
+    if policy == PhasePolicy::Drrip {
+        return Llc::new(cfg, |sets, ways| PolicyKind::Drrip.build(sets, ways));
     }
+    let plan = feed.plan(g);
+    let region = plan.space.region(plan.irregs[0].region);
+    let matrix = match feed {
+        Feed::Tiled { tiles } => return tiled_popt_llc(g, cfg, region, tiles),
+        Feed::Pb => {
+            let bins = pb::BinningConfig::for_graph(g);
+            let transpose = pb::bin_transpose(g, bins);
+            let (q, e) = (Quantization::EIGHT, Encoding::InterIntra);
+            popt_core::RerefMatrix::build_range(&transpose, 0, bins.num_bins, 1, 1, q, e)
+        }
+        Feed::Phi { .. } => popt_core::preprocess::build_parallel(
+            g.in_csr(),
+            region.elems_per_line() as u32,
+            1,
+            Quantization::EIGHT,
+            Encoding::InterIntra,
+            preprocess_threads(),
+        ),
+        _ => panic!("{feed:?} is not a phase feed"),
+    };
+    let binding = StreamBinding {
+        base: region.base(),
+        bound: region.bound(),
+        matrix: Arc::new(matrix),
+    };
+    popt_llc(cfg, PoptConfig::new(vec![binding]), false)
+}
+
+/// Runs a phase feed on `g` under `cfg`: records its stream and replays it
+/// into [`phase_llc`]'s LLC for `policy`.
+///
+/// # Panics
+///
+/// Panics under P-OPT if `feed` is not a phase feed, and if the stats
+/// break a conservation law of [`HierarchyStats::check`].
+pub fn simulate_phase(
+    g: &Graph,
+    cfg: &HierarchyConfig,
+    feed: Feed,
+    policy: PhasePolicy,
+) -> HierarchyStats {
+    let stats = phase_llc(g, cfg, feed, policy).replay(&feed.record(g, cfg, None));
+    checked_stats(&stats, || format!("{feed:?} under {policy:?}"))
 }
 
 /// Wrapper policy for CSR-segmented execution: each tile is a separate
@@ -532,106 +674,61 @@ impl popt_sim::ReplacementPolicy for TiledPopt {
     }
 }
 
-/// Simulates CSR-segmented (tiled) PageRank (Figure 13).
-///
-/// Panics, like [`simulate_cached`], if the stats break a conservation
-/// law of [`HierarchyStats::check`].
-pub fn simulate_tiled(
+/// Tiled P-OPT under `cfg` for `num_tiles` tiles of `g` whose source
+/// data is `src_region`: each tile's pass brings its own matrix.
+fn tiled_popt_llc(
     g: &Graph,
     cfg: &HierarchyConfig,
+    src_region: &popt_trace::Region,
     num_tiles: usize,
-    policy: PhasePolicy,
-) -> HierarchyStats {
-    use popt_kernels::tiled;
-    let plan = tiled::plan(g);
-    let tiles = popt_graph::tiling::segment(g, num_tiles);
-    let llc = policy.llc(cfg, || {
-        let src_region = plan.space.region(plan.irregs[0].region);
-        let configs: Vec<PoptConfig> = tiles
-            .iter()
-            .map(|tile| {
-                // The tile's transpose: only this tile's edges, in the
-                // push direction (src -> dst), over global IDs.
-                let edges: Vec<(VertexId, VertexId)> =
-                    tile.csc.iter_edges().map(|(dst, src)| (src, dst)).collect();
-                let transpose = popt_graph::Csr::from_edges(g.num_vertices(), &edges)
-                    .expect("tile edges come from the graph");
-                let matrix = popt_core::RerefMatrix::build_range(
-                    &transpose,
-                    tile.src_begin,
-                    tile.src_span(),
-                    src_region.elems_per_line() as u32,
-                    1,
-                    Quantization::EIGHT,
-                    Encoding::InterIntra,
-                );
-                PoptConfig::new(vec![StreamBinding {
-                    base: src_region.base() + tile.src_begin as u64 * src_region.elem_size(),
-                    bound: src_region.base() + tile.src_end as u64 * src_region.elem_size(),
-                    matrix: Arc::new(matrix),
-                }])
-            })
-            .collect();
-        // Only one tile's columns are resident at a time: reserve for the
-        // largest tile (the Figure 13 capacity win).
-        let largest = configs
-            .iter()
-            .map(|c| c.streams.as_slice())
-            .max_by_key(|streams| {
-                streams
-                    .iter()
-                    .map(|s| s.matrix.resident_bytes())
-                    .sum::<u64>()
-            })
-            .unwrap_or_default();
-        let cfg = cfg
-            .clone()
-            .with_reserved_ways(reserved_ways_for(largest, cfg));
-        let mut configs = Some(configs);
-        Llc::new(&cfg, |sets, ways| {
-            Box::new(TiledPopt::new(
-                configs.take().expect("single-bank LLC for tiled P-OPT"),
-                sets,
-                ways,
-            ))
+) -> Llc {
+    let configs: Vec<PoptConfig> = popt_graph::tiling::segment(g, num_tiles)
+        .iter()
+        .map(|tile| {
+            // The tile's transpose: only this tile's edges, in the push
+            // direction (src -> dst), over global IDs.
+            let edges: Vec<(VertexId, VertexId)> =
+                tile.csc.iter_edges().map(|(dst, src)| (src, dst)).collect();
+            let transpose = popt_graph::Csr::from_edges(g.num_vertices(), &edges)
+                .expect("tile edges come from the graph");
+            let matrix = popt_core::RerefMatrix::build_range(
+                &transpose,
+                tile.src_begin,
+                tile.src_span(),
+                src_region.elems_per_line() as u32,
+                1,
+                Quantization::EIGHT,
+                Encoding::InterIntra,
+            );
+            PoptConfig::new(vec![StreamBinding {
+                base: src_region.base() + tile.src_begin as u64 * src_region.elem_size(),
+                bound: src_region.base() + tile.src_end as u64 * src_region.elem_size(),
+                matrix: Arc::new(matrix),
+            }])
         })
-    });
-    let what = format!("tiled PageRank x{num_tiles} under {policy:?}");
-    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
-        tiled::trace(g, &tiles, &plan, h);
-    })
-}
-
-/// Simulates the Propagation Blocking binning phase (Figure 14).
-///
-/// Panics, like [`simulate_cached`], if the stats break a conservation
-/// law of [`HierarchyStats::check`].
-pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> HierarchyStats {
-    use popt_kernels::pb;
-    let bins = pb::BinningConfig::for_graph(g);
-    let plan = pb::plan_pb(g, bins);
-    let llc = policy.llc(cfg, || {
-        let region = plan.space.region(plan.irregs[0].region);
-        let transpose = pb::bin_transpose(g, bins);
-        let matrix = Arc::new(popt_core::RerefMatrix::build_range(
-            &transpose,
-            0,
-            bins.num_bins,
-            1,
-            1,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-        ));
-        let binding = StreamBinding {
-            base: region.base(),
-            bound: region.bound(),
-            matrix,
-        };
-        popt_llc(cfg, PoptConfig::new(vec![binding]), false)
-    });
-    let what = format!("PB binning under {policy:?}");
-    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
-        pb::trace_pb(g, bins, &plan, h);
+        .collect();
+    // Only one tile's columns are resident at a time: reserve for the
+    // largest tile (the Figure 13 capacity win).
+    let largest = configs
+        .iter()
+        .map(|c| c.streams.as_slice())
+        .max_by_key(|streams| {
+            streams
+                .iter()
+                .map(|s| s.matrix.resident_bytes())
+                .sum::<u64>()
+        })
+        .unwrap_or_default();
+    let cfg = cfg
+        .clone()
+        .with_reserved_ways(reserved_ways_for(largest, cfg));
+    let mut configs = Some(configs);
+    Llc::new(&cfg, |sets, ways| {
+        Box::new(TiledPopt::new(
+            configs.take().expect("single-bank LLC for tiled P-OPT"),
+            sets,
+            ways,
+        ))
     })
 }
 
@@ -640,37 +737,6 @@ pub fn simulate_pb(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> Hie
 /// capacity scales with the LLC (one 8 B accumulator per line-half).
 pub fn phi_entries(cfg: &HierarchyConfig) -> usize {
     (cfg.llc.size_bytes() / 8).max(1)
-}
-
-/// Simulates the PHI-filtered scatter phase (Figure 14).
-///
-/// Panics, like [`simulate_cached`], if the stats break a conservation
-/// law of [`HierarchyStats::check`].
-pub fn simulate_phi(g: &Graph, cfg: &HierarchyConfig, policy: PhasePolicy) -> HierarchyStats {
-    use popt_kernels::pb;
-    let plan = pb::plan_phi(g);
-    let llc = policy.llc(cfg, || {
-        // Push-style scatter: the transpose is the in-CSC, as for CC.
-        let region = plan.space.region(plan.irregs[0].region);
-        let matrix = Arc::new(popt_core::preprocess::build_parallel(
-            g.in_csr(),
-            region.elems_per_line() as u32,
-            1,
-            Quantization::EIGHT,
-            Encoding::InterIntra,
-            preprocess_threads(),
-        ));
-        let binding = StreamBinding {
-            base: region.base(),
-            bound: region.bound(),
-            matrix,
-        };
-        popt_llc(cfg, PoptConfig::new(vec![binding]), false)
-    });
-    let what = format!("PHI scatter under {policy:?}");
-    simulate_custom(cfg, 1, llc, &plan.space, &what, |h| {
-        pb::trace_phi(g, phi_entries(cfg), &plan, h);
-    })
 }
 
 /// Convenience bundle: a baseline result and the metrics derived from it.

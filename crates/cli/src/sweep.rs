@@ -69,7 +69,7 @@ pub struct SweepSummary {
     pub failed: Vec<String>,
     /// Artifact-cache counters at completion.
     pub counters: popt_harness::CacheCounters,
-    /// LLC streams recorded and replayed by the sim cells.
+    /// LLC streams recorded, and replayed by every executed cell.
     pub streams: StreamCounters,
 }
 

@@ -247,7 +247,7 @@ fn record_file(
 ) -> Result<(LlcStream, ReplayStats), String> {
     let reader = std::fs::File::open(file).map_err(|e| format!("{}: {e}", file.display()))?;
     let mut stats = ReplayStats::default();
-    let stream = Hierarchy::record_llc(cfg, |recorder| {
+    let stream = Hierarchy::record_llc(cfg, 1, |recorder| {
         recorder.set_address_space(&app.plan(g).space);
         stats = replay_any(std::io::BufReader::new(reader), recorder)?;
         Ok(())

@@ -101,7 +101,7 @@ fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
         assert!(m.contains(family), "missing {family} in:\n{m}");
     }
     // The daemon's cells share LLC streams exactly as the offline sweep's
-    // do: fewer kernel + L1/L2 passes than sim cells.
+    // do: fewer kernel + L1/L2 passes than cells.
     let streams = summary.streams;
     assert!(
         0 < streams.recorded && streams.recorded < streams.replayed,

@@ -9,6 +9,7 @@
 //! epoch executes.
 
 use crate::RerefMatrix;
+use popt_sim::{LlcSink, PrivateLevels};
 
 /// Lines of the irregular array that are referenced during `epoch`
 /// (candidates to prefetch before the epoch starts).
@@ -51,15 +52,16 @@ impl<'a> EpochPrefetcher<'a> {
 }
 
 /// Trace-sink adapter that drives an epoch-ahead prefetcher alongside a
-/// simulated hierarchy: every event is forwarded, and on each epoch
-/// transition the next epoch's referenced irregular lines are installed
-/// into the LLC via [`popt_sim::Hierarchy::prefetch_fill`].
+/// hierarchy's private levels (live or recording): every event is
+/// forwarded, and on each epoch transition the next epoch's referenced
+/// irregular lines are installed into the LLC via
+/// [`PrivateLevels::prefetch_fill`].
 ///
 /// This is the concrete form of the paper's future-work remark that "next
 /// references in a graph's transpose could also be used for timely
 /// prefetching of irregular data" (Section VIII).
-pub struct PrefetchingSink<'a> {
-    hierarchy: &'a mut popt_sim::Hierarchy,
+pub struct PrefetchingSink<'a, S> {
+    levels: &'a mut PrivateLevels<S>,
     matrix: &'a RerefMatrix,
     /// Base byte address of the irregular region the matrix describes.
     region_base: u64,
@@ -67,16 +69,16 @@ pub struct PrefetchingSink<'a> {
     issued: u64,
 }
 
-impl<'a> PrefetchingSink<'a> {
-    /// Wraps `hierarchy`, prefetching lines of the region at `region_base`
+impl<'a, S: LlcSink> PrefetchingSink<'a, S> {
+    /// Wraps `levels`, prefetching lines of the region at `region_base`
     /// as described by `matrix`.
     pub fn new(
-        hierarchy: &'a mut popt_sim::Hierarchy,
+        levels: &'a mut PrivateLevels<S>,
         matrix: &'a RerefMatrix,
         region_base: u64,
     ) -> Self {
         PrefetchingSink {
-            hierarchy,
+            levels,
             matrix,
             region_base,
             planned_epoch: None,
@@ -97,18 +99,18 @@ impl<'a> PrefetchingSink<'a> {
         self.planned_epoch = Some(epoch);
         for line in lines_referenced_in_epoch(self.matrix, epoch as usize + 1) {
             let addr = self.region_base + line as u64 * popt_trace::LINE_SIZE;
-            self.hierarchy.prefetch_fill(addr);
+            self.levels.prefetch_fill(addr);
             self.issued += 1;
         }
     }
 }
 
-impl popt_trace::TraceSink for PrefetchingSink<'_> {
+impl<S: LlcSink> popt_trace::TraceSink for PrefetchingSink<'_, S> {
     fn event(&mut self, event: popt_trace::TraceEvent) {
         if let popt_trace::TraceEvent::CurrentVertex(v) = event {
             self.plan(v);
         }
-        self.hierarchy.event(event);
+        self.levels.event(event);
     }
 }
 

@@ -25,7 +25,7 @@ pub struct CellSummary {
     pub resumed: u64,
     /// LLC streams recorded (kernel + L1/L2 passes run).
     pub streams_recorded: u64,
-    /// LLC replays run, one per executed sim cell.
+    /// LLC replays run, one per executed cell.
     pub streams_replayed: u64,
 }
 

@@ -248,8 +248,7 @@ pub struct PrivateLevels<S> {
 pub type Hierarchy = PrivateLevels<Llc>;
 
 /// Private levels recording the post-L2 stream, with no LLC below them:
-/// what [`Hierarchy::record_llc`] and [`Hierarchy::pipelined`] drive, with
-/// one core.
+/// what [`Hierarchy::record_llc`] and [`Hierarchy::pipelined`] drive.
 pub type Recorder = PrivateLevels<ChunkRecorder>;
 
 impl<S> std::fmt::Debug for PrivateLevels<S> {
@@ -296,7 +295,7 @@ impl Hierarchy {
     }
 
     /// Records the post-L2 request stream of one run under `cfg`'s L1 and
-    /// L2. `drive` feeds the run's events to a single core's private
+    /// L2. `drive` feeds the run's events to `num_cores` cores' private
     /// levels, which have no LLC below them, so the stream serves any LLC
     /// configuration and policy: [`Llc::replay`] and
     /// [`Llc::belady_from_stream`] consume it.
@@ -304,18 +303,23 @@ impl Hierarchy {
     /// # Errors
     ///
     /// Returns `drive`'s error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_cores` is zero.
     pub fn record_llc<E>(
         cfg: &HierarchyConfig,
+        num_cores: usize,
         drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
     ) -> Result<LlcStream, E> {
-        let mut recorder = Recorder::recording(cfg, 1, ChunkSink::Keep(Vec::new()));
+        let mut recorder = Recorder::recording(cfg, num_cores, ChunkSink::Keep(Vec::new()));
         drive(&mut recorder)?;
         Ok(recorder.finish())
     }
 
     /// One run on two threads, with the stats of running `drive`'s events
-    /// through `cfg`'s L1 and L2 above `build_llc`'s LLC. The calling
-    /// thread runs `drive` into the recorder of
+    /// through `num_cores` cores' L1 and L2 of `cfg` above `build_llc`'s
+    /// LLC. The calling thread runs `drive` into the recorder of
     /// [`record_llc`](Hierarchy::record_llc). A scoped second thread calls
     /// `build_llc` (the policies are built where they run) and applies
     /// each 4096-op chunk as it arrives over a bounded channel, so the LLC
@@ -329,11 +333,13 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Re-raises, with its original payload, a panic on the LLC thread
-    /// (a policy assert, say) once `drive` has returned; a panic in `drive`
-    /// ends the LLC thread and propagates.
+    /// Panics if `num_cores` is zero. Re-raises, with its original
+    /// payload, a panic on the LLC thread (a policy assert, say) once
+    /// `drive` has returned; a panic in `drive` ends the LLC thread and
+    /// propagates.
     pub fn pipelined<E>(
         cfg: &HierarchyConfig,
+        num_cores: usize,
         build_llc: impl FnOnce() -> Llc + Send,
         drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
     ) -> Result<HierarchyStats, E> {
@@ -350,7 +356,7 @@ impl Hierarchy {
                 }
                 llc.stats(private)
             });
-            let mut recorder = Recorder::recording(cfg, 1, ChunkSink::Send(sender));
+            let mut recorder = Recorder::recording(cfg, num_cores, ChunkSink::Send(sender));
             let driven = drive(&mut recorder);
             // Either way the recorder's sender goes, closing the channel:
             // the LLC thread drains it and returns.
@@ -843,7 +849,7 @@ mod tests {
 
     /// Records `drive`'s post-L2 stream under `cfg`.
     fn record_run(cfg: &HierarchyConfig, drive: impl FnOnce(&mut Recorder)) -> LlcStream {
-        let Ok(stream) = Hierarchy::record_llc(cfg, |h| {
+        let Ok(stream) = Hierarchy::record_llc(cfg, 1, |h| {
             drive(h);
             Ok::<(), std::convert::Infallible>(())
         });
@@ -998,9 +1004,10 @@ mod tests {
         // into any LLC as the live two-core run of that LLC.
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        let mut recorder = Recorder::recording(&cfg, 2, ChunkSink::Keep(Vec::new()));
-        two_core_drive(&mut recorder);
-        let stream = recorder.finish();
+        let Ok(stream) = Hierarchy::record_llc(&cfg, 2, |h| {
+            two_core_drive(h);
+            Ok::<(), std::convert::Infallible>(())
+        });
         for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
             let mut live = Hierarchy::with_cores(&cfg, 2, |s, w| kind.build(s, w));
             two_core_drive(&mut live);
@@ -1011,6 +1018,16 @@ mod tests {
             );
             let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
             assert_eq!(replay, live, "{kind:?}");
+            let piped = Hierarchy::pipelined(
+                &cfg,
+                2,
+                || Llc::new(&cfg, |s, w| kind.build(s, w)),
+                |h| {
+                    two_core_drive(h);
+                    Ok::<(), std::convert::Infallible>(())
+                },
+            );
+            assert_eq!(piped, Ok(live), "{kind:?}");
         }
     }
 
@@ -1083,7 +1100,7 @@ mod tests {
             LLC_CHUNK + 1,
             3 * LLC_CHUNK + 7,
         ] {
-            let stream = Hierarchy::record_llc(&cfg, |h| exact_ops(h, ops)).unwrap();
+            let stream = Hierarchy::record_llc(&cfg, 1, |h| exact_ops(h, ops)).unwrap();
             let lens: Vec<usize> = stream.chunks.iter().map(Vec::len).collect();
             assert_eq!(lens.iter().sum::<usize>(), ops, "{ops} ops");
             assert_eq!(lens.len(), ops.div_ceil(LLC_CHUNK), "{ops} ops: {lens:?}");
@@ -1093,6 +1110,7 @@ mod tests {
                 exact_ops(&mut live, ops).unwrap();
                 let piped = Hierarchy::pipelined(
                     &cfg,
+                    1,
                     || Llc::new(&cfg, |s, w| kind.build(s, w)),
                     |h| exact_ops(h, ops),
                 );
@@ -1149,6 +1167,7 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
+                1,
                 || Llc::new(&cfg, |_, _| Box::new(RogueVictim)),
                 |h| exact_ops(h, 20 * PIPELINE_DEPTH * LLC_CHUNK),
             )
@@ -1168,6 +1187,7 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
+                1,
                 || lru_llc(&cfg),
                 |h| {
                     exact_ops(h, 5 * LLC_CHUNK)?;
@@ -1184,6 +1204,7 @@ mod tests {
             let cfg = HierarchyConfig::small_test();
             Hierarchy::pipelined(
                 &cfg,
+                1,
                 || lru_llc(&cfg),
                 |h| -> Result<(), String> {
                     exact_ops(h, 5 * LLC_CHUNK)?;

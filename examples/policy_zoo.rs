@@ -66,7 +66,7 @@ fn main() {
 
     // Belady's MIN: record the LLC stream once, then replay it into the
     // oracle's LLC.
-    let Ok(stream) = Hierarchy::record_llc(&cfg, |h| {
+    let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
         h.set_address_space(&plan.space);
         app.trace(&g, &plan, h);
         Ok::<(), std::convert::Infallible>(())

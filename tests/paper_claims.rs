@@ -2,7 +2,7 @@
 //! small reproduction scale. Each test cites the claim it guards.
 
 use p_opt::prelude::*;
-use popt_cli::runner::{simulate, simulate_pb, simulate_phi, PhasePolicy, PolicySpec};
+use popt_cli::runner::{phi_entries, simulate, simulate_phase, Feed, PhasePolicy, PolicySpec};
 use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
 
 fn cfg() -> HierarchyConfig {
@@ -11,6 +11,13 @@ fn cfg() -> HierarchyConfig {
 
 fn g(which: SuiteGraph) -> Graph {
     suite_graph(which, SuiteScale::Small)
+}
+
+/// The PHI scatter phase's feed under `cfg`'s LLC.
+fn phi(cfg: &HierarchyConfig) -> Feed {
+    Feed::Phi {
+        entries: phi_entries(cfg),
+    }
 }
 
 /// Section III-B: "T-OPT reduces misses by 1.67x on average compared to
@@ -171,8 +178,8 @@ fn phi_is_structure_sensitive_but_popt_is_not() {
     let cfg = cfg();
     let phi_gain = |which: SuiteGraph| {
         let g = g(which);
-        let pb = simulate_pb(&g, &cfg, PhasePolicy::Drrip).dram_transfers() as f64;
-        let phi = simulate_phi(&g, &cfg, PhasePolicy::Drrip).dram_transfers() as f64;
+        let pb = simulate_phase(&g, &cfg, Feed::Pb, PhasePolicy::Drrip).dram_transfers() as f64;
+        let phi = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers() as f64;
         pb / phi.max(1.0)
     };
     assert!(
@@ -188,8 +195,8 @@ fn phi_is_structure_sensitive_but_popt_is_not() {
     let mut strict_wins = 0;
     for which in SuiteGraph::ALL {
         let g = g(which);
-        let phi_drrip = simulate_phi(&g, &cfg, PhasePolicy::Drrip).dram_transfers();
-        let phi_popt = simulate_phi(&g, &cfg, PhasePolicy::Popt).dram_transfers();
+        let phi_drrip = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
+        let phi_popt = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Popt).dram_transfers();
         assert!(
             phi_popt as f64 <= phi_drrip as f64 * 1.05,
             "{which}: PHI+P-OPT {phi_popt} must stay within 5% of PHI+DRRIP {phi_drrip}"
