@@ -5,8 +5,9 @@
 //! preprocessing step that runs before execution" (Section IV-B), and "the
 //! Rereference Matrix is algorithm agnostic and needs to be created only
 //! once for a graph" (Section VII-D). Construction is embarrassingly
-//! parallel over matrix rows (cache lines), so this module fans rows out
-//! across worker threads with `crossbeam::scope`.
+//! parallel over matrix rows (cache lines), so this module fans runs of
+//! rows out across worker threads with `crossbeam::scope`; every run goes
+//! through the same row routine as the serial builders.
 
 use crate::{reref, Encoding, Quantization, RerefMatrix};
 use popt_graph::Csr;
@@ -38,42 +39,22 @@ pub fn build_parallel(
     threads: usize,
 ) -> RerefMatrix {
     assert!(threads > 0, "need at least one worker thread");
-    let mut m = RerefMatrix::empty_shell(
-        transpose.num_vertices(),
-        elems_per_line,
-        vertices_per_elem,
-        quant,
-        encoding,
-    );
-    let num_lines = m.num_lines();
+    let n = transpose.num_vertices();
+    let vertices_per_line = reref::line_vertices(elems_per_line, vertices_per_elem);
+    let mut m = RerefMatrix::shell(n, 0, n, vertices_per_line, quant, encoding);
     let num_epochs = m.num_epochs();
-    if num_lines == 0 {
-        return m;
-    }
-    let epoch_size = m.epoch_size();
-    let sub_epoch_size = m.sub_epoch_size_raw();
-    let num_sub_epochs = m.num_sub_epochs_raw();
-    let mut data = m.take_data();
-    let rows_per_chunk = num_lines.div_ceil(threads);
+    let mut data = vec![0; m.num_lines() * num_epochs];
+    let rows_per_run = m.num_lines().div_ceil(threads).max(1);
     crossbeam::thread::scope(|scope| {
-        for (chunk_idx, chunk) in data.chunks_mut(rows_per_chunk * num_epochs).enumerate() {
-            let m_ref = &m;
-            scope.spawn(move |_| {
-                let first_line = chunk_idx * rows_per_chunk;
-                let mut refs = Vec::new();
-                for (i, row) in chunk.chunks_mut(num_epochs).enumerate() {
-                    m_ref.collect_line_refs(transpose, first_line + i, &mut refs);
-                    reref::fill_row(
-                        row,
-                        &refs,
-                        epoch_size,
-                        sub_epoch_size,
-                        num_sub_epochs,
-                        quant,
-                        encoding,
-                    );
-                }
-            });
+        let m = &m;
+        let mut runs = data.chunks_mut(rows_per_run * num_epochs).enumerate();
+        // The calling thread builds the last run itself.
+        let last = runs.next_back();
+        for (i, rows) in runs {
+            scope.spawn(move |_| m.fill_lines(transpose, i * rows_per_run, rows));
+        }
+        if let Some((i, rows)) = last {
+            m.fill_lines(transpose, i * rows_per_run, rows);
         }
     })
     .expect("matrix build worker panicked");

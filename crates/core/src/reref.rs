@@ -99,60 +99,30 @@ impl RerefMatrix {
         quant: Quantization,
         encoding: Encoding,
     ) -> Self {
-        let mut m = Self::shell_range(
+        let mut m = Self::shell(
             transpose.num_vertices(),
             first_vertex,
             covered_vertices,
-            elems_per_line,
-            vertices_per_elem,
+            line_vertices(elems_per_line, vertices_per_elem),
             quant,
             encoding,
         );
-        let mut refs = Vec::new();
-        for line in 0..m.num_lines {
-            m.collect_line_refs(transpose, line, &mut refs);
-            let row_start = line * m.num_epochs;
-            let row = {
-                // Split borrow: the row being written never aliases `refs`.
-                let data = &mut m.data;
-                &mut data[row_start..row_start + m.num_epochs]
-            };
-            fill_row(
-                row,
-                &refs,
-                m.epoch_size,
-                m.sub_epoch_size,
-                m.num_sub_epochs,
-                quant,
-                encoding,
-            );
-        }
+        let mut data = vec![0; m.num_lines * m.num_epochs];
+        m.fill_lines(transpose, 0, &mut data);
+        m.set_data(data);
         m
     }
 
-    /// Allocates the matrix shape without filling entries (rows default to
-    /// "never referenced"). Used by the parallel builder.
-    pub(crate) fn empty_shell(
-        num_vertices: usize,
-        elems_per_line: u32,
-        vertices_per_elem: u32,
-        quant: Quantization,
-        encoding: Encoding,
-    ) -> Self {
-        Self::shell_range(
-            num_vertices,
-            0,
-            num_vertices,
-            elems_per_line,
-            vertices_per_elem,
-            quant,
-            encoding,
-        )
-    }
-
-    /// Range-scoped shell with an explicit vertices-per-line granularity
-    /// (deserialization support).
-    pub(crate) fn empty_shell_range(
+    /// The matrix geometry with no entries: [`set_data`](Self::set_data)
+    /// supplies them. Epoch geometry quantizes `num_vertices` outer-loop
+    /// vertices; rows cover irregular-array vertices
+    /// `[first_vertex, first_vertex + covered_vertices)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the covered range exceeds the vertex space or
+    /// `first_vertex` is not aligned to a line boundary.
+    pub(crate) fn shell(
         num_vertices: usize,
         first_vertex: u32,
         covered_vertices: usize,
@@ -160,34 +130,11 @@ impl RerefMatrix {
         quant: Quantization,
         encoding: Encoding,
     ) -> Self {
-        Self::shell_range(
-            num_vertices,
-            first_vertex,
-            covered_vertices,
-            vertices_per_line,
-            1,
-            quant,
-            encoding,
-        )
-    }
-
-    fn shell_range(
-        num_vertices: usize,
-        first_vertex: u32,
-        covered_vertices: usize,
-        elems_per_line: u32,
-        vertices_per_elem: u32,
-        quant: Quantization,
-        encoding: Encoding,
-    ) -> Self {
+        assert!(vertices_per_line > 0, "granularities must be positive");
         assert!(
-            elems_per_line > 0 && vertices_per_elem > 0,
-            "granularities must be positive"
-        );
-        let vertices_per_line = elems_per_line * vertices_per_elem;
-        assert!(
-            first_vertex as usize + covered_vertices
-                <= num_vertices.max(first_vertex as usize + covered_vertices),
+            (first_vertex as usize)
+                .checked_add(covered_vertices)
+                .is_some_and(|end| end <= num_vertices),
             "covered range must fit the vertex space"
         );
         assert_eq!(
@@ -200,7 +147,6 @@ impl RerefMatrix {
         let epoch_size = quant.epoch_size(num_vertices);
         let num_sub_epochs = encoding.num_sub_epochs(quant);
         let sub_epoch_size = epoch_size.div_ceil(num_sub_epochs).max(1);
-        let absent = RawEntry::absent(None, quant, encoding).0;
         RerefMatrix {
             quant,
             encoding,
@@ -213,22 +159,77 @@ impl RerefMatrix {
             sub_epoch_size,
             num_sub_epochs,
             vertices_per_line,
-            data: vec![absent; num_lines * num_epochs],
+            data: Vec::new(),
         }
     }
 
-    /// Gathers the sorted outer-loop reference positions of every vertex in
-    /// `line` (the merge of their transpose neighbor lists).
-    pub(crate) fn collect_line_refs(&self, transpose: &Csr, line: usize, refs: &mut Vec<VertexId>) {
-        refs.clear();
-        let lo = self.first_vertex as u64 + line as u64 * self.vertices_per_line as u64;
-        let cap = (self.first_vertex as u64 + self.covered_vertices as u64)
-            .min(transpose.num_vertices() as u64);
-        let hi = (lo + self.vertices_per_line as u64).min(cap);
-        for v in lo..hi {
-            refs.extend_from_slice(transpose.neighbors(v as VertexId));
+    /// Writes the rows of lines `first_line..` into `rows` (whole rows,
+    /// row-major) from `transpose`: the row routine of every builder.
+    ///
+    /// Each reference raises its epoch's slot in a per-epoch scratch buffer
+    /// to the latest position seen: a max, so reference order does not
+    /// matter and nothing is gathered or sorted. The reverse pass then
+    /// encodes the row and clears the slots, so one buffer serves every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transpose` does not span the matrix's outer loop or
+    /// `rows` runs past the last line.
+    pub(crate) fn fill_lines(&self, transpose: &Csr, first_line: usize, rows: &mut [u16]) {
+        assert_eq!(
+            transpose.num_vertices(),
+            self.num_vertices,
+            "transpose must span the outer loop"
+        );
+        assert!(
+            rows.len().is_multiple_of(self.num_epochs)
+                && first_line * self.num_epochs + rows.len() <= self.num_lines * self.num_epochs,
+            "rows must be whole rows within the matrix"
+        );
+        let (quant, encoding) = (self.quant, self.encoding);
+        let epoch_of = Reciprocal::new(self.epoch_size);
+        let sub_epoch_of = Reciprocal::new(self.sub_epoch_size);
+        let last_sub = self.num_sub_epochs - 1;
+        // Per epoch: 1 + the line's latest reference position, 0 if none.
+        let mut latest = vec![0u32; self.num_epochs];
+        // Covered vertices fit the 32-bit vertex space (asserted by `shell`).
+        let end = cast::exact::<u32, usize>(self.first_vertex as usize + self.covered_vertices);
+        let mut lo = cast::exact::<u32, usize>(
+            self.first_vertex as usize + first_line * self.vertices_per_line as usize,
+        );
+        for row in rows.chunks_exact_mut(self.num_epochs) {
+            let hi = lo.saturating_add(self.vertices_per_line).min(end);
+            for v in lo..hi {
+                for &r in transpose.neighbors(v) {
+                    // r < num_vertices, so its epoch always has a slot.
+                    if let Some(slot) = latest.get_mut(epoch_of.apply(u64::from(r))) {
+                        *slot = (*slot).max(r + 1);
+                    }
+                }
+            }
+            lo = hi;
+            // Reverse pass: `distance` counts epochs to the next referencing
+            // epoch, u32::MAX while there is none.
+            let mut distance = u32::MAX;
+            let mut next_present = false;
+            for (e, (entry, slot)) in row.iter_mut().zip(&mut latest).enumerate().rev() {
+                let seen = std::mem::take(slot);
+                let present = seen != 0;
+                *entry = if present {
+                    distance = 0;
+                    // The epoch's start lies at or below `seen - 1`.
+                    let start = e as u64 * u64::from(self.epoch_size);
+                    let sub = sub_epoch_of.apply(u64::from(seen - 1) - start);
+                    let sub = cast::saturate::<u32, usize>(sub).min(last_sub);
+                    RawEntry::present(sub, next_present, quant, encoding).0
+                } else {
+                    // `absent` saturates the distance at the ∞ sentinel.
+                    distance = distance.saturating_add(1);
+                    RawEntry::absent(Some(distance), quant, encoding).0
+                };
+                next_present = present;
+            }
         }
-        refs.sort_unstable();
     }
 
     /// The raw entry for (`line`, `epoch`). Out-of-range epochs read as
@@ -375,12 +376,8 @@ impl RerefMatrix {
         self.num_lines as u64 * self.num_epochs as u64 * self.quant.bytes_per_entry()
     }
 
-    /// Moves the backing storage out (parallel builder support).
-    pub(crate) fn take_data(&mut self) -> Vec<u16> {
-        std::mem::take(&mut self.data)
-    }
-
-    /// Restores backing storage taken with [`take_data`](Self::take_data).
+    /// Installs entry storage for a [`shell`](Self::shell) (builders and
+    /// deserialization).
     pub(crate) fn set_data(&mut self, data: Vec<u16>) {
         assert_eq!(
             data.len(),
@@ -389,55 +386,35 @@ impl RerefMatrix {
         );
         self.data = data;
     }
-
-    pub(crate) fn sub_epoch_size_raw(&self) -> u32 {
-        self.sub_epoch_size
-    }
-
-    pub(crate) fn num_sub_epochs_raw(&self) -> u32 {
-        self.num_sub_epochs
-    }
 }
 
-/// Fills one row from the sorted reference list of its line.
-pub(crate) fn fill_row(
-    row: &mut [u16],
-    refs: &[VertexId],
-    epoch_size: u32,
-    sub_epoch_size: u32,
-    num_sub_epochs: u32,
-    quant: Quantization,
-    encoding: Encoding,
-) {
-    let num_epochs = row.len();
-    // Pass 1: mark present epochs with their final-access sub-epoch.
-    // `present[e]` holds Some(last_sub) after the scan.
-    let mut last_sub: Vec<Option<u32>> = vec![None; num_epochs];
-    for &r in refs {
-        let epoch_idx = r / epoch_size;
-        let e = epoch_idx as usize;
-        let sub = ((r - epoch_idx * epoch_size) / sub_epoch_size).min(num_sub_epochs - 1);
-        last_sub[e] = Some(match last_sub[e] {
-            Some(prev) => prev.max(sub),
-            None => sub,
-        });
+/// Vertices one matrix row covers.
+///
+/// # Panics
+///
+/// Panics if the product overflows the 32-bit vertex space.
+pub(crate) fn line_vertices(elems_per_line: u32, vertices_per_elem: u32) -> u32 {
+    cast::exact(u64::from(elems_per_line) * u64::from(vertices_per_elem))
+}
+
+/// Exact `n / d` for every 32-bit `n` by one widening multiply: with
+/// `m = ⌈2^64 / d⌉`, `m·d − 2^64 < d ≤ 2^32`, so `⌊n·m / 2^64⌋ = ⌊n / d⌋`
+/// (Granlund & Montgomery, PLDI 1994, Theorem 4.2 with N = l = 32).
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal(u128);
+
+impl Reciprocal {
+    fn new(d: u32) -> Self {
+        assert!(d > 0, "divisor must be positive");
+        Reciprocal((u128::from(u64::MAX) / u128::from(d)) + 1)
     }
-    // Pass 2 (reverse): distances to the next referencing epoch.
-    let mut next_ref_epoch: Option<usize> = None;
-    for e in (0..num_epochs).rev() {
-        row[e] = match last_sub[e] {
-            Some(sub) => {
-                let accessed_next = e + 1 < num_epochs && last_sub[e + 1].is_some();
-                let entry = RawEntry::present(sub, accessed_next, quant, encoding);
-                next_ref_epoch = Some(e);
-                entry.0
-            }
-            None => {
-                // Epoch indices fit u32 by construction (≤ 2^quant.bits()).
-                let distance = next_ref_epoch.map(|n| cast::exact::<u32, usize>(n - e));
-                RawEntry::absent(distance, quant, encoding).0
-            }
-        };
+
+    /// `⌊n / d⌋`, exact for `n < 2^32`.
+    // The quotient of a 32-bit `n` fits any `usize` this crate targets.
+    #[allow(clippy::cast_possible_truncation)]
+    #[inline]
+    fn apply(self, n: u64) -> usize {
+        ((u128::from(n) * self.0) >> 64) as usize
     }
 }
 
@@ -623,7 +600,7 @@ mod tests {
         // lines, and 4B per srcData element, 8-bit quantization yields a
         // Rereference Matrix column size of 2MB (2M lines * 1B)".
         let quant = Quantization::EIGHT;
-        let shell = RerefMatrix::empty_shell(32_000_000, 16, 1, quant, Encoding::InterIntra);
+        let shell = RerefMatrix::shell(32_000_000, 0, 32_000_000, 16, quant, Encoding::InterIntra);
         assert_eq!(shell.num_lines(), 2_000_000);
         assert_eq!(shell.column_bytes(), 2_000_000);
         assert_eq!(shell.resident_bytes(), 4_000_000); // two columns
@@ -664,6 +641,166 @@ mod tests {
         let t = popt_graph::Csr::from_edges(64, &[(0, 1)]).unwrap();
         let _ =
             RerefMatrix::build_range(&t, 3, 32, 16, 1, Quantization::EIGHT, Encoding::InterIntra);
+    }
+
+    #[test]
+    #[should_panic(expected = "covered range must fit the vertex space")]
+    fn tile_past_the_vertex_space_is_rejected() {
+        let t = popt_graph::Csr::from_edges(64, &[(0, 1)]).unwrap();
+        let _ =
+            RerefMatrix::build_range(&t, 48, 32, 16, 1, Quantization::EIGHT, Encoding::InterIntra);
+    }
+
+    #[test]
+    fn reciprocal_divides_exactly() {
+        let divisors = [
+            1u32,
+            2,
+            3,
+            5,
+            7,
+            63,
+            127,
+            641,
+            3907,
+            125_000,
+            1 << 31,
+            u32::MAX,
+        ];
+        for d in divisors {
+            let r = Reciprocal::new(d);
+            let probes = [
+                0u32,
+                1,
+                d - 1,
+                d,
+                d.saturating_add(1),
+                u32::MAX / 2,
+                u32::MAX - 1,
+                u32::MAX,
+            ];
+            let multiples = (1..64u32).filter_map(|k| d.checked_mul(k));
+            for n in probes.into_iter().chain(multiples.flat_map(|m| [m - 1, m])) {
+                assert_eq!(r.apply(u64::from(n)), (n / d) as usize, "{n} / {d}");
+            }
+        }
+    }
+
+    /// The builder this crate used before the one-pass row routine, kept
+    /// as the oracle: it gathers each line's references, sorts them, and
+    /// scans them with two divisions apiece into a fresh per-row buffer.
+    fn naive_build_range(
+        transpose: &Csr,
+        first_vertex: u32,
+        covered_vertices: usize,
+        vertices_per_line: u32,
+        quant: Quantization,
+        encoding: Encoding,
+    ) -> RerefMatrix {
+        let mut m = RerefMatrix::shell(
+            transpose.num_vertices(),
+            first_vertex,
+            covered_vertices,
+            vertices_per_line,
+            quant,
+            encoding,
+        );
+        let (es, ses, nse) = (m.epoch_size, m.sub_epoch_size, m.num_sub_epochs);
+        let end = first_vertex as usize + covered_vertices;
+        let vpl = vertices_per_line as usize;
+        let mut data = vec![0; m.num_lines * m.num_epochs];
+        for (line, row) in data.chunks_mut(m.num_epochs).enumerate() {
+            let lo = first_vertex as usize + line * vpl;
+            let mut refs: Vec<VertexId> = (lo..(lo + vpl).min(end))
+                .flat_map(|v| transpose.neighbors(cast::exact(v)).iter().copied())
+                .collect();
+            refs.sort_unstable();
+            let mut last_sub: Vec<Option<u32>> = vec![None; row.len()];
+            for &r in &refs {
+                let e = r / es;
+                let sub = ((r - e * es) / ses).min(nse - 1);
+                let slot = &mut last_sub[e as usize];
+                *slot = Some(slot.map_or(sub, |prev| prev.max(sub)));
+            }
+            let mut next_ref_epoch: Option<usize> = None;
+            for e in (0..row.len()).rev() {
+                row[e] = match last_sub[e] {
+                    Some(sub) => {
+                        let accessed_next = e + 1 < row.len() && last_sub[e + 1].is_some();
+                        next_ref_epoch = Some(e);
+                        RawEntry::present(sub, accessed_next, quant, encoding).0
+                    }
+                    None => {
+                        let distance = next_ref_epoch.map(|n| cast::exact::<u32, usize>(n - e));
+                        RawEntry::absent(distance, quant, encoding).0
+                    }
+                };
+            }
+        }
+        m.set_data(data);
+        m
+    }
+
+    /// Every builder against [`naive_build_range`] over quantization ×
+    /// encoding × granularity × worker count: whole-graph builds (serial
+    /// and parallel) and an aligned tile starting a third of the way in.
+    fn assert_builders_match_the_naive_oracle(graph: &Graph) {
+        let grains = [(1, 1), (4, 1), (16, 1), (16, 64)];
+        let encodings = [
+            Encoding::InterOnly,
+            Encoding::InterIntra,
+            Encoding::SingleEpoch,
+        ];
+        for transpose in [graph.out_csr(), graph.in_csr()] {
+            let n = transpose.num_vertices();
+            for bits in [2, 4, 8, 16] {
+                let quant = Quantization::new(bits);
+                for encoding in encodings {
+                    for (epl, vpe) in grains {
+                        let vpl = epl * vpe;
+                        let what = format!("n={n} q{bits} {encoding} {epl}x{vpe}");
+                        let naive = naive_build_range(transpose, 0, n, vpl, quant, encoding);
+                        assert_eq!(
+                            RerefMatrix::build(transpose, epl, vpe, quant, encoding),
+                            naive,
+                            "build {what}"
+                        );
+                        for threads in [1, 2, 3, 7] {
+                            let parallel = crate::preprocess::build_parallel(
+                                transpose, epl, vpe, quant, encoding, threads,
+                            );
+                            assert_eq!(parallel, naive, "build_parallel x{threads} {what}");
+                        }
+                        let first = cast::exact::<u32, usize>(n / 3) / vpl * vpl;
+                        let covered = (n - first as usize).div_ceil(2);
+                        assert_eq!(
+                            RerefMatrix::build_range(
+                                transpose, first, covered, epl, vpe, quant, encoding
+                            ),
+                            naive_build_range(transpose, first, covered, vpl, quant, encoding),
+                            "build_range [{first}, +{covered}) {what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn builders_match_the_naive_oracle_on_small_graphs() {
+        use popt_graph::generators::{rmat, uniform_random, RmatParams};
+        assert_builders_match_the_naive_oracle(&rmat(8, 2000, RmatParams::KRONECKER, 9));
+        assert_builders_match_the_naive_oracle(&uniform_random(300, 2000, 4));
+        assert_builders_match_the_naive_oracle(&Graph::from_edges(0, &[]).unwrap());
+        assert_builders_match_the_naive_oracle(&Graph::from_edges(1, &[]).unwrap());
+        assert_builders_match_the_naive_oracle(&Graph::from_edges(1, &[(0, 0)]).unwrap());
+    }
+
+    #[test]
+    #[ignore = "large grid; run with --release -- --ignored"]
+    fn builders_match_the_naive_oracle_on_a_large_rmat_graph() {
+        use popt_graph::generators::{rmat, RmatParams};
+        assert_builders_match_the_naive_oracle(&rmat(12, 8 << 12, RmatParams::KRONECKER, 3));
     }
 
     #[test]

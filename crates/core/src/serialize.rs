@@ -135,16 +135,18 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
         *f = u64::from_le_bytes(u64buf);
     }
     let [outer, first, covered, vpl] = fields;
-    if vpl == 0 || first % vpl != 0 || first + covered > outer.max(first + covered) {
+    // Header fields are untrusted input: the outer loop must fit the
+    // 32-bit vertex space, and the covered rows must fit the outer loop.
+    let fits =
+        outer <= u64::from(u32::MAX) && first.checked_add(covered).is_some_and(|end| end <= outer);
+    if vpl == 0 || first % vpl != 0 || !fits {
         return Err(MatrixFileError::Format("inconsistent geometry".into()));
     }
-    // Header fields are untrusted input: reject rather than wrap values
-    // beyond the 32-bit vertex space.
     let first = cast::narrow::<u32, u64>(first)
         .map_err(|e| MatrixFileError::Format(format!("first vertex: {e}")))?;
     let vpl = cast::narrow::<u32, u64>(vpl)
         .map_err(|e| MatrixFileError::Format(format!("vertices per line: {e}")))?;
-    let mut matrix = RerefMatrix::empty_shell_range(
+    let mut matrix = RerefMatrix::shell(
         outer as usize,
         first,
         covered as usize,
@@ -153,7 +155,9 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
         encoding,
     );
     let expected = matrix.num_lines() * matrix.num_epochs();
-    let mut data = Vec::with_capacity(expected);
+    // Grow with the entries actually read: a corrupt header must not
+    // reserve its claimed size up front.
+    let mut data = Vec::with_capacity(expected.min(1 << 20));
     let mut u16buf = [0u8; 2];
     for _ in 0..expected {
         input
@@ -161,7 +165,6 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
             .map_err(|_| MatrixFileError::Format("truncated entries".into()))?;
         data.push(u16::from_le_bytes(u16buf));
     }
-    matrix.take_data(); // discard the blank shell storage
     matrix.set_data(data);
     Ok(matrix)
 }
@@ -240,5 +243,58 @@ mod tests {
         let mut bad = buf.clone();
         bad[9] = 77;
         assert!(read_matrix(&bad[..]).is_err());
+    }
+
+    /// A file whose geometry header reads `[outer, first, covered, vpl]`,
+    /// 8-bit inter+intra, with no entries.
+    fn header(fields: [u64; 4]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&[8, encoding_tag(Encoding::InterIntra)]);
+        for f in fields {
+            buf.extend_from_slice(&f.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Reads `header(fields)` followed by `entries` zero entries, so a
+    /// complete payload leaves only the geometry check to reject it.
+    fn assert_format_error(fields: [u64; 4], entries: usize, what: &str) {
+        let mut buf = header(fields);
+        buf.resize(buf.len() + 2 * entries, 0);
+        match read_matrix(&buf[..]) {
+            Err(MatrixFileError::Format(m)) => assert!(m.contains("geometry"), "{what}: {m}"),
+            other => panic!("{what}: expected a geometry error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn outer_loop_beyond_the_vertex_space_is_a_format_error() {
+        assert_format_error([1 << 40, 0, 16, 16], 0, "outer = 2^40");
+        assert_format_error([u64::from(u32::MAX) + 1, 0, 16, 16], 0, "outer = 2^32");
+    }
+
+    #[test]
+    fn covered_rows_beyond_the_outer_loop_are_a_format_error() {
+        // 64 outer vertices at 8 bits: 64 epochs of one vertex each.
+        assert_format_error([64, 0, 65, 1], 65 * 64, "covered > outer");
+        assert_format_error([64, 48, 32, 16], 2 * 64, "first + covered > outer");
+    }
+
+    #[test]
+    fn overflowing_covered_range_is_a_format_error() {
+        assert_format_error([64, u64::MAX - 15, 32, 16], 2 * 64, "first + covered wraps");
+    }
+
+    #[test]
+    fn oversized_geometry_reads_as_truncated() {
+        // The largest consistent geometry claims 2^48 entries; with none
+        // in the file it must fail as truncated, not reserve them.
+        let max = u64::from(u32::MAX);
+        let mut buf = header([max, 0, max, 1]);
+        buf[8] = 16;
+        match read_matrix(&buf[..]) {
+            Err(MatrixFileError::Format(m)) => assert!(m.contains("truncated"), "{m}"),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
     }
 }
