@@ -7,7 +7,7 @@
 //! is one [`Feed::Tiled`] recording, shared by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{phase_llc, Feed, PhasePolicy};
+use crate::runner::{Feed, LlcSpec, PhasePolicy};
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_graph::suite::SuiteGraph;
@@ -34,7 +34,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
                     &entry.desc,
                     &cfg,
                     feed,
-                    move |g, cfg, _, stream| phase_llc(g, cfg, feed, policy).replay(stream),
+                    LlcSpec::Phase(policy),
                 ));
             }
         }

@@ -8,7 +8,7 @@
 //! by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{phase_llc, phi_entries, Feed, PhasePolicy};
+use crate::runner::{phi_entries, Feed, LlcSpec, PhasePolicy};
 use crate::table::{pct, Table};
 use crate::Scale;
 
@@ -36,7 +36,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
                 &entry.desc,
                 &cfg,
                 feed,
-                move |g, cfg, _, stream| phase_llc(g, cfg, feed, policy).replay(stream),
+                LlcSpec::Phase(policy),
             ));
         }
     }

@@ -4,7 +4,7 @@
 //! capacity (the reserved-column fraction shrinks) and with associativity
 //! (more eviction candidates per decision).
 
-use crate::exec::{Session, SuiteEntry};
+use crate::exec::{Cell, Session, SuiteEntry};
 use crate::experiments::geomean;
 use crate::runner::PolicySpec;
 use crate::table::{pct, Table};
@@ -19,7 +19,7 @@ pub const ASSOCIATIVITIES: [usize; 3] = [8, 16, 32];
 
 fn submit_reduction_cells(
     session: &Session,
-    cells: &mut Vec<popt_harness::SweepCell<'static>>,
+    cells: &mut Vec<Cell>,
     prefix: &str,
     cfg: &HierarchyConfig,
     suite: &[SuiteEntry],

@@ -8,7 +8,7 @@
 //! - `sweep_manifest.jsonl` — the resume journal: a killed sweep restarted
 //!   with the same arguments re-simulates only the unfinished cells;
 //! - `sweep_report.{csv,txt}` + `sweep_summary.json` — per-cell wall-time
-//!   metrics and the run-level executed/resumed/cache/stream-counter
+//!   metrics and the run-level executed/resumed/shared/cache/stream-counter
 //!   digest.
 //!
 //! The result tables land next to them under the exact historical file
@@ -18,7 +18,7 @@
 use crate::exec::{Session, StreamCounters};
 use crate::experiments::{emit_tables, find_experiment, Runner, EXPERIMENTS};
 use crate::Scale;
-use popt_harness::{ArtifactCache, Manifest};
+use popt_harness::{ArtifactCache, CellOutcome, Manifest};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -64,6 +64,9 @@ pub struct SweepSummary {
     pub executed: usize,
     /// Cells replayed from the resume journal.
     pub resumed: usize,
+    /// Cells that took the stats of an equal cell (same content key) of
+    /// this run instead of simulating.
+    pub shared: usize,
     /// Experiments with at least one failed cell, in registry order. A
     /// non-empty list makes the `sweep` subcommand exit nonzero.
     pub failed: Vec<String>,
@@ -83,12 +86,13 @@ impl SweepSummary {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"failed\":[{}],\"cache\":{},\"streams\":{}}}\n",
+            "{{\"scale\":\"{}\",\"jobs\":{},\"cells\":{},\"executed\":{},\"resumed\":{},\"shared\":{},\"failed\":[{}],\"cache\":{},\"streams\":{}}}\n",
             scale.name(),
             jobs,
-            self.executed + self.resumed,
+            self.executed + self.resumed + self.shared,
             self.executed,
             self.resumed,
+            self.shared,
             failed,
             self.counters.to_json(),
             self.streams.to_json(),
@@ -172,8 +176,9 @@ pub fn run_sweep(opts: &SweepOptions) -> std::io::Result<SweepSummary> {
         }
     }
     let summary = SweepSummary {
-        executed: session.executed(),
-        resumed: session.resumed(),
+        executed: session.count(CellOutcome::Executed),
+        resumed: session.count(CellOutcome::Resumed),
+        shared: session.count(CellOutcome::Shared),
         failed,
         counters: cache.counters(),
         streams: session.stream_counters(),
@@ -212,6 +217,7 @@ mod tests {
         let mut s = SweepSummary {
             executed: 3,
             resumed: 2,
+            shared: 4,
             failed: Vec::new(),
             counters: popt_harness::CacheCounters {
                 graph_hits: 4,
@@ -228,7 +234,7 @@ mod tests {
         };
         assert_eq!(
             s.to_json(Scale::Tiny, 2),
-            "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":5,\"executed\":3,\"resumed\":2,\"failed\":[],\
+            "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":9,\"executed\":3,\"resumed\":2,\"shared\":4,\"failed\":[],\
              \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2},\
              \"streams\":{\"recorded\":1,\"replayed\":3,\"peak_live\":1}}\n"
         );

@@ -2,6 +2,7 @@
 //! result CSVs byte-identical to the offline `experiments sweep`, and a
 //! restarted daemon resumes from its manifests instead of re-simulating.
 
+use popt_cli::exec::StreamCounters;
 use popt_cli::serve::ExperimentCellRunner;
 use popt_cli::sweep::{run_sweep, SweepOptions};
 use popt_cli::Scale;
@@ -51,16 +52,23 @@ fn result_csvs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
     let selection = ["fig2", "fig7"];
-    // Offline reference.
+    // Offline reference: one sweep per experiment, as the daemon runs one
+    // session per request (a single sweep of both would share fig7's DRRIP
+    // cells with fig2's).
     let offline = scratch("offline");
-    let summary = run_sweep(&SweepOptions {
-        scale: Scale::Tiny,
-        jobs: 2,
-        out: offline.clone(),
-        only: selection.iter().map(|s| s.to_string()).collect(),
-        inject_fail: None,
-    })
-    .unwrap();
+    let mut streams = StreamCounters::default();
+    for experiment in selection {
+        let summary = run_sweep(&SweepOptions {
+            scale: Scale::Tiny,
+            jobs: 2,
+            out: offline.clone(),
+            only: vec![experiment.to_string()],
+            inject_fail: None,
+        })
+        .unwrap();
+        streams.recorded += summary.streams.recorded;
+        streams.replayed += summary.streams.replayed;
+    }
 
     // The same selection through the daemon.
     let served = scratch("daemon");
@@ -100,9 +108,8 @@ fn daemon_sweep_matches_offline_sweep_byte_for_byte() {
     ] {
         assert!(m.contains(family), "missing {family} in:\n{m}");
     }
-    // The daemon's cells share LLC streams exactly as the offline sweep's
+    // The daemon's cells share LLC streams exactly as the offline sweeps'
     // do: fewer kernel + L1/L2 passes than cells.
-    let streams = summary.streams;
     assert!(
         0 < streams.recorded && streams.recorded < streams.replayed,
         "{streams:?}"

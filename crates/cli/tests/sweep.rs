@@ -78,7 +78,8 @@ fn warm_cache_rerun_resimulates_and_rebuilds_nothing() {
     let manifest_after_first = std::fs::read(dir.join("sweep_manifest.jsonl")).unwrap();
     let second = run_sweep(&opts(dir.clone(), 2, &selection)).unwrap();
     assert_eq!(second.executed, 0, "warm run re-simulates nothing");
-    assert_eq!(second.resumed, first.executed);
+    assert_eq!(second.shared, 0, "journaled cells resume by id");
+    assert_eq!(second.resumed, first.executed + first.shared);
     assert_eq!(second.counters.graph_builds, 0, "no graph regeneration");
     assert_eq!(second.counters.matrix_builds, 0, "no matrix rebuilds");
     assert_eq!(
@@ -116,8 +117,8 @@ fn failing_cells_fail_the_sweep_but_spare_the_rest() {
     assert!(fixed.executed > 0, "previously failing cells now simulate");
     assert!(fixed.resumed > 0, "healthy cells replay from the journal");
     assert_eq!(
-        fixed.executed + fixed.resumed,
-        summary.executed + summary.resumed + fixed.executed,
+        fixed.executed + fixed.resumed + fixed.shared,
+        summary.executed + summary.resumed + summary.shared + fixed.executed,
         "no healthy cell was re-simulated"
     );
     let files = result_files(&dir);
@@ -141,10 +142,17 @@ fn interrupted_sweep_resumes_only_unfinished_cells() {
         resumed.resumed, partial.executed,
         "every fig2 cell replays from the journal"
     );
-    assert!(resumed.executed > 0, "fig4 cells still simulate");
+    assert!(resumed.executed > 0, "fig4's T-OPT cells still simulate");
+    assert!(
+        resumed.shared > 0,
+        "fig4's baseline cells take the stats fig2's journal holds for their keys"
+    );
     // And the combined run is now fully journaled: a third run is all
     // replay.
     let third = run_sweep(&opts(dir, 2, &["fig2", "fig4"])).unwrap();
     assert_eq!(third.executed, 0);
-    assert_eq!(third.resumed, partial.executed + resumed.executed);
+    assert_eq!(
+        third.resumed,
+        partial.executed + resumed.executed + resumed.shared
+    );
 }

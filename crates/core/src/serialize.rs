@@ -9,9 +9,16 @@
 
 use crate::cast;
 use crate::{Encoding, Quantization, RerefMatrix};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 
 const MAGIC: &[u8; 8] = b"POPTRRM1";
+
+/// Bytes before the entries: magic, quantization bits, encoding tag and
+/// four 64-bit geometry fields.
+const HEADER_BYTES: usize = MAGIC.len() + 2 + 4 * 8;
+
+/// Entries [`read_matrix`] reads per bulk read.
+const READ_CHUNK_ENTRIES: usize = 1 << 16;
 
 /// Error for matrix (de)serialization.
 #[derive(Debug)]
@@ -78,25 +85,27 @@ fn encoding_from_tag(tag: u8) -> Result<Encoding, MatrixFileError> {
 /// assert_eq!(m, back);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn write_matrix<W: Write>(matrix: &RerefMatrix, writer: W) -> Result<(), MatrixFileError> {
-    let mut out = BufWriter::new(writer);
-    out.write_all(MAGIC)?;
-    out.write_all(&[
+pub fn write_matrix<W: Write>(matrix: &RerefMatrix, mut writer: W) -> Result<(), MatrixFileError> {
+    let entries = matrix.raw_data();
+    let mut out = Vec::with_capacity(HEADER_BYTES + 2 * entries.len());
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&[
         matrix.quantization().bits(),
         encoding_tag(matrix.encoding()),
-    ])?;
+    ]);
     for v in [
         matrix.outer_vertices() as u64,
         matrix.first_vertex() as u64,
         matrix.covered_vertices() as u64,
         matrix.vertices_per_line() as u64,
     ] {
-        out.write_all(&v.to_le_bytes())?;
+        out.extend_from_slice(&v.to_le_bytes());
     }
-    for &entry in matrix.raw_data() {
-        out.write_all(&entry.to_le_bytes())?;
+    for &entry in entries {
+        out.extend_from_slice(&entry.to_le_bytes());
     }
-    out.flush()?;
+    writer.write_all(&out)?;
+    writer.flush()?;
     Ok(())
 }
 
@@ -155,15 +164,21 @@ pub fn read_matrix<R: Read>(reader: R) -> Result<RerefMatrix, MatrixFileError> {
         encoding,
     );
     let expected = matrix.num_lines() * matrix.num_epochs();
-    // Grow with the entries actually read: a corrupt header must not
-    // reserve its claimed size up front.
+    // Grow with the entries actually read, in bounded chunks: a corrupt
+    // header must not reserve its claimed size up front.
     let mut data = Vec::with_capacity(expected.min(1 << 20));
-    let mut u16buf = [0u8; 2];
-    for _ in 0..expected {
+    let mut chunk = vec![0u8; 2 * expected.min(READ_CHUNK_ENTRIES)];
+    while data.len() < expected {
+        let bytes = 2 * (expected - data.len()).min(READ_CHUNK_ENTRIES);
+        let chunk = &mut chunk[..bytes];
         input
-            .read_exact(&mut u16buf)
+            .read_exact(chunk)
             .map_err(|_| MatrixFileError::Format("truncated entries".into()))?;
-        data.push(u16::from_le_bytes(u16buf));
+        data.extend(
+            chunk
+                .chunks_exact(2)
+                .map(|pair| u16::from_le_bytes([pair[0], pair[1]])),
+        );
     }
     matrix.set_data(data);
     Ok(matrix)
@@ -243,6 +258,30 @@ mod tests {
         let mut bad = buf.clone();
         bad[9] = 77;
         assert!(read_matrix(&bad[..]).is_err());
+    }
+
+    #[test]
+    fn a_payload_one_byte_short_is_a_format_error() {
+        // More entries than one bulk read, so the payload spans chunks.
+        let g = generators::uniform_random(8192, 40_000, 3);
+        let m = RerefMatrix::build(
+            g.out_csr(),
+            16,
+            1,
+            Quantization::EIGHT,
+            Encoding::InterIntra,
+        );
+        assert!(m.raw_data().len() > READ_CHUNK_ENTRIES);
+        let mut buf = Vec::new();
+        write_matrix(&m, &mut buf).unwrap();
+        assert_eq!(buf.len(), HEADER_BYTES + 2 * m.raw_data().len());
+        assert_eq!(read_matrix(&buf[..]).unwrap(), m);
+        for cut in [1, 2 * (m.raw_data().len() - READ_CHUNK_ENTRIES) + 1] {
+            match read_matrix(&buf[..buf.len() - cut]) {
+                Err(MatrixFileError::Format(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+                other => panic!("{cut} bytes short: {other:?}"),
+            }
+        }
     }
 
     /// A file whose geometry header reads `[outer, first, covered, vpl]`,

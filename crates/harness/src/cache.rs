@@ -282,7 +282,7 @@ fn load_graph(path: &Path) -> Option<Graph> {
 /// Loads a matrix artifact; same miss semantics as [`load_graph`].
 fn load_matrix(path: &Path) -> Option<RerefMatrix> {
     let file = std::fs::File::open(path).ok()?;
-    match serialize::read_matrix(std::io::BufReader::new(file)) {
+    match serialize::read_matrix(file) {
         Ok(m) => Some(m),
         Err(e) => {
             eprintln!("artifact cache: discarding corrupt {}: {e}", path.display());

@@ -6,9 +6,9 @@
 //! wait in one shared queue in submission order, and each worker takes
 //! the next job whenever it finishes one. Cells take milliseconds to
 //! seconds, so the one lock is never contended, and jobs *start* in
-//! submission order: the cells of a group that
-//! [`SweepSession::run_cells`](crate::SweepSession::run_cells) placed
-//! back to back run together, never spread across the whole batch.
+//! submission order: cells a caller submitted back to back (those sharing
+//! one recorded stream, say) run together, never spread across the whole
+//! batch.
 //!
 //! Scheduling order is nondeterministic; **result order is not**: outputs
 //! are returned in submission order regardless of which worker ran what,

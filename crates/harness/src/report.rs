@@ -1,8 +1,8 @@
 //! Per-cell wall-time/throughput aggregation: the sweep report.
 //!
 //! The report is the *performance* side-channel of a sweep — wall times,
-//! throughput, and which cells were resumed from the journal versus
-//! executed. It lives next to the results CSVs but is deliberately not
+//! throughput, and which cells were executed, resumed from the journal
+//! or shared with an equal cell. It lives next to the results CSVs but is deliberately not
 //! part of the byte-identical determinism contract (wall clocks aren't
 //! deterministic); rows are still emitted in sorted cell order so diffs
 //! between runs line up.
@@ -18,6 +18,9 @@ pub enum CellOutcome {
     Executed,
     /// Replayed from the run manifest (a previous run finished it).
     Resumed,
+    /// Not simulated: another cell of the session with the same content
+    /// key was, and this cell took its stats.
+    Shared,
     /// The simulation panicked; no stats exist and nothing was journaled.
     Failed,
 }
@@ -27,6 +30,7 @@ impl CellOutcome {
         match self {
             CellOutcome::Executed => "executed",
             CellOutcome::Resumed => "resumed",
+            CellOutcome::Shared => "shared",
             CellOutcome::Failed => "failed",
         }
     }
@@ -39,7 +43,7 @@ pub struct CellMetric {
     pub cell: String,
     /// How the result materialized.
     pub outcome: CellOutcome,
-    /// Wall-clock simulation time (zero for resumed cells).
+    /// Wall-clock simulation time (zero for resumed and shared cells).
     pub wall: Duration,
     /// Instructions the simulation retired.
     pub instructions: u64,
@@ -100,28 +104,9 @@ impl SweepReport {
         &self.rows
     }
 
-    /// Cells simulated in this run.
-    pub fn executed(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.outcome == CellOutcome::Executed)
-            .count()
-    }
-
-    /// Cells replayed from the journal.
-    pub fn resumed(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.outcome == CellOutcome::Resumed)
-            .count()
-    }
-
-    /// Cells whose simulation panicked.
-    pub fn failed(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.outcome == CellOutcome::Failed)
-            .count()
+    /// Cells whose result materialized as `outcome`.
+    pub fn count(&self, outcome: CellOutcome) -> usize {
+        self.rows.iter().filter(|r| r.outcome == outcome).count()
     }
 
     /// Total wall time spent simulating (excludes resumed cells).
@@ -149,17 +134,18 @@ impl SweepReport {
 
     /// A human-oriented summary (slowest cells first).
     pub fn to_text(&self) -> String {
-        let failures = self.failed();
+        let failures = self.count(CellOutcome::Failed);
         let failed_note = if failures > 0 {
             format!(", {failures} FAILED")
         } else {
             String::new()
         };
         let mut out = format!(
-            "sweep report: {} cells ({} executed, {} resumed{failed_note}), {:.3}s simulated wall time\n",
+            "sweep report: {} cells ({} executed, {} resumed, {} shared{failed_note}), {:.3}s simulated wall time\n",
             self.rows.len(),
-            self.executed(),
-            self.resumed(),
+            self.count(CellOutcome::Executed),
+            self.count(CellOutcome::Resumed),
+            self.count(CellOutcome::Shared),
             self.total_wall().as_secs_f64(),
         );
         let mut by_cost: Vec<&CellMetric> = self
@@ -221,8 +207,9 @@ mod tests {
             ),
         ]);
         assert_eq!(report.rows()[0].cell, "fig4/a");
-        assert_eq!(report.executed(), 1);
-        assert_eq!(report.resumed(), 1);
+        assert_eq!(report.count(CellOutcome::Executed), 1);
+        assert_eq!(report.count(CellOutcome::Resumed), 1);
+        assert_eq!(report.count(CellOutcome::Shared), 0);
         assert_eq!(report.total_wall(), Duration::from_millis(500));
     }
 
@@ -263,7 +250,7 @@ mod tests {
             ),
         ]);
         let text = report.to_text();
-        assert!(text.starts_with("sweep report: 2 cells (2 executed, 0 resumed)"));
+        assert!(text.starts_with("sweep report: 2 cells (2 executed, 0 resumed, 0 shared)"));
         let b_pos = text.find("  b\n").unwrap();
         let a_pos = text.find("  a\n").unwrap();
         assert!(b_pos < a_pos, "slowest first");
