@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_llc, replay_cell, Feed, PolicySpec};
+use popt_cli::runner::{policy_llc, Feed, LlcSpec, PolicySpec};
 use popt_kernels::App;
 use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
@@ -51,9 +51,11 @@ fn cell_drive(c: &mut Criterion) {
         })
     });
     // What a sweep cell costs once its row's stream is recorded.
-    let stream = Feed::Kernel(App::Pagerank).record(&g, &cfg, None);
+    let feed = Feed::Kernel(App::Pagerank);
+    let stream = feed.record(&g, &cfg, None);
+    let llc = LlcSpec::Policy(lru.clone());
     group.bench_function("llc_stream_replay", |b| {
-        b.iter(|| replay_cell(App::Pagerank, &g, &cfg, &lru, None, &stream))
+        b.iter(|| llc.replay(feed, &g, &cfg, None, &stream))
     });
     group.finish();
 }

@@ -144,7 +144,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{replay_cell, simulate};
+    use crate::runner::{simulate, LlcSpec};
     use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -177,7 +177,7 @@ mod tests {
             let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
             let base = simulate(App::Pagerank, &g, &cfg, &drrip);
             let bdfs = Feed::Bdfs.record(&g, &cfg, None);
-            let hats_stats = replay_cell(App::Pagerank, &g, &cfg, &drrip, None, &bdfs);
+            let hats_stats = LlcSpec::Policy(drrip).replay(Feed::Bdfs, &g, &cfg, None, &bdfs);
             hats_stats.llc.misses as f64 / base.llc.misses as f64
         };
         let community = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);

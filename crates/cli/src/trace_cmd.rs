@@ -14,7 +14,7 @@
 //! prints the footer index without decoding chunk payloads, and
 //! `--verify` additionally decodes every chunk against its checksum.
 
-use crate::runner::{replay_cell, PolicySpec};
+use crate::runner::{Feed, LlcSpec, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -219,7 +219,7 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
         "policy", "llc_hits", "llc_misses", "miss%"
     );
     for spec in &specs {
-        let s = replay_cell(wl.app, &g, &cfg, spec, None, &stream);
+        let s = LlcSpec::Policy(spec.clone()).replay(Feed::Kernel(wl.app), &g, &cfg, None, &stream);
         let total = s.llc.hits + s.llc.misses;
         let pct = if total == 0 {
             0.0
@@ -409,7 +409,8 @@ mod tests {
         );
         for spec in [PolicySpec::Baseline(PolicyKind::Lru), PolicySpec::Belady] {
             let direct = crate::runner::simulate(App::Pagerank, &g, &cfg, &spec);
-            let replayed = replay_cell(App::Pagerank, &g, &cfg, &spec, None, &stream);
+            let feed = Feed::Kernel(App::Pagerank);
+            let replayed = LlcSpec::Policy(spec.clone()).replay(feed, &g, &cfg, None, &stream);
             assert_eq!(replayed, direct, "replay is bit-identical to execution");
         }
     }

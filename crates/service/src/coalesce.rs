@@ -23,6 +23,8 @@ pub struct CellSummary {
     pub executed: u64,
     /// Harness cells replayed from the resume manifest.
     pub resumed: u64,
+    /// Harness cells that took the stats of an equal cell of this run.
+    pub shared: u64,
     /// LLC streams recorded (kernel + L1/L2 passes run).
     pub streams_recorded: u64,
     /// LLC replays run, one per executed cell.

@@ -288,6 +288,7 @@ impl ServiceState {
                 JobState::Done(summary) => {
                     fields.push(("executed", Value::Num(summary.executed)));
                     fields.push(("resumed", Value::Num(summary.resumed)));
+                    fields.push(("shared", Value::Num(summary.shared)));
                 }
                 JobState::Failed(msg) => fields.push(("error", string(msg.clone()))),
                 JobState::Queued | JobState::Running => {}
@@ -388,6 +389,7 @@ mod tests {
                 _ => Ok(CellSummary {
                     executed: 2,
                     resumed: 0,
+                    shared: 0,
                     streams_recorded: 1,
                     streams_replayed: 2,
                 }),
