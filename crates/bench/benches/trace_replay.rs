@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_llc, Feed, LlcSpec, PolicySpec};
+use popt_cli::runner::{policy_llc, replay, Feed, PolicySpec};
 use popt_kernels::App;
 use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
@@ -29,12 +29,13 @@ fn cell_drive(c: &mut Criterion) {
     let (g, plan, trace, events) = recorded_pagerank();
     let cfg = HierarchyConfig::small_test();
     let lru = PolicySpec::Baseline(PolicyKind::Lru);
+    let feed = Feed::Kernel(App::Pagerank);
     let mut group = c.benchmark_group("tracestore/cell");
     group.sample_size(10);
     group.throughput(Throughput::Elements(events));
     group.bench_function("kernel_reexec", |b| {
         b.iter(|| {
-            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let llc = policy_llc(feed, &g, &cfg, &lru, None);
             let mut h = Hierarchy::with_llc(&cfg, 1, llc);
             h.set_address_space(&plan.space);
             App::Pagerank.trace(&g, &plan, &mut h);
@@ -43,7 +44,7 @@ fn cell_drive(c: &mut Criterion) {
     });
     group.bench_function("trace_replay", |b| {
         b.iter(|| {
-            let llc = policy_llc(App::Pagerank, &g, &cfg, &plan, &lru, None);
+            let llc = policy_llc(feed, &g, &cfg, &lru, None);
             let mut h = Hierarchy::with_llc(&cfg, 1, llc);
             h.set_address_space(&plan.space);
             replay_any(&trace[..], &mut h).expect("pristine trace");
@@ -51,11 +52,9 @@ fn cell_drive(c: &mut Criterion) {
         })
     });
     // What a sweep cell costs once its row's stream is recorded.
-    let feed = Feed::Kernel(App::Pagerank);
     let stream = feed.record(&g, &cfg, None);
-    let llc = LlcSpec::Policy(lru.clone());
     group.bench_function("llc_stream_replay", |b| {
-        b.iter(|| llc.replay(feed, &g, &cfg, None, &stream))
+        b.iter(|| replay(feed, &g, &cfg, &lru, None, &stream))
     });
     group.finish();
 }

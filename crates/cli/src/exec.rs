@@ -13,12 +13,12 @@
 //!    byte-identical to the historical serial runs at any `--jobs` level.
 //!
 //! A cell is plain data ([`Cell`]) whose graph, [`Feed`], hierarchy
-//! configuration and [`LlcSpec`] are its content key: the session runs
+//! configuration and [`PolicySpec`] are its content key: the session runs
 //! each key once, as a recording of its feed ([`Feed::record`]) that its
 //! LLC replays, and a batch's cells of one graph, feed and L1/L2 geometry
 //! share one recording.
 
-use crate::runner::{Feed, LlcSpec, MatrixCtx, PolicySpec};
+use crate::runner::{replay, Feed, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -43,8 +43,8 @@ pub struct SuiteEntry {
 }
 
 /// One simulation cell as plain data: `feed`'s post-L2 stream on a graph
-/// known by descriptor, under `cfg`, replayed by `llc`. Built by
-/// [`Session::cell`], run by [`Session::run`].
+/// known by descriptor, under `cfg`, replayed into `policy`'s LLC. Built
+/// by [`Session::sim_cell`], run by [`Session::run`].
 #[derive(Debug)]
 pub struct Cell {
     id: String,
@@ -52,7 +52,7 @@ pub struct Cell {
     graph_desc: String,
     cfg: HierarchyConfig,
     feed: Feed,
-    llc: LlcSpec,
+    policy: PolicySpec,
 }
 
 impl Cell {
@@ -61,7 +61,7 @@ impl Cell {
     fn key(&self) -> String {
         format!(
             "{}|{:?}|{:?}|{:?}",
-            self.graph_desc, self.feed, self.cfg, self.llc
+            self.graph_desc, self.feed, self.cfg, self.policy
         )
     }
 }
@@ -242,34 +242,12 @@ impl Session {
     }
 
     /// A simulation cell: `feed`'s post-L2 stream on a graph known by
-    /// descriptor, under `cfg`'s L1 and L2, replayed by `llc` under `cfg`.
+    /// descriptor, under `cfg`'s L1 and L2, replayed into `policy`'s LLC
+    /// for the feed ([`replay`]) under `cfg`. An
+    /// [`App`](popt_kernels::App) is its [`Feed::Kernel`], so
+    /// `sim_cell(id, feed, ..)` is `simulate(feed, graph, cfg, policy)`.
     /// The descriptor must name one graph for the whole session: with
-    /// `feed`, `cfg` and `llc` it is the cell's content key.
-    pub fn cell(
-        &self,
-        id: impl Into<String>,
-        graph: &Arc<Graph>,
-        graph_desc: &str,
-        cfg: &HierarchyConfig,
-        feed: Feed,
-        llc: LlcSpec,
-    ) -> Cell {
-        Cell {
-            id: id.into(),
-            graph: Arc::clone(graph),
-            graph_desc: graph_desc.to_string(),
-            cfg: cfg.clone(),
-            feed,
-            llc,
-        }
-    }
-
-    /// A standard simulation cell: `feed`'s stream against a graph known
-    /// by descriptor, replayed into `policy`'s LLC for the feed's
-    /// [`app`](Feed::app) — a [`cell`](Session::cell) whose LLC half is
-    /// [`LlcSpec::Policy`]. An [`App`](popt_kernels::App) is its
-    /// [`Feed::Kernel`], so `sim_cell(id, app, ..)` is `simulate(app,
-    /// graph, cfg, policy)`.
+    /// `feed`, `cfg` and `policy` it is the cell's content key.
     pub fn sim_cell(
         &self,
         id: impl Into<String>,
@@ -279,8 +257,14 @@ impl Session {
         cfg: &HierarchyConfig,
         policy: &PolicySpec,
     ) -> Cell {
-        let llc = LlcSpec::Policy(policy.clone());
-        self.cell(id, graph, graph_desc, cfg, feed.into(), llc)
+        Cell {
+            id: id.into(),
+            graph: Arc::clone(graph),
+            graph_desc: graph_desc.to_string(),
+            cfg: cfg.clone(),
+            feed: feed.into(),
+            policy: policy.clone(),
+        }
     }
 
     /// [`sim_cell`](Session::sim_cell) against a suite entry.
@@ -343,12 +327,12 @@ impl Session {
             graph,
             cfg,
             feed,
-            llc,
+            policy,
             ..
         } = cell;
         SweepCell::new(id, key, move || {
             let stream = slot.stream(|| feed.record(&graph, &cfg, ctx.as_ref()));
-            llc.replay(feed, &graph, &cfg, ctx.as_ref(), stream)
+            replay(feed, &graph, &cfg, &policy, ctx.as_ref(), stream)
         })
     }
 
@@ -375,11 +359,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate;
-    use crate::runner::{phase_llc, phi_entries, policy_llc, PhasePolicy};
-    use popt_core::Quantization;
+    use crate::runner::{phi_entries, policy_llc, simulate};
+    use popt_core::{Encoding, Quantization};
     use popt_kernels::App;
-    use popt_sim::{Hierarchy, Llc, PolicyKind};
+    use popt_sim::{Hierarchy, PolicyKind};
     use std::path::{Path, PathBuf};
 
     fn scratch(name: &str) -> PathBuf {
@@ -528,28 +511,6 @@ mod tests {
         assert_eq!(counters.live, 0, "every stream is freed after the batch");
     }
 
-    /// The LLC a differential check runs `feed` under: `policy`'s for
-    /// PageRank (or the feed's kernel), or for a phase feed its own LLC
-    /// under DRRIP for a baseline and P-OPT otherwise.
-    fn feed_llc(feed: Feed, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec) -> Llc {
-        match feed_spec(feed, policy) {
-            LlcSpec::Phase(phase) => phase_llc(g, cfg, feed, phase),
-            _ => policy_llc(feed.app(), g, cfg, &feed.app().plan(g), policy, None),
-        }
-    }
-
-    /// The [`LlcSpec`] of [`feed_llc`]'s LLC.
-    fn feed_spec(feed: Feed, policy: &PolicySpec) -> LlcSpec {
-        let phase = match policy {
-            PolicySpec::Baseline(_) => PhasePolicy::Drrip,
-            _ => PhasePolicy::Popt,
-        };
-        match feed {
-            Feed::Tiled { .. } | Feed::Pb | Feed::Phi { .. } => LlcSpec::Phase(phase),
-            _ => LlcSpec::Policy(policy.clone()),
-        }
-    }
-
     #[test]
     fn every_feed_replays_to_its_live_run() {
         // One session cell per feed and policy, all on one graph and one
@@ -584,13 +545,12 @@ mod tests {
                 policies.push(PolicySpec::Topt);
             }
             for policy in policies {
-                let mut h =
-                    Hierarchy::with_llc(&cfg, feed.cores(), feed_llc(feed, g, &cfg, &policy));
+                let llc = policy_llc(feed, g, &cfg, &policy, None);
+                let mut h = Hierarchy::with_llc(&cfg, feed.cores(), llc);
                 let Ok(()) = feed.drive(g, None, &mut h);
                 live.push((feed, policy.clone(), h.stats()));
                 let id = format!("exec/feeds/{feed:?}/{}", policy.cell_tag());
-                let llc = feed_spec(feed, &policy);
-                cells.push(session.cell(id, g, &entry.desc, &cfg, feed, llc));
+                cells.push(session.sim_cell(id, feed, g, &entry.desc, &cfg, &policy));
             }
         }
         let out = session.run(cells);
@@ -744,36 +704,23 @@ mod tests {
         let kron = session.graph(SuiteGraph::Kron, Scale::Tiny);
         let cfg = Scale::Tiny.config();
         let feed = Feed::Kernel(App::Pagerank);
-        let drrip = LlcSpec::Policy(PolicySpec::Baseline(PolicyKind::Drrip));
+        let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
         let bigger = HierarchyConfig {
             llc: CacheConfig::new(2 * cfg.llc.size_bytes(), cfg.llc.ways()),
             ..cfg.clone()
         };
         let reserved = cfg.clone().with_reserved_ways(2);
         let (g, desc) = (&urand.graph, urand.desc.as_str());
+        let topt = PolicySpec::Topt;
         let cells = vec![
-            session.cell("key/base", g, desc, &cfg, feed, drrip.clone()),
-            session.cell("key/llc-size", g, desc, &bigger, feed, drrip.clone()),
-            session.cell("key/reserved", g, desc, &reserved, feed, drrip.clone()),
-            session.cell(
-                "key/llc-spec",
-                g,
-                desc,
-                &cfg,
-                feed,
-                LlcSpec::Policy(PolicySpec::Topt),
-            ),
-            session.cell("key/feed", g, desc, &cfg, Feed::PageMap, drrip.clone()),
-            session.cell("key/desc", g, "other/urand", &cfg, feed, drrip.clone()),
-            session.cell(
-                "key/graph",
-                &kron.graph,
-                &kron.desc,
-                &cfg,
-                feed,
-                drrip.clone(),
-            ),
-            session.cell("key/twin", g, desc, &cfg, feed, drrip),
+            session.sim_cell("key/base", feed, g, desc, &cfg, &drrip),
+            session.sim_cell("key/llc-size", feed, g, desc, &bigger, &drrip),
+            session.sim_cell("key/reserved", feed, g, desc, &reserved, &drrip),
+            session.sim_cell("key/policy", feed, g, desc, &cfg, &topt),
+            session.sim_cell("key/feed", Feed::PageMap, g, desc, &cfg, &drrip),
+            session.sim_cell("key/desc", feed, g, "other/urand", &cfg, &drrip),
+            session.sim_cell("key/graph", feed, &kron.graph, &kron.desc, &cfg, &drrip),
+            session.sim_cell("key/twin", feed, g, desc, &cfg, &drrip),
         ];
         let out = session.run(cells);
         assert_eq!(session.count(CellOutcome::Executed), 7);
@@ -784,5 +731,106 @@ mod tests {
         );
         assert_eq!(out[7], out[0]);
         assert_ne!(out[1], out[0], "a bigger LLC changes the stats");
+    }
+
+    #[test]
+    fn first_way_and_rrip_limit_studies_do_not_share() {
+        // ext5's pair at one quantization: both are limit-study P-OPT over
+        // the same matrices, differing only in the tie-break.
+        let session = Session::parallel(2);
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let cfg = Scale::Tiny.config();
+        let quant = Quantization::FOUR;
+        let rrip = PolicySpec::Popt {
+            quant,
+            encoding: Encoding::InterIntra,
+            limit_study: true,
+        };
+        let first = PolicySpec::PoptFirstWay(quant);
+        let out = session.run(vec![
+            session.sim("tie/first", App::Pagerank, &entry, &cfg, &first),
+            session.sim("tie/rrip", App::Pagerank, &entry, &cfg, &rrip),
+        ]);
+        assert_eq!(session.count(CellOutcome::Executed), 2);
+        assert_eq!(session.count(CellOutcome::Shared), 0);
+        for (spec, stats) in [&first, &rrip].into_iter().zip(&out) {
+            let direct = simulate(App::Pagerank, &entry.graph, &cfg, spec);
+            assert_eq!(*stats, direct, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn phase_feeds_refuse_topt_and_grasp_by_name() {
+        let session = Session::serial();
+        let entry = session.graph(SuiteGraph::Kron, Scale::Tiny);
+        let cfg = Scale::Tiny.config();
+        let grasp = PolicySpec::Grasp {
+            hot_end: 16,
+            warm_end: 64,
+        };
+        let phi = Feed::Phi {
+            entries: phi_entries(&cfg),
+        };
+        for feed in [Feed::Tiled { tiles: 2 }, Feed::Pb, phi] {
+            for policy in [&PolicySpec::Topt, &grasp] {
+                let id = format!("refuse/{feed:?}/{}", policy.cell_tag());
+                let cell = session.sim(id, feed, &entry, &cfg, policy);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.run(vec![cell])
+                }));
+                let payload = run.expect_err("the cell must fail");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert!(msg.contains(&format!("{feed:?}")), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn phase_matrices_come_from_the_artifact_cache() {
+        // A Figure 13 + 14 shaped batch twice, each time in a fresh
+        // session over the same cache directory: the second loads every
+        // tile, bin and in-CSC matrix instead of building it.
+        let dir = scratch("phase-matrices");
+        let cfg = Scale::Tiny.config();
+        let phi = Feed::Phi {
+            entries: phi_entries(&cfg),
+        };
+        let feeds = [
+            Feed::Tiled { tiles: 1 },
+            Feed::Tiled { tiles: 4 },
+            Feed::Pb,
+            phi,
+        ];
+        let specs = [
+            PolicySpec::Baseline(PolicyKind::Drrip),
+            PolicySpec::popt_default(),
+        ];
+        let batch = || {
+            let cache = Arc::new(ArtifactCache::open(&dir).unwrap());
+            let session = Session::parallel(2).with_cache(Arc::clone(&cache));
+            let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+            let mut cells = Vec::new();
+            for feed in feeds {
+                for spec in &specs {
+                    let id = format!("phase/{feed:?}/{}", spec.cell_tag());
+                    cells.push(session.sim(id, feed, &entry, &cfg, spec));
+                }
+            }
+            (session.run(cells), cache.counters(), entry.graph)
+        };
+        let (_, cold, _) = batch();
+        assert!(cold.matrix_builds > 0, "{cold:?}");
+        let (out, warm, g) = batch();
+        assert_eq!(warm.matrix_builds, 0, "{warm:?}");
+        assert!(warm.matrix_hits > 0, "{warm:?}");
+        let mut stats = out.iter();
+        for feed in feeds {
+            for spec in &specs {
+                let direct = simulate(feed, &g, &cfg, spec);
+                assert_eq!(stats.next(), Some(&direct), "{feed:?} under {spec:?}");
+            }
+        }
     }
 }

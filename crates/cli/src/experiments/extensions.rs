@@ -12,11 +12,11 @@
 //! ([`Feed::Parallel`]), a prefetcher ([`Feed::Prefetch`]), context
 //! switches ([`Feed::Switches`]), scattered frames ([`Feed::PageMap`]) —
 //! and share one stream per graph and feed between their policies. ext5's
-//! first-way tie-break, which no [`PolicySpec`] names, is an
-//! [`LlcSpec::FirstWay`] cell replaying the plain PageRank stream.
+//! first-way tie-break is a [`PolicySpec::PoptFirstWay`] cell replaying
+//! the plain PageRank stream.
 
 use crate::exec::Session;
-use crate::runner::{Feed, LlcSpec, PolicySpec};
+use crate::runner::{Feed, PolicySpec};
 use crate::table::{f2, pct, Table};
 use crate::Scale;
 use popt_core::{Encoding, Quantization};
@@ -192,14 +192,9 @@ pub fn ext_tiebreak(session: &Session, scale: Scale) -> Vec<Table> {
             &drrip,
         ));
         for quant in [Quantization::FOUR, Quantization::EIGHT] {
-            cells.push(session.cell(
-                format!("{prefix}/q{}-first", quant.bits()),
-                &entry.graph,
-                &entry.desc,
-                &cfg,
-                Feed::Kernel(App::Pagerank),
-                LlcSpec::FirstWay(quant),
-            ));
+            let first = PolicySpec::PoptFirstWay(quant);
+            let id = format!("{prefix}/q{}-first", quant.bits());
+            cells.push(session.sim(id, App::Pagerank, entry, &cfg, &first));
             // RRIP is P-OPT's own tie-break: a limit-study P-OPT cell.
             let rrip = PolicySpec::Popt {
                 quant,
@@ -320,7 +315,7 @@ pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
 mod tests {
     use super::*;
     use crate::experiments::{fig13_tiling, fig14_pb_phi};
-    use crate::runner::simulate;
+    use crate::runner::{replay, simulate};
     use popt_graph::suite::{suite_graph, SuiteScale};
     use popt_harness::CellOutcome;
     use popt_sim::HierarchyConfig;
@@ -340,8 +335,7 @@ mod tests {
         // overall rate.
         let irregular_misses = |spec: &PolicySpec| {
             let feed = Feed::Parallel { cores: 8 };
-            let llc = LlcSpec::Policy(spec.clone());
-            llc.replay(feed, &g, &cfg, None, &stream)
+            replay(feed, &g, &cfg, spec, None, &stream)
                 .llc
                 .irregular_misses
         };
@@ -368,9 +362,7 @@ mod tests {
             } else {
                 Feed::Kernel(App::Pagerank)
             };
-            let stream = feed.record(&g, &cfg, None);
-            let llc = LlcSpec::Policy(spec.clone());
-            llc.replay(feed, &g, &cfg, None, &stream).llc.misses
+            simulate(feed, &g, &cfg, spec).llc.misses
         };
         let popt = PolicySpec::popt_default();
         let popt_huge = run(&popt, false);

@@ -144,7 +144,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{simulate, LlcSpec};
+    use crate::runner::simulate;
     use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -176,8 +176,7 @@ mod tests {
             let g = g.relabel(&perm);
             let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
             let base = simulate(App::Pagerank, &g, &cfg, &drrip);
-            let bdfs = Feed::Bdfs.record(&g, &cfg, None);
-            let hats_stats = LlcSpec::Policy(drrip).replay(Feed::Bdfs, &g, &cfg, None, &bdfs);
+            let hats_stats = simulate(Feed::Bdfs, &g, &cfg, &drrip);
             hats_stats.llc.misses as f64 / base.llc.misses as f64
         };
         let community = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);

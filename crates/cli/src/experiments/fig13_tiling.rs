@@ -7,10 +7,11 @@
 //! is one [`Feed::Tiled`] recording, shared by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{Feed, LlcSpec, PhasePolicy};
+use crate::runner::{Feed, PolicySpec};
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_graph::suite::SuiteGraph;
+use popt_sim::PolicyKind;
 
 /// Tile counts swept (the paper sweeps 1..10+; powers of two keep tile
 /// boundaries line-aligned).
@@ -26,16 +27,12 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     let mut cells = Vec::new();
     for entry in &entries {
         for tiles in TILE_COUNTS {
-            for (tag, policy) in [("drrip", PhasePolicy::Drrip), ("popt", PhasePolicy::Popt)] {
-                let feed = Feed::Tiled { tiles };
-                cells.push(session.cell(
-                    format!("fig13/{}/{}/t{tiles}/{tag}", scale.name(), entry.which),
-                    &entry.graph,
-                    &entry.desc,
-                    &cfg,
-                    feed,
-                    LlcSpec::Phase(policy),
-                ));
+            for (tag, policy) in [
+                ("drrip", PolicySpec::Baseline(PolicyKind::Drrip)),
+                ("popt", PolicySpec::popt_default()),
+            ] {
+                let id = format!("fig13/{}/{}/t{tiles}/{tag}", scale.name(), entry.which);
+                cells.push(session.sim(id, Feed::Tiled { tiles }, entry, &cfg, &policy));
             }
         }
     }
@@ -69,7 +66,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate_phase;
+    use crate::runner::simulate;
     use popt_graph::suite::{suite_graph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -80,8 +77,12 @@ mod tests {
         // small scale.
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        let popt2 = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 2 }, PhasePolicy::Popt);
-        let drrip4 = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 4 }, PhasePolicy::Drrip);
+        let (drrip, popt) = (
+            PolicySpec::Baseline(PolicyKind::Drrip),
+            PolicySpec::popt_default(),
+        );
+        let popt2 = simulate(Feed::Tiled { tiles: 2 }, &g, &cfg, &popt);
+        let drrip4 = simulate(Feed::Tiled { tiles: 4 }, &g, &cfg, &drrip);
         assert!(
             popt2.llc.misses <= drrip4.llc.misses * 11 / 10,
             "P-OPT@2 tiles ({}) should roughly match DRRIP@4 tiles ({})",
@@ -94,9 +95,12 @@ mod tests {
     fn tiling_reduces_misses_under_both_policies() {
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        for policy in [PhasePolicy::Drrip, PhasePolicy::Popt] {
-            let one = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 1 }, policy);
-            let four = simulate_phase(&g, &cfg, Feed::Tiled { tiles: 4 }, policy);
+        for policy in [
+            PolicySpec::Baseline(PolicyKind::Drrip),
+            PolicySpec::popt_default(),
+        ] {
+            let one = simulate(Feed::Tiled { tiles: 1 }, &g, &cfg, &policy);
+            let four = simulate(Feed::Tiled { tiles: 4 }, &g, &cfg, &policy);
             assert!(
                 four.llc.misses < one.llc.misses,
                 "{policy:?}: 4 tiles ({}) should beat 1 tile ({})",

@@ -8,9 +8,10 @@
 //! by DRRIP and P-OPT.
 
 use crate::exec::Session;
-use crate::runner::{phi_entries, Feed, LlcSpec, PhasePolicy};
+use crate::runner::{phi_entries, Feed, PolicySpec};
 use crate::table::{pct, Table};
 use crate::Scale;
+use popt_sim::PolicyKind;
 
 /// Runs the experiment. The metric is DRAM transfers (fills + writebacks)
 /// of the scatter/binning phase, normalized to PB+DRRIP.
@@ -21,23 +22,21 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     let phi = Feed::Phi {
         entries: phi_entries(&cfg),
     };
+    let (drrip, popt) = (
+        PolicySpec::Baseline(PolicyKind::Drrip),
+        PolicySpec::popt_default(),
+    );
     let variants = [
-        ("pb/drrip", Feed::Pb, PhasePolicy::Drrip),
-        ("pb/popt", Feed::Pb, PhasePolicy::Popt),
-        ("phi/drrip", phi, PhasePolicy::Drrip),
-        ("phi/popt", phi, PhasePolicy::Popt),
+        ("pb/drrip", Feed::Pb, &drrip),
+        ("pb/popt", Feed::Pb, &popt),
+        ("phi/drrip", phi, &drrip),
+        ("phi/popt", phi, &popt),
     ];
     let mut cells = Vec::new();
     for entry in &suite {
         for (tag, feed, policy) in variants {
-            cells.push(session.cell(
-                format!("fig14/{}/{}/{tag}", scale.name(), entry.which),
-                &entry.graph,
-                &entry.desc,
-                &cfg,
-                feed,
-                LlcSpec::Phase(policy),
-            ));
+            let id = format!("fig14/{}/{}/{tag}", scale.name(), entry.which);
+            cells.push(session.sim(id, feed, entry, &cfg, policy));
         }
     }
     let mut results = session.run(cells).into_iter();
@@ -77,7 +76,7 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate_phase;
+    use crate::runner::simulate;
     use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
     use popt_sim::HierarchyConfig;
 
@@ -88,13 +87,20 @@ mod tests {
         }
     }
 
+    /// DRAM transfers of `feed` on `g` under `cfg` and `policy`.
+    fn dram(feed: Feed, g: &popt_graph::Graph, cfg: &HierarchyConfig, policy: &PolicySpec) -> u64 {
+        simulate(feed, g, cfg, policy).dram_transfers()
+    }
+
+    const DRRIP: PolicySpec = PolicySpec::Baseline(PolicyKind::Drrip);
+
     #[test]
     fn phi_cuts_traffic_on_skewed_graphs_more_than_uniform() {
         let cfg = HierarchyConfig::small_test();
         let benefit = |which: SuiteGraph| {
             let g = suite_graph(which, SuiteScale::Small);
-            let pb = simulate_phase(&g, &cfg, Feed::Pb, PhasePolicy::Drrip).dram_transfers();
-            let phi = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
+            let pb = dram(Feed::Pb, &g, &cfg, &DRRIP);
+            let phi = dram(phi(&cfg), &g, &cfg, &DRRIP);
             phi as f64 / pb.max(1) as f64
         };
         let kron = benefit(SuiteGraph::Kron);
@@ -111,8 +117,8 @@ mod tests {
         // the LLC past the aggregation filter; P-OPT must exploit it.
         let cfg = HierarchyConfig::small_test();
         let g = suite_graph(SuiteGraph::Uk02, SuiteScale::Small);
-        let drrip = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
-        let popt = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Popt).dram_transfers();
+        let drrip = dram(phi(&cfg), &g, &cfg, &DRRIP);
+        let popt = dram(phi(&cfg), &g, &cfg, &PolicySpec::popt_default());
         assert!(
             popt < drrip,
             "PHI+P-OPT ({popt}) should beat PHI+DRRIP ({drrip}) on uk02"

@@ -14,7 +14,7 @@
 //! prints the footer index without decoding chunk payloads, and
 //! `--verify` additionally decodes every chunk against its checksum.
 
-use crate::runner::{Feed, LlcSpec, PolicySpec};
+use crate::runner::{replay, Feed, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -219,7 +219,7 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
         "policy", "llc_hits", "llc_misses", "miss%"
     );
     for spec in &specs {
-        let s = LlcSpec::Policy(spec.clone()).replay(Feed::Kernel(wl.app), &g, &cfg, None, &stream);
+        let s = replay(Feed::Kernel(wl.app), &g, &cfg, spec, None, &stream);
         let total = s.llc.hits + s.llc.misses;
         let pct = if total == 0 {
             0.0
@@ -410,7 +410,7 @@ mod tests {
         for spec in [PolicySpec::Baseline(PolicyKind::Lru), PolicySpec::Belady] {
             let direct = crate::runner::simulate(App::Pagerank, &g, &cfg, &spec);
             let feed = Feed::Kernel(App::Pagerank);
-            let replayed = LlcSpec::Policy(spec.clone()).replay(feed, &g, &cfg, None, &stream);
+            let replayed = replay(feed, &g, &cfg, &spec, None, &stream);
             assert_eq!(replayed, direct, "replay is bit-identical to execution");
         }
     }

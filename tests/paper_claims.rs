@@ -2,7 +2,7 @@
 //! small reproduction scale. Each test cites the claim it guards.
 
 use p_opt::prelude::*;
-use popt_cli::runner::{phi_entries, simulate, simulate_phase, Feed, PhasePolicy, PolicySpec};
+use popt_cli::runner::{phi_entries, simulate, Feed, PolicySpec};
 use popt_graph::suite::{suite_graph, SuiteGraph, SuiteScale};
 
 fn cfg() -> HierarchyConfig {
@@ -19,6 +19,13 @@ fn phi(cfg: &HierarchyConfig) -> Feed {
         entries: phi_entries(cfg),
     }
 }
+
+/// DRAM transfers of `feed` on `g` under `cfg` and `policy`.
+fn dram(feed: Feed, g: &Graph, cfg: &HierarchyConfig, policy: &PolicySpec) -> u64 {
+    simulate(feed, g, cfg, policy).dram_transfers()
+}
+
+const DRRIP: PolicySpec = PolicySpec::Baseline(PolicyKind::Drrip);
 
 /// Section III-B: "T-OPT reduces misses by 1.67x on average compared to
 /// LRU" — we require a clear multiplicative gap on PageRank (the exact
@@ -178,8 +185,8 @@ fn phi_is_structure_sensitive_but_popt_is_not() {
     let cfg = cfg();
     let phi_gain = |which: SuiteGraph| {
         let g = g(which);
-        let pb = simulate_phase(&g, &cfg, Feed::Pb, PhasePolicy::Drrip).dram_transfers() as f64;
-        let phi = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers() as f64;
+        let pb = dram(Feed::Pb, &g, &cfg, &DRRIP) as f64;
+        let phi = dram(phi(&cfg), &g, &cfg, &DRRIP) as f64;
         pb / phi.max(1.0)
     };
     assert!(
@@ -195,8 +202,8 @@ fn phi_is_structure_sensitive_but_popt_is_not() {
     let mut strict_wins = 0;
     for which in SuiteGraph::ALL {
         let g = g(which);
-        let phi_drrip = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Drrip).dram_transfers();
-        let phi_popt = simulate_phase(&g, &cfg, phi(&cfg), PhasePolicy::Popt).dram_transfers();
+        let phi_drrip = dram(phi(&cfg), &g, &cfg, &DRRIP);
+        let phi_popt = dram(phi(&cfg), &g, &cfg, &PolicySpec::popt_default());
         assert!(
             phi_popt as f64 <= phi_drrip as f64 * 1.05,
             "{which}: PHI+P-OPT {phi_popt} must stay within 5% of PHI+DRRIP {phi_drrip}"
