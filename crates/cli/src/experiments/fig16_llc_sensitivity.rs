@@ -2,7 +2,8 @@
 //!
 //! Paper claims reproduced: P-OPT's edge over DRRIP grows with LLC
 //! capacity (the reserved-column fraction shrinks) and with associativity
-//! (more eviction candidates per decision).
+//! (more eviction candidates per decision). Both sweeps follow the
+//! scale's own hierarchy, so its suite graphs exceed the LLCs swept.
 
 use crate::exec::{Cell, Session, SuiteEntry};
 use crate::experiments::geomean;
@@ -10,9 +11,9 @@ use crate::runner::PolicySpec;
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_kernels::App;
-use popt_sim::{HierarchyConfig, HierarchyStats, PolicyKind};
+use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, PolicyKind};
 
-/// LLC capacities swept, as multiples of the scaled default (256 KB).
+/// LLC capacities swept, as multiples of half the scale's LLC.
 pub const SIZE_FACTORS: [usize; 4] = [1, 2, 4, 8];
 /// Associativities swept.
 pub const ASSOCIATIVITIES: [usize; 3] = [8, 16, 32];
@@ -56,15 +57,20 @@ fn consume_reduction(
 /// Runs the experiment.
 pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
     let suite = session.suite(scale);
-    let base = 128 * 1024;
+    let scaled = scale.config();
+    let with_llc = |size_bytes, ways| HierarchyConfig {
+        llc: CacheConfig::new(size_bytes, ways),
+        ..scaled.clone()
+    };
+    let base = scaled.llc.size_bytes() / 2;
     let mut cells = Vec::new();
     for factor in SIZE_FACTORS {
-        let cfg = HierarchyConfig::scaled_with_llc(base * factor, 16);
+        let cfg = with_llc(base * factor, 16);
         let prefix = format!("fig16a/{}/llc{}kb", scale.name(), base * factor / 1024);
         submit_reduction_cells(session, &mut cells, &prefix, &cfg, &suite);
     }
     for ways in ASSOCIATIVITIES {
-        let cfg = HierarchyConfig::scaled_with_llc(256 * 1024, ways);
+        let cfg = with_llc(scaled.llc.size_bytes(), ways);
         let prefix = format!("fig16b/{}/w{ways}", scale.name());
         submit_reduction_cells(session, &mut cells, &prefix, &cfg, &suite);
     }
