@@ -8,7 +8,7 @@
 //! reference quantization and the effective LLC capacity".
 
 use crate::exec::Session;
-use crate::runner::{popt_bindings_cached, reserved_ways_for, PolicySpec};
+use crate::runner::{reserved_ways_for, transpose_bindings, PolicySpec};
 use crate::table::{pct, Table};
 use crate::Scale;
 use popt_core::{Encoding, Quantization};
@@ -76,8 +76,8 @@ pub fn run(session: &Session, scale: Scale) -> Vec<Table> {
             let reduction = 1.0 - stats.llc.misses as f64 / drrip.llc.misses.max(1) as f64;
             let plan = App::Pagerank.plan(g);
             let ctx = session.matrix_ctx(desc);
-            let bindings = popt_bindings_cached(
-                App::Pagerank,
+            let bindings = transpose_bindings(
+                App::Pagerank.direction(),
                 g,
                 &plan,
                 Quantization::EIGHT,

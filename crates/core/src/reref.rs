@@ -113,6 +113,45 @@ impl RerefMatrix {
         m
     }
 
+    /// The rows covering irregular-array vertices `[first_vertex,
+    /// first_vertex + covered_vertices)` as a matrix of their own: what
+    /// [`build_range`](Self::build_range) builds over that range, since a
+    /// row reads only its own vertices' references (a CSR-segmenting
+    /// tile's sub-matrix, Figure 13).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not within this matrix's, if `first_vertex`
+    /// is not line-aligned, or if the range ends inside a line that
+    /// covers vertices past it.
+    pub fn rows(&self, first_vertex: u32, covered_vertices: usize) -> Self {
+        let mut m = Self::shell(
+            self.num_vertices,
+            first_vertex,
+            covered_vertices,
+            self.vertices_per_line,
+            self.quant,
+            self.encoding,
+        );
+        let (begin, end) = (
+            first_vertex as usize,
+            first_vertex as usize + covered_vertices,
+        );
+        let own_end = self.first_vertex as usize + self.covered_vertices;
+        assert!(
+            begin >= self.first_vertex as usize && end <= own_end,
+            "rows must lie within the matrix"
+        );
+        assert!(
+            end == own_end || end.is_multiple_of(self.vertices_per_line as usize),
+            "rows must end at a line boundary"
+        );
+        let first_line = (begin - self.first_vertex as usize) / self.vertices_per_line as usize;
+        let rows = self.data.chunks_exact(self.num_epochs).skip(first_line);
+        m.set_data(rows.take(m.num_lines).flatten().copied().collect());
+        m
+    }
+
     /// The matrix geometry with no entries: [`set_data`](Self::set_data)
     /// supplies them. Epoch geometry quantizes `num_vertices` outer-loop
     /// vertices; rows cover irregular-array vertices
@@ -633,6 +672,19 @@ mod tests {
         }
         // Column shrinks with the tile: the Figure 13 capacity effect.
         assert!(tile.column_bytes() < full.column_bytes());
+        assert_eq!(full.rows(160, 160), tile);
+        let head =
+            RerefMatrix::build_range(g.out_csr(), 0, 160, 16, 1, quant, Encoding::InterIntra);
+        assert_eq!(full.rows(0, 160), head);
+        assert_eq!(tile.rows(192, 128), full.rows(192, 128));
+    }
+
+    #[test]
+    #[should_panic(expected = "line boundary")]
+    fn rows_ending_inside_a_line_are_rejected() {
+        let t = popt_graph::Csr::from_edges(64, &[(0, 1)]).unwrap();
+        let full = RerefMatrix::build(&t, 16, 1, Quantization::EIGHT, Encoding::InterIntra);
+        let _ = full.rows(16, 20);
     }
 
     #[test]

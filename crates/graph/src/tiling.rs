@@ -53,8 +53,8 @@ impl Tile {
 /// assert_eq!(total, g.num_edges());
 /// ```
 pub fn segment(g: &Graph, num_tiles: usize) -> Vec<Tile> {
-    assert!(num_tiles > 0, "need at least one tile");
     let n = g.num_vertices();
+    let ranges = src_ranges(n, num_tiles);
     let span = n.div_ceil(num_tiles);
     let mut per_tile_edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); num_tiles];
     // Walk the pull CSC once, scattering edges (dst <- src) into tiles by src.
@@ -67,10 +67,8 @@ pub fn segment(g: &Graph, num_tiles: usize) -> Vec<Tile> {
     }
     per_tile_edges
         .into_iter()
-        .enumerate()
-        .map(|(t, edges)| {
-            let src_begin = (t * span).min(n) as VertexId;
-            let src_end = ((t + 1) * span).min(n) as VertexId;
+        .zip(ranges)
+        .map(|(edges, (src_begin, src_end))| {
             let csc = Csr::from_edges(n, &edges).expect("edges come from a valid graph");
             Tile {
                 src_begin,
@@ -79,6 +77,19 @@ pub fn segment(g: &Graph, num_tiles: usize) -> Vec<Tile> {
             }
         })
         .collect()
+}
+
+/// The source range `[begin, end)` of each of [`segment`]'s `num_tiles`
+/// tiles over `num_vertices` sources, without building the tiles.
+///
+/// # Panics
+///
+/// Panics if `num_tiles == 0`.
+pub fn src_ranges(num_vertices: usize, num_tiles: usize) -> Vec<(VertexId, VertexId)> {
+    assert!(num_tiles > 0, "need at least one tile");
+    let span = num_vertices.div_ceil(num_tiles);
+    let at = |t: usize| (t * span).min(num_vertices) as VertexId;
+    (0..num_tiles).map(|t| (at(t), at(t + 1))).collect()
 }
 
 #[cfg(test)]
