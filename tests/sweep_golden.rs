@@ -27,6 +27,14 @@
 //! `tests/golden/small.digests` is the same digest list at small scale
 //! (`--scale small`, `sed` into `tests/golden/small.digests`); CI checks it
 //! in a release build.
+//!
+//! The test also pins how the cold sweep deduplicated its cells: how many
+//! it executed, resumed and shared, and how many LLC streams it recorded
+//! and replayed. A change that moves these on purpose takes the new counts
+//! from `target/golden-tiny/sweep_summary.json` of the run above (its
+//! `"executed"`, `"resumed"` and `"shared"` fields and the `"recorded"`
+//! and `"replayed"` fields of its `"streams"` object), and says in its
+//! change notes why they moved.
 
 use popt_cli::sweep::{run_sweep, SweepOptions};
 use popt_cli::Scale;
@@ -103,6 +111,16 @@ fn tiny_sweep_matches_the_golden() {
     opts.out = out.clone();
     let summary = run_sweep(&opts).expect("tiny sweep runs");
     assert!(summary.failed.is_empty(), "failed: {:?}", summary.failed);
+    assert_eq!(
+        (summary.executed, summary.resumed, summary.shared),
+        (359, 0, 151),
+        "the 510 cells' executed, resumed and shared counts moved"
+    );
+    assert_eq!(
+        (summary.streams.recorded, summary.streams.replayed),
+        (119, 359),
+        "the recorded and replayed stream counts moved"
+    );
 
     let golden = golden_dir();
     let want = parse_digests(&std::fs::read_to_string(golden.join("digests")).unwrap());
