@@ -1,10 +1,10 @@
-//! The experiment session: the bridge between figure drivers and
-//! `popt-harness`.
+//! The experiment session: the one cell runner between the figure
+//! drivers and `popt-harness`.
 //!
-//! A [`Session`] wraps a [`SweepSession`] (thread budget, resume journal,
-//! and the stats of every content key it has run) together with the
-//! optional artifact cache and an in-process memo of suite graphs, so that
-//! every figure driver can:
+//! A [`Session`] holds the run-wide pieces — thread budget, the optional
+//! resume journal, the stats of every content key it has run, the
+//! per-cell metric log, the optional artifact cache and an in-process memo
+//! of suite graphs — so that every figure driver can:
 //!
 //! 1. materialize its input graphs exactly once per process (and once per
 //!    *cache directory* across processes),
@@ -22,13 +22,14 @@ use crate::runner::{replay, Feed, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
+use popt_harness::pool::run_jobs;
 use popt_harness::{
-    ArtifactCache, ArtifactKey, ArtifactKind, CellOutcome, Manifest, SweepCell, SweepReport,
-    SweepSession,
+    ArtifactCache, ArtifactKey, ArtifactKind, CellMetric, CellOutcome, Manifest, SweepReport,
 };
 use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, LlcStream};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// One materialized suite input: the graph plus its stable descriptor
 /// (the descriptor seeds both graph and matrix cache keys).
@@ -63,6 +64,16 @@ impl Cell {
             "{}|{:?}|{:?}|{:?}",
             self.graph_desc, self.feed, self.cfg, self.policy
         )
+    }
+
+    /// The key of the recording the cell replays.
+    fn stream_key(&self) -> StreamKey {
+        StreamKey {
+            graph_desc: self.graph_desc.clone(),
+            feed: self.feed,
+            l1: self.cfg.l1,
+            l2: self.cfg.l2,
+        }
     }
 }
 
@@ -119,6 +130,14 @@ struct StreamSlot {
 }
 
 impl StreamSlot {
+    /// An empty slot tallying into `counters`.
+    fn new(counters: &Counters) -> Self {
+        StreamSlot {
+            stream: OnceLock::new(),
+            counters: Arc::clone(counters),
+        }
+    }
+
     /// The stream, recorded by `record` if no cell has yet; concurrent
     /// cells wait for that one recording.
     fn stream(&self, record: impl FnOnce() -> LlcStream) -> &LlcStream {
@@ -146,7 +165,12 @@ impl Drop for StreamSlot {
 /// Run-wide execution context for the experiment drivers.
 #[derive(Debug)]
 pub struct Session {
-    sweep: SweepSession,
+    threads: usize,
+    manifest: Option<Mutex<Manifest>>,
+    seen: Mutex<BTreeSet<String>>,
+    done: Mutex<BTreeMap<String, HierarchyStats>>,
+    metrics: Mutex<Vec<CellMetric>>,
+    fault: Option<String>,
     cache: Option<Arc<ArtifactCache>>,
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
     streams: Counters,
@@ -163,7 +187,12 @@ impl Session {
     /// A session running up to `threads` cells concurrently.
     pub fn parallel(threads: usize) -> Self {
         Session {
-            sweep: SweepSession::parallel(threads),
+            threads: threads.max(1),
+            manifest: None,
+            seen: Mutex::new(BTreeSet::new()),
+            done: Mutex::new(BTreeMap::new()),
+            metrics: Mutex::new(Vec::new()),
+            fault: None,
             cache: None,
             graphs: Mutex::new(BTreeMap::new()),
             streams: Counters::default(),
@@ -179,24 +208,27 @@ impl Session {
         self
     }
 
-    /// Attaches a resume journal (see [`SweepSession::with_manifest`]).
+    /// Attaches a resume journal: cells it already records are skipped and
+    /// every newly completed cell is journaled.
     #[must_use]
     pub fn with_manifest(mut self, manifest: Manifest) -> Self {
-        self.sweep = self.sweep.with_manifest(manifest);
+        self.manifest = Some(Mutex::new(manifest));
         self
     }
 
-    /// Injects a panic into every cell whose id contains `pattern`
-    /// (failure-path regression tooling; see [`SweepSession::with_fault`]).
+    /// Fault injection for failure-path tests: any cell whose id contains
+    /// `pattern` panics instead of simulating, exercising the same code
+    /// path as a genuine simulation panic. Such a cell always runs; it
+    /// never takes another cell's stats.
     #[must_use]
     pub fn with_fault(mut self, pattern: impl Into<String>) -> Self {
-        self.sweep = self.sweep.with_fault(pattern);
+        self.fault = Some(pattern.into());
         self
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
-        self.sweep.threads()
+        self.threads
     }
 
     /// Materializes a graph under a stable descriptor: first from the
@@ -279,66 +311,196 @@ impl Session {
         self.sim_cell(id, feed, &entry.graph, &entry.desc, cfg, policy)
     }
 
-    /// Runs a batch of cells, returning stats in submission order (see
-    /// [`SweepSession::run_cells`]: a cell whose key the session already
-    /// ran, or runs earlier in the batch, is shared instead of run).
+    /// Runs a batch of cells, returning stats in submission order. A cell
+    /// is **resumed** if the journal records its id; **shared** if the
+    /// session has its key's stats (from any earlier cell) or an earlier
+    /// cell of the batch runs its key, in which case it is journaled
+    /// under its own id; and **executed** otherwise.
     ///
-    /// The cells of one stream key start back to back, where the first of
-    /// them was submitted: the first to run records the stream, each
-    /// replays only its LLC from it, and the stream is freed once the last
-    /// of them is done (or dropped unrun), so about one stream per worker
-    /// is held at a time.
+    /// Executed cells start grouped by stream key, each group where the
+    /// first of its cells was submitted: the first to run records the
+    /// stream, each replays only its LLC from it, and the stream is freed
+    /// once the last of them is done, so about one stream per worker is
+    /// held at a time.
+    ///
+    /// A panicking cell does not abort its batch: the panic is caught, the
+    /// cell and the batch's other cells of its key are recorded as
+    /// [`CellOutcome::Failed`], and every other cell still runs and
+    /// journals. Only then does the batch re-raise, so a resumed sweep
+    /// after a fix re-simulates nothing but the cells that failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate cell id (two distinct simulations under one
+    /// id would corrupt resume), on a journal write failure, or — after
+    /// the rest of the batch completed — if any cell panicked.
     pub fn run(&self, cells: Vec<Cell>) -> Vec<HierarchyStats> {
-        let mut slots: BTreeMap<StreamKey, (usize, Arc<StreamSlot>)> = BTreeMap::new();
-        let mut grouped: Vec<(usize, usize, SweepCell<'static>)> = Vec::new();
+        {
+            let mut seen = lock(&self.seen);
+            for cell in &cells {
+                assert!(
+                    seen.insert(cell.id.clone()),
+                    "duplicate cell id {:?}: cell ids must be sweep-unique",
+                    cell.id
+                );
+            }
+        }
+        let mut results: Vec<Option<HierarchyStats>> = vec![None; cells.len()];
+        // Journaled cells first: their stats serve every cell of their key.
+        // A stream group ranks by the first of its cells submitted.
+        let mut ranks: BTreeMap<StreamKey, usize> = BTreeMap::new();
+        let mut fresh = Vec::new();
         for (i, cell) in cells.into_iter().enumerate() {
-            let key = StreamKey {
-                graph_desc: cell.graph_desc.clone(),
-                feed: cell.feed,
-                l1: cell.cfg.l1,
-                l2: cell.cfg.l2,
+            let rank = *ranks.entry(cell.stream_key()).or_insert(i);
+            let journaled = self
+                .manifest
+                .as_ref()
+                .and_then(|m| lock(m).completed(&cell.id).copied());
+            match journaled {
+                Some(stats) => {
+                    lock(&self.done).entry(cell.key()).or_insert(stats);
+                    self.log(cell.id, CellOutcome::Resumed, Duration::ZERO, &stats);
+                    results[i] = Some(stats);
+                }
+                None => fresh.push((rank, i, cell)),
+            }
+        }
+        // The batch's first cell of each unknown key leads; later cells of
+        // that key follow it.
+        let mut leaders: BTreeMap<String, usize> = BTreeMap::new();
+        let mut followers: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
+        let mut executed = Vec::new();
+        for (rank, i, cell) in fresh {
+            let key = cell.key();
+            if !self.faulted(&cell.id) {
+                if let Some(stats) = lock(&self.done).get(&key).copied() {
+                    self.share(cell.id, &stats);
+                    results[i] = Some(stats);
+                    continue;
+                }
+                if let Some(leader) = leaders.get(&key) {
+                    followers.entry(*leader).or_default().push((i, cell.id));
+                    continue;
+                }
+                leaders.insert(key.clone(), i);
+            }
+            executed.push((rank, i, key, cell));
+        }
+        executed.sort_by_key(|&(rank, ..)| rank);
+        // Sorted by rank, each group's cells are adjacent and take one slot.
+        let mut order = Vec::with_capacity(executed.len());
+        let mut jobs = Vec::with_capacity(executed.len());
+        let mut group: Option<(usize, Arc<StreamSlot>)> = None;
+        for (rank, i, key, cell) in executed {
+            let slot = match &group {
+                Some((r, slot)) if *r == rank => Arc::clone(slot),
+                _ => {
+                    let slot = Arc::new(StreamSlot::new(&self.streams));
+                    group = Some((rank, Arc::clone(&slot)));
+                    slot
+                }
             };
-            let (rank, slot) = slots.entry(key).or_insert_with(|| {
-                let slot = StreamSlot {
-                    stream: OnceLock::new(),
-                    counters: Arc::clone(&self.streams),
-                };
-                (i, Arc::new(slot))
-            });
-            grouped.push((*rank, i, self.sweep_cell(cell, Arc::clone(slot))));
+            order.push((i, key));
+            jobs.push((cell, slot));
         }
-        drop(slots);
-        grouped.sort_by_key(|&(rank, ..)| rank);
-        let (order, grouped): (Vec<usize>, Vec<SweepCell<'static>>) =
-            grouped.into_iter().map(|(_, i, cell)| (i, cell)).unzip();
-        let mut out = vec![HierarchyStats::default(); order.len()];
-        for (i, stats) in order.into_iter().zip(self.sweep.run_cells(grouped)) {
-            out[i] = stats;
+        drop(group);
+        let outcomes = run_jobs(self.threads, jobs, |(cell, slot)| self.execute(cell, &slot));
+        let mut failures: Vec<String> = Vec::new();
+        for ((i, key), outcome) in order.into_iter().zip(outcomes) {
+            let sharers = followers.remove(&i).unwrap_or_default();
+            match outcome {
+                Ok(stats) => {
+                    lock(&self.done).insert(key, stats);
+                    results[i] = Some(stats);
+                    for (j, id) in sharers {
+                        self.share(id, &stats);
+                        results[j] = Some(stats);
+                    }
+                }
+                Err(msg) => {
+                    failures.push(msg);
+                    for (_, id) in sharers {
+                        failures.push(format!("{id}: shares the key of a failed cell"));
+                        lock(&self.metrics).push(CellMetric::failed(id, Duration::ZERO));
+                    }
+                }
+            }
         }
-        out
+        assert!(
+            failures.is_empty(),
+            "{} cell(s) failed (completed cells are journaled): {}",
+            failures.len(),
+            failures.join("; ")
+        );
+        results
+            .into_iter()
+            .map(|r| r.expect("every slot filled"))
+            .collect()
     }
 
-    /// The harness cell that replays `cell`'s LLC from `slot`'s stream.
-    fn sweep_cell(&self, cell: Cell, slot: Arc<StreamSlot>) -> SweepCell<'static> {
-        let key = cell.key();
+    /// Whether fault injection targets cell `id`.
+    fn faulted(&self, id: &str) -> bool {
+        self.fault.as_deref().is_some_and(|pat| id.contains(pat))
+    }
+
+    /// Simulates `cell`, replaying its LLC from `slot`'s stream, then
+    /// journals and logs it. A panic comes back as the failure message.
+    fn execute(&self, cell: Cell, slot: &StreamSlot) -> Result<HierarchyStats, String> {
         let ctx = self.matrix_ctx(&cell.graph_desc);
-        let Cell {
-            id,
-            graph,
-            cfg,
-            feed,
-            policy,
-            ..
-        } = cell;
-        SweepCell::new(id, key, move || {
-            let stream = slot.stream(|| feed.record(&graph, &cfg, ctx.as_ref()));
-            replay(feed, &graph, &cfg, &policy, ctx.as_ref(), stream)
-        })
+        let started = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if self.faulted(&cell.id) {
+                panic!("injected fault for cell {:?}", cell.id);
+            }
+            let stream = slot.stream(|| cell.feed.record(&cell.graph, &cell.cfg, ctx.as_ref()));
+            replay(
+                cell.feed,
+                &cell.graph,
+                &cell.cfg,
+                &cell.policy,
+                ctx.as_ref(),
+                stream,
+            )
+        }));
+        let wall = started.elapsed();
+        match outcome {
+            Ok(stats) => {
+                self.journal(&cell.id, &stats);
+                self.log(cell.id, CellOutcome::Executed, wall, &stats);
+                Ok(stats)
+            }
+            Err(payload) => {
+                let msg = format!("{}: {}", cell.id, panic_message(payload.as_ref()));
+                lock(&self.metrics).push(CellMetric::failed(cell.id, wall));
+                Err(msg)
+            }
+        }
+    }
+
+    /// Journals and logs a cell that took another cell's `stats`.
+    fn share(&self, id: String, stats: &HierarchyStats) {
+        self.journal(&id, stats);
+        self.log(id, CellOutcome::Shared, Duration::ZERO, stats);
+    }
+
+    fn journal(&self, id: &str, stats: &HierarchyStats) {
+        if let Some(m) = &self.manifest {
+            lock(m)
+                .record(id, *stats)
+                .expect("journal write failed; sweep is not resumable");
+        }
+    }
+
+    fn log(&self, id: String, outcome: CellOutcome, wall: Duration, stats: &HierarchyStats) {
+        lock(&self.metrics).push(CellMetric::new(id, outcome, wall, stats));
     }
 
     /// Number of cells so far whose result materialized as `outcome`.
     pub fn count(&self, outcome: CellOutcome) -> usize {
-        self.sweep.count(outcome)
+        lock(&self.metrics)
+            .iter()
+            .filter(|m| m.outcome == outcome)
+            .count()
     }
 
     /// LLC streams recorded, replayed and held so far.
@@ -346,13 +508,36 @@ impl Session {
         *counters(&self.streams)
     }
 
-    /// Finishes the sweep (see [`SweepSession::finish`]).
+    /// Finishes the sweep: canonicalizes the journal (making it
+    /// byte-comparable across runs) and returns the aggregated report.
     ///
     /// # Errors
     ///
     /// Propagates journal rewrite failures.
     pub fn finish(self) -> std::io::Result<SweepReport> {
-        self.sweep.finish()
+        if let Some(m) = &self.manifest {
+            lock(m).canonicalize()?;
+        }
+        Ok(SweepReport::new(
+            self.metrics.into_inner().expect("metrics lock"),
+        ))
+    }
+}
+
+/// Locks a session mutex. A panicking cell never holds one (cells run
+/// outside every lock), so poisoning means a bug in this module.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("session lock")
+}
+
+/// Renders a caught panic payload (`&str` or `String` in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.as_str()
+    } else {
+        "non-string panic payload"
     }
 }
 
@@ -832,5 +1017,281 @@ mod tests {
                 assert_eq!(stats.next(), Some(&direct), "{feed:?} under {spec:?}");
             }
         }
+    }
+
+    /// A tiny PageRank cell on urand under baseline `kind`.
+    fn cell(session: &Session, id: &str, kind: PolicyKind) -> Cell {
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let spec = PolicySpec::Baseline(kind);
+        session.sim(id, App::Pagerank, &entry, &Scale::Tiny.config(), &spec)
+    }
+
+    /// `count` cells of distinct keys on one stream, ids `t/00`, `t/01`, ...
+    fn cells(session: &Session, count: usize) -> Vec<Cell> {
+        PolicyKind::ALL[..count]
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| cell(session, &format!("t/{i:02}"), kind))
+            .collect()
+    }
+
+    /// What [`cells`] compute, simulated directly.
+    fn expected(count: usize) -> Vec<HierarchyStats> {
+        let g = suite_graph(SuiteGraph::Urand, popt_graph::suite::SuiteScale::Tiny);
+        PolicyKind::ALL[..count]
+            .iter()
+            .map(|&kind| {
+                let spec = PolicySpec::Baseline(kind);
+                simulate(App::Pagerank, &g, &Scale::Tiny.config(), &spec)
+            })
+            .collect()
+    }
+
+    /// A cell that always fails: T-OPT below propagation blocking's
+    /// phases is refused by name.
+    fn failing(session: &Session, id: &str) -> Cell {
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let cfg = Scale::Tiny.config();
+        session.sim(id, Feed::Pb, &entry, &cfg, &PolicySpec::Topt)
+    }
+
+    /// Runs a batch that must fail and returns its panic message.
+    fn failure(session: &Session, batch: Vec<Cell>) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run(batch)));
+        *err.expect_err("batch re-raises")
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn results_in_submission_order_serial_and_parallel() {
+        let want = expected(9);
+        for threads in [1, 4] {
+            let session = Session::parallel(threads);
+            assert_eq!(session.run(cells(&session, 9)), want);
+            assert_eq!(session.count(CellOutcome::Executed), 9);
+            assert_eq!(session.stream_counters().replayed, 9);
+        }
+    }
+
+    #[test]
+    fn journaled_cells_are_not_rerun() {
+        let path = scratch("resume").join("manifest.jsonl");
+        {
+            let session = Session::parallel(2).with_manifest(Manifest::open(&path).unwrap());
+            session.run(cells(&session, 6));
+            assert_eq!(session.stream_counters().replayed, 6);
+            session
+                .finish()
+                .unwrap()
+                .write(path.parent().unwrap())
+                .unwrap();
+        }
+        // Second run over the same journal: nothing executes.
+        let session = Session::parallel(2).with_manifest(Manifest::open(&path).unwrap());
+        let out = session.run(cells(&session, 6));
+        assert_eq!(session.count(CellOutcome::Executed), 0);
+        assert_eq!(session.count(CellOutcome::Resumed), 6);
+        assert_eq!(
+            session.stream_counters(),
+            StreamCounters::default(),
+            "no re-execution"
+        );
+        assert_eq!(out, expected(6));
+    }
+
+    #[test]
+    fn partial_journal_runs_only_the_remainder() {
+        let path = scratch("partial").join("manifest.jsonl");
+        {
+            // First run completes only cells 0..3 (simulate a kill by
+            // submitting a prefix).
+            let session = Session::serial().with_manifest(Manifest::open(&path).unwrap());
+            session.run(cells(&session, 3));
+            // No finish(): the "killed" run never canonicalized.
+        }
+        let session = Session::parallel(3).with_manifest(Manifest::open(&path).unwrap());
+        let out = session.run(cells(&session, 6));
+        assert_eq!(out, expected(6));
+        assert_eq!(session.count(CellOutcome::Executed), 3);
+        assert_eq!(session.count(CellOutcome::Resumed), 3);
+        assert_eq!(
+            session.stream_counters().replayed,
+            3,
+            "exactly 3 more executions"
+        );
+    }
+
+    #[test]
+    fn an_in_batch_duplicate_runs_once_and_is_journaled_under_both_ids() {
+        let path = scratch("in-batch-duplicate").join("manifest.jsonl");
+        let session = Session::parallel(2).with_manifest(Manifest::open(&path).unwrap());
+        let out = session.run(vec![
+            cell(&session, "d/a", PolicyKind::Lru),
+            cell(&session, "d/b", PolicyKind::Drrip),
+            cell(&session, "d/c", PolicyKind::Lru),
+        ]);
+        assert_eq!(out[2], out[0], "the duplicate takes its leader's stats");
+        let direct = expected(6);
+        assert_eq!((out[0], out[1]), (direct[0], direct[5]), "LRU, then DRRIP");
+        assert_eq!(session.count(CellOutcome::Executed), 2);
+        assert_eq!(session.count(CellOutcome::Shared), 1);
+        assert_eq!(session.stream_counters().replayed, 2);
+        let report = session.finish().unwrap();
+        let shared = &report.rows()[2];
+        assert_eq!(
+            (shared.cell.as_str(), shared.outcome, shared.wall),
+            ("d/c", CellOutcome::Shared, std::time::Duration::ZERO)
+        );
+        let journal = Manifest::open(&path).unwrap();
+        for id in ["d/a", "d/c"] {
+            assert_eq!(journal.completed(id), Some(&out[0]));
+        }
+    }
+
+    #[test]
+    fn completed_and_journaled_keys_serve_later_batches() {
+        let path = scratch("later-batches").join("manifest.jsonl");
+        let (lru, drrip) = (PolicyKind::Lru, PolicyKind::Drrip);
+        let a = {
+            let session = Session::serial().with_manifest(Manifest::open(&path).unwrap());
+            let a = session.run(vec![cell(&session, "l/a", lru)]);
+            let out = session.run(vec![
+                cell(&session, "l/b", drrip),
+                cell(&session, "l/a2", lru),
+            ]);
+            assert_eq!(out[1], a[0]);
+            assert_ne!(out[0], a[0]);
+            assert_eq!(session.count(CellOutcome::Shared), 1);
+            assert_eq!(session.stream_counters().replayed, 2);
+            a[0]
+        };
+        // A new session resumes `l/a` by id; its stats then serve its key
+        // for a cell the journal has never seen.
+        let session = Session::serial().with_manifest(Manifest::open(&path).unwrap());
+        let out = session.run(vec![
+            cell(&session, "l/a3", lru),
+            cell(&session, "l/a", lru),
+        ]);
+        assert_eq!(out, [a, a]);
+        assert_eq!(
+            session.stream_counters(),
+            StreamCounters::default(),
+            "nothing ran"
+        );
+        assert_eq!(session.count(CellOutcome::Resumed), 1);
+        assert_eq!(session.count(CellOutcome::Shared), 1);
+    }
+
+    #[test]
+    fn a_duplicate_of_a_failing_cell_fails_with_it() {
+        let session = Session::parallel(2);
+        let msg = failure(
+            &session,
+            vec![
+                failing(&session, "f/boom"),
+                cell(&session, "f/ok", PolicyKind::Lru),
+                failing(&session, "f/boom-twin"),
+            ],
+        );
+        assert!(msg.contains("2 cell(s) failed"), "got: {msg}");
+        assert!(msg.contains("f/boom-twin"), "the twin is named: {msg}");
+        assert_eq!(session.stream_counters().replayed, 2, "the twin never ran");
+        assert_eq!(session.count(CellOutcome::Failed), 2);
+        assert_eq!(session.count(CellOutcome::Executed), 1);
+        // The failed key left no stats behind: a later cell of it runs.
+        let msg = failure(&session, vec![failing(&session, "f/retry")]);
+        assert!(msg.contains("1 cell(s) failed"), "got: {msg}");
+        assert!(msg.contains("f/retry: "), "got: {msg}");
+        assert_eq!(session.stream_counters().replayed, 3);
+        assert_eq!(session.count(CellOutcome::Shared), 0);
+    }
+
+    #[test]
+    fn a_faulted_cell_never_shares() {
+        let session = Session::serial().with_fault("x/b");
+        session.run(vec![cell(&session, "x/a", PolicyKind::Lru)]);
+        let msg = failure(&session, vec![cell(&session, "x/b", PolicyKind::Lru)]);
+        assert!(
+            msg.contains("injected fault for cell \"x/b\""),
+            "the injected fault fires despite the known key: {msg}"
+        );
+        assert_eq!(session.count(CellOutcome::Shared), 0);
+        assert_eq!(session.count(CellOutcome::Failed), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate cell id")]
+    fn duplicate_ids_are_rejected() {
+        let session = Session::serial();
+        session.run(vec![
+            cell(&session, "same", PolicyKind::Lru),
+            cell(&session, "same", PolicyKind::Drrip),
+        ]);
+    }
+
+    #[test]
+    fn failing_cell_does_not_abort_its_batch() {
+        // The failing cell is submitted FIRST so the serial path would
+        // historically have skipped everything after it; now every other
+        // cell completes and journals before the batch re-raises.
+        let path = scratch("failing-cell").join("manifest.jsonl");
+        {
+            let session = Session::parallel(2).with_manifest(Manifest::open(&path).unwrap());
+            let mut batch = vec![failing(&session, "t/boom")];
+            batch.extend(cells(&session, 4));
+            let msg = failure(&session, batch);
+            assert!(msg.contains("1 cell(s) failed"), "got: {msg}");
+            assert!(msg.contains("t/boom"), "failure names the cell: {msg}");
+            assert_eq!(session.count(CellOutcome::Failed), 1);
+            assert_eq!(
+                session.count(CellOutcome::Executed),
+                4,
+                "healthy cells all ran"
+            );
+        }
+        // The journal carries the four completed cells: a resumed run
+        // re-simulates only the fixed cell.
+        let session = Session::parallel(2).with_manifest(Manifest::open(&path).unwrap());
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
+        let cfg = Scale::Tiny.config();
+        let mut batch = vec![session.sim("t/boom", Feed::Pb, &entry, &cfg, &drrip)];
+        batch.extend(cells(&session, 4));
+        let out = session.run(batch);
+        assert_eq!(out[1..], expected(4)[..]);
+        assert_eq!(out[0], simulate(Feed::Pb, &entry.graph, &cfg, &drrip));
+        assert_eq!(
+            session.count(CellOutcome::Executed),
+            1,
+            "only the fixed cell runs"
+        );
+        assert_eq!(session.count(CellOutcome::Resumed), 4);
+        assert_eq!(session.stream_counters().replayed, 1);
+    }
+
+    #[test]
+    fn injected_fault_takes_the_failure_path() {
+        let session = Session::serial().with_fault("t/02");
+        let msg = failure(&session, cells(&session, 4));
+        assert!(msg.contains("1 cell(s) failed"), "got: {msg}");
+        assert!(msg.contains("t/02: injected fault"), "got: {msg}");
+        assert_eq!(session.count(CellOutcome::Failed), 1);
+        assert_eq!(
+            session.count(CellOutcome::Executed),
+            3,
+            "non-matching cells ran"
+        );
+        assert_eq!(session.stream_counters().replayed, 3);
+    }
+
+    #[test]
+    fn report_covers_all_batches() {
+        let session = Session::serial();
+        session.run(vec![cell(&session, "a/1", PolicyKind::Lru)]);
+        session.run(vec![cell(&session, "b/1", PolicyKind::Drrip)]);
+        let report = session.finish().unwrap();
+        assert_eq!(report.rows().len(), 2);
+        assert_eq!(report.count(CellOutcome::Executed), 2);
     }
 }

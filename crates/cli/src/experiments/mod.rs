@@ -18,8 +18,6 @@ pub mod tables;
 use crate::exec::Session;
 use crate::table::Table;
 use crate::Scale;
-use popt_graph::suite::{suite_graph, SuiteGraph};
-use popt_graph::Graph;
 use std::path::Path;
 
 /// One registered experiment driver.
@@ -121,14 +119,6 @@ pub fn emit_tables(tables: &[Table], out: &Path, name: &str) -> std::io::Result<
     Ok(())
 }
 
-/// The five suite graphs at the requested scale, in paper order.
-pub fn suite(scale: Scale) -> Vec<(SuiteGraph, Graph)> {
-    SuiteGraph::ALL
-        .iter()
-        .map(|&which| (which, suite_graph(which, scale.suite())))
-        .collect()
-}
-
 /// Geometric mean of a non-empty slice.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -146,11 +136,5 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[3.0]) - 3.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
-    }
-
-    #[test]
-    fn suite_has_five_graphs() {
-        let graphs = suite(Scale::Small);
-        assert_eq!(graphs.len(), 5);
     }
 }

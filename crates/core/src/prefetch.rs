@@ -169,7 +169,7 @@ mod tests {
         let cfg = HierarchyConfig::small_test();
         let run = |prefetch: bool| {
             let mut h = Hierarchy::new(&cfg, |s, w| PolicyKind::Lru.build(s, w));
-            let mut feed = |sink: &mut dyn TraceSink| {
+            let feed = |sink: &mut dyn TraceSink| {
                 for v in 0..64u32 {
                     sink.event(TraceEvent::CurrentVertex(v));
                     sink.event(TraceEvent::read(base + v as u64 * 64, 1));

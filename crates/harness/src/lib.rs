@@ -2,8 +2,9 @@
 //! content-addressed artifact cache.
 //!
 //! The paper's evaluation is a kernels × graphs × policies × hierarchies
-//! sweep matrix; this crate turns each cell of that matrix into a
-//! schedulable job and provides the run-wide machinery around it:
+//! sweep matrix. `popt-cli`'s `exec::Session` is its one cell runner: it
+//! resumes, shares and schedules the cells of each batch. This crate
+//! provides the run-wide machinery it runs on:
 //!
 //! * [`pool`] — a shared-queue thread pool whose results come back in
 //!   submission order, so parallel sweeps emit byte-identical result
@@ -15,8 +16,6 @@
 //!   resumable: completed cells replay from disk, only unfinished ones
 //!   re-simulate.
 //! * [`report`] — per-cell wall-time/throughput aggregation.
-//! * [`sweep`] — the session object gluing the above together for the
-//!   experiment drivers in `popt-cli`.
 //! * [`hash`] — the stable (cross-process) hash underneath cache keys and
 //!   manifest digests.
 //! * [`json`] — the minimal JSON dialect shared by the manifest and the
@@ -28,9 +27,7 @@ pub mod json;
 pub mod manifest;
 pub mod pool;
 pub mod report;
-pub mod sweep;
 
 pub use cache::{ArtifactCache, ArtifactKey, ArtifactKind, CacheCounters};
 pub use manifest::Manifest;
 pub use report::{CellMetric, CellOutcome, SweepReport};
-pub use sweep::{SweepCell, SweepSession};

@@ -18,42 +18,38 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// A unit of work for [`run_jobs`].
-pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// Runs `jobs` on up to `threads` workers and returns their outputs in
-/// submission order.
+/// Runs `run` on each of `items` on up to `threads` workers and returns
+/// the outputs in submission order.
 ///
-/// With `threads <= 1` (or a single job) everything runs inline on the
+/// With `threads <= 1` (or a single item) everything runs inline on the
 /// caller's thread — the serial fast path has no pool overhead at all.
 ///
 /// # Panics
 ///
-/// Re-raises the panic of any job that panicked.
-pub fn run_jobs<'env, T: Send + 'env>(threads: usize, jobs: Vec<Job<'env, T>>) -> Vec<T> {
-    let n_jobs = jobs.len();
-    if n_jobs == 0 {
-        return Vec::new();
+/// Re-raises the panic of any item whose run panicked.
+pub fn run_jobs<I: Send, T: Send>(
+    threads: usize,
+    items: Vec<I>,
+    run: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let n_items = items.len();
+    let workers = threads.max(1).min(n_items);
+    if workers <= 1 {
+        return items.into_iter().map(run).collect();
     }
-    let workers = threads.max(1).min(n_jobs);
-    if workers == 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    let queue: Mutex<VecDeque<(usize, Job<'env, T>)>> =
-        Mutex::new(jobs.into_iter().enumerate().collect());
-    let queue = &queue;
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_jobs));
-    let results_ref = &results;
+    let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_items));
+    let (queue, results_ref, run) = (&queue, &results, &run);
     let outcome = crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(move |_| {
-                // No job ever enqueues more work, so an empty queue is a
+                // No run ever enqueues more work, so an empty queue is a
                 // stable exit condition. The pop is its own statement so
-                // the lock is released before the job runs.
+                // the lock is released before the item runs.
                 loop {
                     let next = queue.lock().expect("queue lock").pop_front();
-                    let Some((idx, job)) = next else { break };
-                    let out = job();
+                    let Some((idx, item)) = next else { break };
+                    let out = run(item);
                     results_ref.lock().expect("results lock").push((idx, out));
                 }
             });
@@ -72,26 +68,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn boxed<'env, T, F: FnOnce() -> T + Send + 'env>(f: F) -> Job<'env, T> {
-        Box::new(f)
-    }
-
     #[test]
     fn results_come_back_in_submission_order() {
         for threads in [1, 2, 7] {
-            let jobs: Vec<Job<'_, usize>> = (0..64)
-                .map(|i| {
-                    boxed(move || {
-                        // Skew durations so completion order differs from
-                        // submission order under real parallelism.
-                        if i % 8 == 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(3));
-                        }
-                        i * i
-                    })
-                })
-                .collect();
-            let out = run_jobs(threads, jobs);
+            let out = run_jobs(threads, (0..64).collect(), |i: usize| {
+                // Skew durations so completion order differs from
+                // submission order under real parallelism.
+                if i.is_multiple_of(8) {
+                    std::thread::sleep(std::time::Duration::from_millis(3));
+                }
+                i * i
+            });
             assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -99,15 +86,9 @@ mod tests {
     #[test]
     fn all_jobs_run_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Job<'_, ()>> = (0..100)
-            .map(|_| {
-                let c = &counter;
-                boxed(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        run_jobs(4, jobs);
+        run_jobs(4, vec![(); 100], |()| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
@@ -115,18 +96,13 @@ mod tests {
     fn workers_steal_from_a_loaded_neighbour() {
         // One long job pins a worker; the other workers must take the 31
         // cheap jobs queued behind it for the run to finish quickly.
-        let jobs: Vec<Job<'_, usize>> = (0..32)
-            .map(|i| {
-                boxed(move || {
-                    if i == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                    }
-                    i
-                })
-            })
-            .collect();
         let started = std::time::Instant::now();
-        let out = run_jobs(4, jobs);
+        let out = run_jobs(4, (0..32).collect(), |i: usize| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+            i
+        });
         assert_eq!(out.len(), 32);
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),
@@ -142,8 +118,7 @@ mod tests {
         // them); many tiny jobs across many workers makes that window
         // hot.
         for _ in 0..200 {
-            let jobs: Vec<Job<'_, usize>> = (0..16).map(|i| boxed(move || i)).collect();
-            let out = run_jobs(7, jobs);
+            let out = run_jobs(7, (0..16).collect(), |i: usize| i);
             assert_eq!(out, (0..16).collect::<Vec<_>>());
         }
     }
@@ -151,20 +126,24 @@ mod tests {
     #[test]
     fn borrows_from_the_caller_are_allowed() {
         let data = [1u64, 2, 3];
-        let jobs: Vec<Job<'_, u64>> = data.iter().map(|v| boxed(move || v * 10)).collect();
-        assert_eq!(run_jobs(2, jobs), vec![10, 20, 30]);
+        let scale = 10;
+        assert_eq!(
+            run_jobs(2, data.iter().collect(), |v| v * scale),
+            vec![10, 20, 30]
+        );
     }
 
     #[test]
     fn empty_and_single() {
-        assert!(run_jobs::<u8>(4, Vec::new()).is_empty());
-        assert_eq!(run_jobs(4, vec![boxed(|| 7u8)]), vec![7]);
+        assert!(run_jobs(4, Vec::<u8>::new(), |x| x).is_empty());
+        assert_eq!(run_jobs(4, vec![7u8], |x| x), vec![7]);
     }
 
     #[test]
     fn job_panics_propagate() {
-        let jobs: Vec<Job<'_, ()>> = vec![boxed(|| panic!("cell died")), boxed(|| ())];
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, jobs)));
+        let err = std::panic::catch_unwind(|| {
+            run_jobs(2, vec![true, false], |boom| assert!(!boom, "cell died"))
+        });
         assert!(err.is_err());
     }
 }

@@ -268,7 +268,6 @@ mod tests {
 
     #[test]
     fn bin_config_partitions_destinations() {
-        let g = generators::uniform_random(1000, 4000, 3);
         let cfg = BinningConfig { num_bins: 8 };
         for dst in 0..1000u32 {
             assert!(cfg.bin_of(dst, 1000) < 8);
