@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use popt_bench::{bench_graph, bench_graph_skewed};
-use popt_kernels::{bfs, components, mis, pagerank, pagerank_delta, radii, App};
+use popt_kernels::{components, mis, pagerank, pagerank_delta, radii, App};
 use popt_trace::CountingSink;
 
 fn native_kernels(c: &mut Criterion) {
@@ -17,7 +17,6 @@ fn native_kernels(c: &mut Criterion) {
     group.bench_function("pagerank_delta", |b| b.iter(|| pagerank_delta::run(&g, 5)));
     group.bench_function("radii", |b| b.iter(|| radii::run(&g, 3, 32)));
     group.bench_function("mis", |b| b.iter(|| mis::run(&g, 7)));
-    group.bench_function("bfs", |b| b.iter(|| bfs::run(&g, 0)));
     group.finish();
 }
 

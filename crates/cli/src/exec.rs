@@ -22,7 +22,7 @@ use crate::runner::{replay, Feed, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
-use popt_harness::pool::run_jobs;
+use popt_harness::pool::{panic_message, run_jobs};
 use popt_harness::{
     ArtifactCache, ArtifactKey, ArtifactKind, CellMetric, CellOutcome, Manifest, SweepReport,
 };
@@ -528,17 +528,6 @@ impl Session {
 /// outside every lock), so poisoning means a bug in this module.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("session lock")
-}
-
-/// Renders a caught panic payload (`&str` or `String` in practice).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "non-string panic payload"
-    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,6 @@ pub use popt_graph::cast;
 mod engine;
 mod entry;
 mod epoch;
-pub mod layout;
 mod policy;
 pub mod prefetch;
 pub mod preprocess;

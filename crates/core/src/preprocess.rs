@@ -6,8 +6,8 @@
 //! Rereference Matrix is algorithm agnostic and needs to be created only
 //! once for a graph" (Section VII-D). Construction is embarrassingly
 //! parallel over matrix rows (cache lines), so this module fans runs of
-//! rows out across worker threads with `crossbeam::scope`; every run goes
-//! through the same row routine as the serial builders.
+//! rows out across scoped worker threads (`std::thread::scope`); every run
+//! goes through the same row routine as the serial builders.
 
 use crate::{reref, Encoding, Quantization, RerefMatrix};
 use popt_graph::Csr;
@@ -45,19 +45,18 @@ pub fn build_parallel(
     let num_epochs = m.num_epochs();
     let mut data = vec![0; m.num_lines() * num_epochs];
     let rows_per_run = m.num_lines().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let m = &m;
         let mut runs = data.chunks_mut(rows_per_run * num_epochs).enumerate();
         // The calling thread builds the last run itself.
         let last = runs.next_back();
         for (i, rows) in runs {
-            scope.spawn(move |_| m.fill_lines(transpose, i * rows_per_run, rows));
+            scope.spawn(move || m.fill_lines(transpose, i * rows_per_run, rows));
         }
         if let Some((i, rows)) = last {
             m.fill_lines(transpose, i * rows_per_run, rows);
         }
-    })
-    .expect("matrix build worker panicked");
+    });
     m.set_data(data);
     m
 }

@@ -401,7 +401,7 @@ impl RerefMatrix {
         self.column_bytes() * self.encoding.resident_columns() as u64
     }
 
-    /// LLC ways that must be reserved to pin [`resident_bytes`]
+    /// LLC ways that must be reserved to pin [`resident_bytes`](Self::resident_bytes)
     /// (Section V-A: "reserve the minimum number of LLC ways that are
     /// sufficient").
     pub fn reserved_llc_ways(&self, llc: &popt_sim::CacheConfig) -> usize {

@@ -400,16 +400,15 @@ mod tests {
     fn concurrent_requests_build_once() {
         let cache = ArtifactCache::open(scratch("race")).unwrap();
         let key = ArtifactKey::new(ArtifactKind::Graph, "test-graph/v1/race");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let cache = &cache;
                 let key = &key;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     cache.graph(key, demo_graph);
                 });
             }
-        })
-        .expect("no panics");
+        });
         let c = cache.counters();
         assert_eq!(c.graph_builds, 1, "exactly one build, got {c:?}");
         assert_eq!(c.graph_hits, 7);
@@ -420,10 +419,10 @@ mod tests {
         let cache = ArtifactCache::open(scratch("matrix-race")).unwrap();
         let g = demo_graph();
         let key = ArtifactKey::new(ArtifactKind::Matrix, "test-rrm/v1/race");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let (cache, key, g) = (&cache, &key, &g);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     cache.matrix(key, || {
                         RerefMatrix::build(
                             g.out_csr(),
@@ -435,8 +434,7 @@ mod tests {
                     });
                 });
             }
-        })
-        .expect("no panics");
+        });
         let c = cache.counters();
         assert_eq!(c.matrix_builds, 1, "exactly one build, got {c:?}");
         assert_eq!(c.matrix_hits, 7);
@@ -452,16 +450,15 @@ mod tests {
         let a = ArtifactCache::open(&root).unwrap();
         let b = ArtifactCache::open(&root).unwrap();
         let key = ArtifactKey::new(ArtifactKind::Graph, "test-graph/v1/shared-root");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for cache in [&a, &b] {
                 let key = &key;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let got = cache.graph(key, demo_graph);
                     assert_eq!(*got, demo_graph());
                 });
             }
-        })
-        .expect("no panics");
+        });
         let builds = a.counters().graph_builds + b.counters().graph_builds;
         assert!(builds >= 1 && builds <= 2, "got {builds} builds");
         // Whatever the interleaving, the persisted artifact is whole.

@@ -8,7 +8,8 @@
 //!
 //! * [`pool`] — a shared-queue thread pool whose results come back in
 //!   submission order, so parallel sweeps emit byte-identical result
-//!   files to serial ones.
+//!   files to serial ones, and [`pool::panic_message`], which renders a
+//!   caught panic for the sweep runner and the service alike.
 //! * [`cache`] — a content-addressed on-disk artifact cache that dedupes
 //!   the expensive shared prerequisites (suite graphs, Rereference
 //!   Matrices) across cells, runs, and processes.

@@ -15,6 +15,7 @@
 //! which is what lets callers emit byte-identical result files at any
 //! `--jobs` level.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -26,7 +27,8 @@ use std::sync::Mutex;
 ///
 /// # Panics
 ///
-/// Re-raises the panic of any item whose run panicked.
+/// Re-raises the panic of an item whose run panicked, with that run's own
+/// payload (the first worker's, if runs on several workers panicked).
 pub fn run_jobs<I: Send, T: Send>(
     threads: usize,
     items: Vec<I>,
@@ -38,29 +40,43 @@ pub fn run_jobs<I: Send, T: Send>(
         return items.into_iter().map(run).collect();
     }
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_items));
-    let (queue, results_ref, run) = (&queue, &results, &run);
-    let outcome = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move |_| {
-                // No run ever enqueues more work, so an empty queue is a
-                // stable exit condition. The pop is its own statement so
-                // the lock is released before the item runs.
-                loop {
-                    let next = queue.lock().expect("queue lock").pop_front();
-                    let Some((idx, item)) = next else { break };
-                    let out = run(item);
-                    results_ref.lock().expect("results lock").push((idx, out));
-                }
-            });
+    // No run ever enqueues more work, so an empty queue is a stable exit
+    // condition. The pop is its own statement so the lock is released
+    // before the item runs.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("queue lock").pop_front();
+            let Some((idx, item)) = next else { break };
+            done.push((idx, run(item)));
         }
+        done
+    };
+    // Every handle is joined inside the scope: a scoped thread left
+    // unjoined would make the scope raise its own panic in place of the
+    // worker's payload.
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    if let Err(payload) = outcome {
-        std::panic::resume_unwind(payload);
+    let mut out = Vec::with_capacity(n_items);
+    for joined in per_worker {
+        out.extend(joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
     }
-    let mut out = results.into_inner().expect("results lock");
     out.sort_unstable_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, t)| t).collect()
+}
+
+/// The message of a caught panic's `payload`: the `&str` or `String` that
+/// `panic!` carries, or a fixed placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 #[cfg(test)]
@@ -141,9 +157,19 @@ mod tests {
 
     #[test]
     fn job_panics_propagate() {
-        let err = std::panic::catch_unwind(|| {
-            run_jobs(2, vec![true, false], |boom| assert!(!boom, "cell died"))
-        });
-        assert!(err.is_err());
+        // The worker's own payload comes back, not a generic scope panic.
+        for threads in [1, 2, 7] {
+            let err = std::panic::catch_unwind(|| {
+                run_jobs(threads, (0..8).collect(), |i: usize| {
+                    assert!(i != 3, "cell died")
+                })
+            })
+            .expect_err("a job panicked");
+            assert_eq!(
+                panic_message(err.as_ref()),
+                "cell died",
+                "threads = {threads}"
+            );
+        }
     }
 }

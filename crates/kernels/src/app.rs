@@ -73,7 +73,7 @@ impl App {
     }
 
     /// Emits the application's sampled-iteration access stream.
-    pub fn trace(&self, g: &Graph, plan: &TracePlan, sink: &mut dyn TraceSink) {
+    pub fn trace<S: TraceSink>(&self, g: &Graph, plan: &TracePlan, sink: S) {
         match self {
             App::Pagerank => pagerank::trace(g, plan, sink),
             App::Components => components::trace(g, plan, sink),

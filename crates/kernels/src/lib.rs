@@ -18,8 +18,7 @@
 //!
 //! Prior-work comparators for Section VII: [`pb`] (Propagation Blocking and
 //! the PHI aggregation model), [`hats`] (HATS-BDFS traversal scheduling),
-//! and [`tiled`] (CSR-segmenting pull PageRank). [`bfs`]
-//! (direction-optimizing BFS) supports the examples.
+//! and [`tiled`] (CSR-segmenting pull PageRank).
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@
 //! ```
 
 mod app;
-pub mod bfs;
 mod common;
 pub mod components;
 pub mod hats;

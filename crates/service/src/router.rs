@@ -23,6 +23,7 @@ use crate::metrics::{Gauges, Metrics};
 use crate::queue::{BoundedQueue, PushError};
 use crate::CellRunner;
 use popt_harness::json::Value;
+use popt_harness::pool::panic_message;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -351,16 +352,6 @@ impl ServiceState {
         };
         job.set_state(next);
         self.coalescer.retire(job.hash());
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "opaque panic payload"
     }
 }
 
