@@ -2,7 +2,7 @@
 //!
 //! Every pass works on the token stream of one file ([`SourceFile`]) or,
 //! for the registry pass, on the policies directory as a whole. Passes
-//! return raw [`Diagnostic`]s; allowlisting is applied by the driver in
+//! return raw [`Diagnostic`](crate::Diagnostic)s; allowlisting is applied by the driver in
 //! [`crate::run_check`].
 
 pub mod casts;

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
-use popt_cli::runner::{policy_llc, replay, Feed, PolicySpec};
+use popt_cli::runner::{policy_llc, Feed, PolicySpec};
 use popt_kernels::App;
 use popt_sim::{Hierarchy, HierarchyConfig, PolicyKind};
 use popt_trace::CountingSink;
@@ -51,10 +51,14 @@ fn cell_drive(c: &mut Criterion) {
             h.stats()
         })
     });
-    // What a sweep cell costs once its row's stream is recorded.
-    let stream = feed.record(&g, &cfg, None);
+    // What the LLC half of a cell costs once its stream is recorded.
+    let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
+        h.set_address_space(&plan.space);
+        App::Pagerank.trace(&g, &plan, h);
+        Ok::<(), std::convert::Infallible>(())
+    });
     group.bench_function("llc_stream_replay", |b| {
-        b.iter(|| replay(feed, &g, &cfg, &lru, None, &stream))
+        b.iter(|| policy_llc(feed, &g, &cfg, &lru, None).replay(&stream))
     });
     group.finish();
 }

@@ -14,7 +14,9 @@
 
 use popt_cli::numeric_flag;
 use popt_cli::trace_cmd::parse_policy_kind;
-use popt_sim::{CacheConfig, Hierarchy, HierarchyConfig, Llc, PolicyKind, Recorder};
+use popt_sim::{
+    CacheConfig, GroupLlc, Hierarchy, HierarchyConfig, Llc, MemberRun, PolicyKind, Recorder,
+};
 use popt_trace::LINE_SIZE;
 use std::process::ExitCode;
 
@@ -88,25 +90,28 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // The file is decoded once, into the private levels' recorder, and the
-    // policy's LLC consumes only their post-L2 stream: chunk by chunk on a
-    // second thread as it is recorded, or, for Belady's oracle, which
+    // policy's LLC consumes only their post-L2 stream on a second thread:
+    // chunk by chunk as it is recorded, or, for Belady's oracle, which
     // needs the whole stream first, after the recording ends.
     let replay = |h: &mut Recorder| popt_tracestore::replay_any(&bytes[..], h).map(drop);
-    let stats = match kind {
+    let llc = match kind {
         Some(kind) => {
-            let llc = || Llc::new(&cfg, |s, w| kind.build(s, w));
-            Hierarchy::pipelined(&cfg, cores, llc, replay)
+            let cfg = &cfg;
+            GroupLlc::Live(move || Llc::new(cfg, move |s, w| kind.build(s, w)))
         }
-        None => Hierarchy::record_llc(&cfg, cores, replay)
-            .map(|stream| Llc::belady_from_stream(&cfg, &stream)),
+        None => GroupLlc::Belady(cfg.clone()),
     };
-    let stats = match stats {
-        Ok(stats) => stats,
+    let run = match Hierarchy::group(&cfg, cores, vec![llc], replay) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("replay failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let [member] = <[MemberRun; 1]>::try_from(run.members).expect("one LLC, one member");
+    let stats = member
+        .stats
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
     println!("policy        {policy_name}");
     println!("llc           {} KB x {} ways", llc_bytes / 1024, ways);

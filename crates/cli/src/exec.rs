@@ -13,12 +13,15 @@
 //!    byte-identical to the historical serial runs at any `--jobs` level.
 //!
 //! A cell is plain data ([`Cell`]) whose graph, [`Feed`], hierarchy
-//! configuration and [`PolicySpec`] are its content key: the session runs
-//! each key once, as a recording of its feed ([`Feed::record`]) that its
-//! LLC replays, and a batch's cells of one graph, feed and L1/L2 geometry
-//! share one recording.
+//! configuration and [`PolicySpec`] are its content key, and the session
+//! runs each key once. A batch's cells of one graph, feed and L1/L2
+//! geometry form a stream group, run as one job ([`run_group`]): the
+//! job's thread records the feed's post-L2 stream once, and a second
+//! thread applies each chunk of it to every cell's LLC as it arrives. A
+//! group keeps its whole stream only for a Belady cell, whose oracle is
+//! built from it once the recording ends.
 
-use crate::runner::{replay, Feed, MatrixCtx, PolicySpec};
+use crate::runner::{check_stats, run_group, Feed, MatrixCtx, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
@@ -26,10 +29,10 @@ use popt_harness::pool::{panic_message, run_jobs};
 use popt_harness::{
     ArtifactCache, ArtifactKey, ArtifactKind, CellMetric, CellOutcome, Manifest, SweepReport,
 };
-use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, LlcStream};
+use popt_sim::{CacheConfig, HierarchyConfig, HierarchyStats, LlcThread};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// One materialized suite input: the graph plus its stable descriptor
 /// (the descriptor seeds both graph and matrix cache keys).
@@ -92,74 +95,37 @@ struct StreamKey {
 /// LLC-stream counters of a [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamCounters {
-    /// Streams recorded: kernel + L1/L2 passes run.
+    /// Streams recorded: kernel + L1/L2 passes run, one per executed
+    /// stream group.
     pub recorded: u64,
     /// LLC replays run, one per executed cell.
     pub replayed: u64,
-    /// Streams held right now.
+    /// Recordings in flight right now.
     pub live: u64,
-    /// The most streams held at once.
+    /// The most recordings in flight at once.
     pub peak_live: u64,
 }
 
 impl StreamCounters {
-    /// The `"streams"` object of `sweep_summary.json`.
-    pub fn to_json(&self) -> String {
+    /// The `"streams"` object of `sweep_summary.json`, with `record`, the
+    /// time spent recording, in seconds.
+    pub fn to_json(&self, record: Duration) -> String {
         format!(
-            "{{\"recorded\":{},\"replayed\":{},\"peak_live\":{}}}",
-            self.recorded, self.replayed, self.peak_live
+            "{{\"recorded\":{},\"replayed\":{},\"peak_live\":{},\"record_seconds\":{:.6}}}",
+            self.recorded,
+            self.replayed,
+            self.peak_live,
+            record.as_secs_f64()
         )
     }
 }
 
-type Counters = Arc<Mutex<StreamCounters>>;
-
-/// Locks the counters. They are plain tallies, valid after any panic, and
-/// a slot's `Drop` locks them, which must not panic.
-fn counters(c: &Counters) -> MutexGuard<'_, StreamCounters> {
-    c.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The recording the cells of one [`StreamKey`] in a batch replay. Each
-/// of those cells holds it, so it is freed with the last of them, run or
-/// dropped unrun.
-#[derive(Debug)]
-struct StreamSlot {
-    stream: OnceLock<LlcStream>,
-    counters: Counters,
-}
-
-impl StreamSlot {
-    /// An empty slot tallying into `counters`.
-    fn new(counters: &Counters) -> Self {
-        StreamSlot {
-            stream: OnceLock::new(),
-            counters: Arc::clone(counters),
-        }
-    }
-
-    /// The stream, recorded by `record` if no cell has yet; concurrent
-    /// cells wait for that one recording.
-    fn stream(&self, record: impl FnOnce() -> LlcStream) -> &LlcStream {
-        let stream = self.stream.get_or_init(|| {
-            let stream = record();
-            let mut c = counters(&self.counters);
-            c.recorded += 1;
-            c.live += 1;
-            c.peak_live = c.peak_live.max(c.live);
-            stream
-        });
-        counters(&self.counters).replayed += 1;
-        stream
-    }
-}
-
-impl Drop for StreamSlot {
-    fn drop(&mut self) {
-        if self.stream.get().is_some() {
-            counters(&self.counters).live -= 1;
-        }
-    }
+/// The stream counters of a [`Session`] and the time its groups spent
+/// recording.
+#[derive(Debug, Default)]
+struct StreamLog {
+    counters: StreamCounters,
+    record: Duration,
 }
 
 /// Run-wide execution context for the experiment drivers.
@@ -173,18 +139,20 @@ pub struct Session {
     fault: Option<String>,
     cache: Option<Arc<ArtifactCache>>,
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
-    streams: Counters,
+    streams: Mutex<StreamLog>,
 }
 
 impl Session {
-    /// A serial session: cells run inline, no journal, no artifact cache.
-    /// This is the configuration the plain `experiments` subcommands use;
-    /// it behaves exactly like the historical serial drivers.
+    /// A serial session: one stream group at a time, its recording on the
+    /// calling thread and its LLCs on a second thread; no journal, no
+    /// artifact cache. This is the configuration the plain `experiments`
+    /// subcommands use; its results equal the historical serial
+    /// drivers'.
     pub fn serial() -> Self {
         Session::parallel(1)
     }
 
-    /// A session running up to `threads` cells concurrently.
+    /// A session running up to `threads` stream groups concurrently.
     pub fn parallel(threads: usize) -> Self {
         Session {
             threads: threads.max(1),
@@ -195,7 +163,7 @@ impl Session {
             fault: None,
             cache: None,
             graphs: Mutex::new(BTreeMap::new()),
-            streams: Counters::default(),
+            streams: Mutex::new(StreamLog::default()),
         }
     }
 
@@ -217,9 +185,10 @@ impl Session {
     }
 
     /// Fault injection for failure-path tests: any cell whose id contains
-    /// `pattern` panics instead of simulating, exercising the same code
-    /// path as a genuine simulation panic. Such a cell always runs; it
-    /// never takes another cell's stats.
+    /// `pattern` fails instead of simulating, and takes the failure path
+    /// of a genuine simulation panic from there. Such a cell never takes
+    /// another cell's stats, and joins no stream group, so it records
+    /// nothing.
     #[must_use]
     pub fn with_fault(mut self, pattern: impl Into<String>) -> Self {
         self.fault = Some(pattern.into());
@@ -274,8 +243,8 @@ impl Session {
     }
 
     /// A simulation cell: `feed`'s post-L2 stream on a graph known by
-    /// descriptor, under `cfg`'s L1 and L2, replayed into `policy`'s LLC
-    /// for the feed ([`replay`]) under `cfg`. An
+    /// descriptor, under `cfg`'s L1 and L2, applied to `policy`'s LLC for
+    /// the feed ([`policy_llc`](crate::runner::policy_llc)) under `cfg`. An
     /// [`App`](popt_kernels::App) is its [`Feed::Kernel`], so
     /// `sim_cell(id, feed, ..)` is `simulate(feed, graph, cfg, policy)`.
     /// The descriptor must name one graph for the whole session: with
@@ -317,17 +286,21 @@ impl Session {
     /// cell of the batch runs its key, in which case it is journaled
     /// under its own id; and **executed** otherwise.
     ///
-    /// Executed cells start grouped by stream key, each group where the
-    /// first of its cells was submitted: the first to run records the
-    /// stream, each replays only its LLC from it, and the stream is freed
-    /// once the last of them is done, so about one stream per worker is
-    /// held at a time.
+    /// Executed cells run as one job per stream key, the jobs starting in
+    /// the order of their first cells' submission: a job records its
+    /// stream once while every one of its cells' LLCs takes it chunk by
+    /// chunk on the worker's LLC thread, which serves all of that
+    /// worker's groups, so each worker has one recording in flight. An
+    /// executed cell's wall time is its own LLC's build and apply time;
+    /// the recording's is summed in [`record_time`](Session::record_time).
     ///
     /// A panicking cell does not abort its batch: the panic is caught, the
     /// cell and the batch's other cells of its key are recorded as
     /// [`CellOutcome::Failed`], and every other cell still runs and
-    /// journals. Only then does the batch re-raise, so a resumed sweep
-    /// after a fix re-simulates nothing but the cells that failed.
+    /// journals. A cell fails alone when its LLC panics; only a panic
+    /// while recording fails its whole group. Only then does the batch
+    /// re-raise, so a resumed sweep after a fix re-simulates nothing but
+    /// the cells that failed.
     ///
     /// # Panics
     ///
@@ -366,47 +339,51 @@ impl Session {
             }
         }
         // The batch's first cell of each unknown key leads; later cells of
-        // that key follow it.
+        // that key follow it. Leaders run grouped by stream, in the ranks'
+        // order; a faulted cell joins no group and fails unrecorded.
         let mut leaders: BTreeMap<String, usize> = BTreeMap::new();
         let mut followers: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
-        let mut executed = Vec::new();
+        let mut groups: BTreeMap<usize, Vec<(usize, String, Cell)>> = BTreeMap::new();
+        let mut outcomes = Vec::new();
         for (rank, i, cell) in fresh {
             let key = cell.key();
-            if !self.faulted(&cell.id) {
-                if let Some(stats) = lock(&self.done).get(&key).copied() {
-                    self.share(cell.id, &stats);
-                    results[i] = Some(stats);
-                    continue;
-                }
-                if let Some(leader) = leaders.get(&key) {
-                    followers.entry(*leader).or_default().push((i, cell.id));
-                    continue;
-                }
-                leaders.insert(key.clone(), i);
+            if self.faulted(&cell.id) {
+                let msg = format!("{}: injected fault for cell {:?}", cell.id, cell.id);
+                lock(&self.metrics).push(CellMetric::failed(cell.id, Duration::ZERO));
+                outcomes.push((i, key, Err(msg)));
+                continue;
             }
-            executed.push((rank, i, key, cell));
+            if let Some(stats) = lock(&self.done).get(&key).copied() {
+                self.share(cell.id, &stats);
+                results[i] = Some(stats);
+                continue;
+            }
+            if let Some(leader) = leaders.get(&key) {
+                followers.entry(*leader).or_default().push((i, cell.id));
+                continue;
+            }
+            leaders.insert(key.clone(), i);
+            groups.entry(rank).or_default().push((i, key, cell));
         }
-        executed.sort_by_key(|&(rank, ..)| rank);
-        // Sorted by rank, each group's cells are adjacent and take one slot.
-        let mut order = Vec::with_capacity(executed.len());
-        let mut jobs = Vec::with_capacity(executed.len());
-        let mut group: Option<(usize, Arc<StreamSlot>)> = None;
-        for (rank, i, key, cell) in executed {
-            let slot = match &group {
-                Some((r, slot)) if *r == rank => Arc::clone(slot),
-                _ => {
-                    let slot = Arc::new(StreamSlot::new(&self.streams));
-                    group = Some((rank, Arc::clone(&slot)));
-                    slot
-                }
-            };
-            order.push((i, key));
-            jobs.push((cell, slot));
-        }
-        drop(group);
-        let outcomes = run_jobs(self.threads, jobs, |(cell, slot)| self.execute(cell, &slot));
+        let groups: Vec<_> = groups
+            .into_values()
+            .map(|group| (self.matrix_ctx(&group[0].2.graph_desc), group))
+            .collect();
+        let workers = self.threads.min(groups.len());
+        let executed = std::thread::scope(|scope| {
+            // Each worker takes one LLC thread for all of its groups.
+            let llc_threads: Mutex<Vec<LlcThread>> =
+                Mutex::new((0..workers).map(|_| LlcThread::spawn(scope)).collect());
+            run_jobs(self.threads, groups.iter().collect(), |(ctx, group)| {
+                let llc_thread = lock(&llc_threads).pop().expect("an LLC thread per worker");
+                let done = self.execute(&llc_thread, group, ctx.as_ref());
+                lock(&llc_threads).push(llc_thread);
+                done
+            })
+        });
+        outcomes.extend(executed.into_iter().flatten());
         let mut failures: Vec<String> = Vec::new();
-        for ((i, key), outcome) in order.into_iter().zip(outcomes) {
+        for (i, key, outcome) in outcomes {
             let sharers = followers.remove(&i).unwrap_or_default();
             match outcome {
                 Ok(stats) => {
@@ -443,38 +420,72 @@ impl Session {
         self.fault.as_deref().is_some_and(|pat| id.contains(pat))
     }
 
-    /// Simulates `cell`, replaying its LLC from `slot`'s stream, then
-    /// journals and logs it. A panic comes back as the failure message.
-    fn execute(&self, cell: Cell, slot: &StreamSlot) -> Result<HierarchyStats, String> {
-        let ctx = self.matrix_ctx(&cell.graph_desc);
-        let started = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if self.faulted(&cell.id) {
-                panic!("injected fault for cell {:?}", cell.id);
-            }
-            let stream = slot.stream(|| cell.feed.record(&cell.graph, &cell.cfg, ctx.as_ref()));
-            replay(
-                cell.feed,
-                &cell.graph,
-                &cell.cfg,
-                &cell.policy,
-                ctx.as_ref(),
-                stream,
-            )
-        }));
-        let wall = started.elapsed();
-        match outcome {
-            Ok(stats) => {
-                self.journal(&cell.id, &stats);
-                self.log(cell.id, CellOutcome::Executed, wall, &stats);
-                Ok(stats)
-            }
-            Err(payload) => {
-                let msg = format!("{}: {}", cell.id, panic_message(payload.as_ref()));
-                lock(&self.metrics).push(CellMetric::failed(cell.id, wall));
-                Err(msg)
-            }
+    /// Executes one stream group: its feed records once while every
+    /// cell's LLC takes the stream ([`run_group`]), then each cell is
+    /// journaled and logged. A cell whose LLC panics or whose stats break
+    /// a conservation law fails alone, with the message of its failure; a
+    /// panic while recording fails the whole group.
+    fn execute<'s>(
+        &self,
+        llc_thread: &LlcThread<'s>,
+        group: &'s [(usize, String, Cell)],
+        ctx: Option<&'s MatrixCtx>,
+    ) -> Vec<(usize, String, Result<HierarchyStats, String>)> {
+        let first = &group[0].2;
+        let llcs: Vec<(&HierarchyConfig, &PolicySpec)> = group
+            .iter()
+            .map(|(_, _, cell)| (&cell.cfg, &cell.policy))
+            .collect();
+        {
+            let c = &mut lock(&self.streams).counters;
+            c.recorded += 1;
+            c.replayed += llcs.len() as u64;
+            c.live += 1;
+            c.peak_live = c.peak_live.max(c.live);
         }
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_group(llc_thread, first.feed, &first.graph, &first.cfg, &llcs, ctx)
+        }));
+        {
+            let log = &mut *lock(&self.streams);
+            log.counters.live -= 1;
+            log.record += run.as_ref().map_or(Duration::ZERO, |run| run.record);
+        }
+        let members: Vec<(Result<HierarchyStats, String>, Duration)> = match run {
+            Ok(run) => run
+                .members
+                .into_iter()
+                .map(|m| {
+                    let stats = m
+                        .stats
+                        .map_err(|payload| panic_message(payload.as_ref()).to_string());
+                    (stats, m.busy)
+                })
+                .collect(),
+            Err(payload) => {
+                let msg = panic_message(payload.as_ref()).to_string();
+                vec![(Err(msg), Duration::ZERO); group.len()]
+            }
+        };
+        group
+            .iter()
+            .zip(members)
+            .map(|((i, key, cell), (stats, busy))| {
+                let outcome = match stats.and_then(|s| check_stats(&s, cell.feed, &cell.policy)) {
+                    Ok(stats) => {
+                        self.journal(&cell.id, &stats);
+                        self.log(cell.id.clone(), CellOutcome::Executed, busy, &stats);
+                        Ok(stats)
+                    }
+                    Err(msg) => {
+                        let metric = CellMetric::failed(cell.id.clone(), busy);
+                        lock(&self.metrics).push(metric);
+                        Err(format!("{}: {msg}", cell.id))
+                    }
+                };
+                (*i, key.clone(), outcome)
+            })
+            .collect()
     }
 
     /// Journals and logs a cell that took another cell's `stats`.
@@ -503,9 +514,15 @@ impl Session {
             .count()
     }
 
-    /// LLC streams recorded, replayed and held so far.
+    /// LLC streams recorded, replayed and in flight so far.
     pub fn stream_counters(&self) -> StreamCounters {
-        *counters(&self.streams)
+        lock(&self.streams).counters
+    }
+
+    /// Time this session's stream groups spent recording, summed over
+    /// groups.
+    pub fn record_time(&self) -> Duration {
+        lock(&self.streams).record
     }
 
     /// Finishes the sweep: canonicalizes the journal (making it
@@ -1194,6 +1211,48 @@ mod tests {
         assert!(msg.contains("f/retry: "), "got: {msg}");
         assert_eq!(session.stream_counters().replayed, 3);
         assert_eq!(session.count(CellOutcome::Shared), 0);
+    }
+
+    #[test]
+    fn a_failing_llc_fails_only_its_own_cell() {
+        // DRRIP and T-OPT share one tiled stream. T-OPT's LLC refuses the
+        // tiled feed while the stream records: it and its twin fail, and
+        // DRRIP still takes the whole stream and journals.
+        let path = scratch("failing-llc").join("manifest.jsonl");
+        let session = Session::serial().with_manifest(Manifest::open(&path).unwrap());
+        let entry = session.graph(SuiteGraph::Urand, Scale::Tiny);
+        let cfg = Scale::Tiny.config();
+        let feed = Feed::Tiled { tiles: 2 };
+        let drrip = PolicySpec::Baseline(PolicyKind::Drrip);
+        let msg = failure(
+            &session,
+            vec![
+                session.sim("iso/topt", feed, &entry, &cfg, &PolicySpec::Topt),
+                session.sim("iso/drrip", feed, &entry, &cfg, &drrip),
+                session.sim("iso/topt-twin", feed, &entry, &cfg, &PolicySpec::Topt),
+            ],
+        );
+        assert!(msg.contains("2 cell(s) failed"), "got: {msg}");
+        assert!(
+            msg.contains(&format!(
+                "iso/topt: T-OPT has no kernel traversal to read under {feed:?}"
+            )),
+            "got: {msg}"
+        );
+        assert!(msg.contains("iso/topt-twin: shares the key"), "got: {msg}");
+        let counters = session.stream_counters();
+        assert_eq!(
+            (counters.recorded, counters.replayed, counters.live),
+            (1, 2, 0)
+        );
+        assert_eq!(session.count(CellOutcome::Failed), 2);
+        assert_eq!(session.count(CellOutcome::Executed), 1);
+        let journal = Manifest::open(&path).unwrap();
+        assert_eq!(
+            journal.completed("iso/drrip"),
+            Some(&simulate(feed, &entry.graph, &cfg, &drrip))
+        );
+        assert_eq!(journal.completed("iso/topt"), None);
     }
 
     #[test]

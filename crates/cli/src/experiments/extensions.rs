@@ -315,10 +315,10 @@ pub fn ext_hugepage(session: &Session, scale: Scale) -> Vec<Table> {
 mod tests {
     use super::*;
     use crate::experiments::{fig13_tiling, fig14_pb_phi};
-    use crate::runner::{replay, simulate};
+    use crate::runner::{run_group, simulate};
     use popt_graph::suite::{suite_graph, SuiteScale};
     use popt_harness::CellOutcome;
-    use popt_sim::HierarchyConfig;
+    use popt_sim::{HierarchyConfig, LlcThread, MemberRun};
 
     #[test]
     fn parallel_popt_stays_near_topt_and_ahead_of_drrip() {
@@ -329,19 +329,22 @@ mod tests {
         // thread count, not against the serial run.
         let g = suite_graph(SuiteGraph::Urand, SuiteScale::Small);
         let cfg = HierarchyConfig::small_test();
-        let stream = Feed::Parallel { cores: 8 }.record(&g, &cfg, None);
+        let feed = Feed::Parallel { cores: 8 };
+        let specs = [
+            PolicySpec::popt_default(),
+            PolicySpec::Topt,
+            PolicySpec::Baseline(PolicyKind::Drrip),
+        ];
+        let llcs: Vec<_> = specs.iter().map(|spec| (&cfg, spec)).collect();
         // Compare on *irregular* misses: coherence traffic on shared
         // streaming lines adds policy-independent misses that dilute the
         // overall rate.
-        let irregular_misses = |spec: &PolicySpec| {
-            let feed = Feed::Parallel { cores: 8 };
-            replay(feed, &g, &cfg, spec, None, &stream)
-                .llc
-                .irregular_misses
-        };
-        let popt = irregular_misses(&PolicySpec::popt_default());
-        let topt = irregular_misses(&PolicySpec::Topt);
-        let drrip = irregular_misses(&PolicySpec::Baseline(PolicyKind::Drrip));
+        let run = std::thread::scope(|scope| {
+            run_group(&LlcThread::spawn(scope), feed, &g, &cfg, &llcs, None)
+        });
+        let [popt, topt, drrip] = <[MemberRun; 3]>::try_from(run.members)
+            .unwrap()
+            .map(|member| member.stats.unwrap().llc.irregular_misses);
         assert!(
             popt <= topt * 115 / 100,
             "8-thread P-OPT ({popt}) should track T-OPT ({topt}) on irregular misses"

@@ -10,12 +10,13 @@ use popt_harness::{ArtifactCache, ArtifactKey, ArtifactKind};
 use popt_kernels::{App, TracePlan};
 use popt_sim::policies::{Grasp, GraspRegions};
 use popt_sim::{
-    Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcSink, LlcStream, PolicyKind, PrivateLevels,
-    TimingModel,
+    GroupLlc, GroupRun, Hierarchy, HierarchyConfig, HierarchyStats, Llc, LlcSink, LlcThread,
+    MemberRun, PolicyKind, PrivateLevels, Recorder, TimingModel,
 };
 use popt_trace::paging::PageScrambler;
 use popt_trace::TraceSink;
 use std::convert::Infallible;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 
 /// Which LLC replacement policy to simulate: the LLC half of every cell.
@@ -248,16 +249,16 @@ pub fn reserved_ways_for(bindings: &[StreamBinding], cfg: &HierarchyConfig) -> u
 /// [`Feed::Kernel`]) on `g` under `cfg` and `policy`, and returns the
 /// hierarchy statistics.
 ///
-/// The run is a [`Hierarchy::pipelined`] pair of threads: this one runs
-/// the feed through the L1/L2 recorder, and a second one builds
-/// [`policy_llc`] (a P-OPT matrix build included) and applies the post-L2
-/// stream to it as it arrives. Belady, whose oracle needs the whole stream
-/// first, records and then [`replay`]s. Nothing is cached or kept for
-/// later calls; a session's cells share recordings and matrices instead.
+/// The run is a [`run_group`] of one: this thread runs the feed through
+/// the L1/L2 recorder, and a second one builds the policy's LLC (a P-OPT
+/// matrix build included) and applies the post-L2 stream to it as it
+/// arrives, or, for Belady, keeps the stream and replays it into the
+/// oracle once it is whole. Nothing is cached or kept for later calls; a
+/// session's cells share recordings and matrices instead.
 ///
 /// # Panics
 ///
-/// Panics like [`replay`], and re-raises any panic of the LLC thread.
+/// Panics like [`member_stats`].
 pub fn simulate(
     feed: impl Into<Feed>,
     g: &Graph,
@@ -265,24 +266,91 @@ pub fn simulate(
     policy: &PolicySpec,
 ) -> HierarchyStats {
     let feed = feed.into();
-    if matches!(policy, PolicySpec::Belady) {
-        return replay(feed, g, cfg, policy, None, &feed.record(g, cfg, None));
+    let run = std::thread::scope(|scope| {
+        run_group(
+            &LlcThread::spawn(scope),
+            feed,
+            g,
+            cfg,
+            &[(cfg, policy)],
+            None,
+        )
+    });
+    let [member] = <[MemberRun; 1]>::try_from(run.members).expect("one LLC, one member");
+    member_stats(member, feed, policy)
+}
+
+/// Runs `feed` on `g` once through `cfg`'s L1 and L2 and, at the same
+/// time, through the LLC of every `(cfg, policy)` of `llcs` (their L1 and
+/// L2 are `cfg`'s): a [`Hierarchy::group_on`] of [`group_llcs`] whose
+/// LLCs run on `llc_thread`. The members' stats are unchecked.
+pub fn run_group<'s>(
+    llc_thread: &LlcThread<'s>,
+    feed: Feed,
+    g: &'s Graph,
+    cfg: &HierarchyConfig,
+    llcs: &[(&'s HierarchyConfig, &'s PolicySpec)],
+    ctx: Option<&'s MatrixCtx>,
+) -> GroupRun {
+    let members = group_llcs(feed, g, llcs, ctx);
+    let drive = |recorder: &mut Recorder| feed.drive(g, ctx, recorder);
+    let Ok(run) = Hierarchy::group_on(llc_thread, cfg, feed.cores(), members, drive);
+    run
+}
+
+/// The [`Hierarchy::group`] members for `feed` on `g` of every `(cfg,
+/// policy)` of `llcs`: [`policy_llc`], built on the group's LLC thread,
+/// or Belady's oracle, built from the kept stream. `ctx` dedupes matrix
+/// builds.
+pub fn group_llcs<'a>(
+    feed: Feed,
+    g: &'a Graph,
+    llcs: &[(&'a HierarchyConfig, &'a PolicySpec)],
+    ctx: Option<&'a MatrixCtx>,
+) -> Vec<GroupLlc<impl FnOnce() -> Llc + Send + 'a>> {
+    llcs.iter()
+        .map(|&(cfg, policy)| match policy {
+            PolicySpec::Belady => GroupLlc::Belady(cfg.clone()),
+            _ => GroupLlc::Live(move || policy_llc(feed, g, cfg, policy, ctx)),
+        })
+        .collect()
+}
+
+/// The stats of a group member that ran `policy`'s LLC below `feed`.
+///
+/// # Panics
+///
+/// Re-raises the member's panic (a policy refusing the feed, say), and
+/// panics if the stats break a conservation law of
+/// [`HierarchyStats::check`] — a simulator bug, reported loudly rather
+/// than written into a result table.
+pub fn member_stats(member: MemberRun, feed: Feed, policy: &PolicySpec) -> HierarchyStats {
+    let stats = member
+        .stats
+        .unwrap_or_else(|payload| resume_unwind(payload));
+    check_stats(&stats, feed, policy).unwrap_or_else(|msg| panic!("{msg}"))
+}
+
+/// `stats` if they obey every conservation law of
+/// [`HierarchyStats::check`], else the violation, naming `feed` and
+/// `policy`.
+pub(crate) fn check_stats(
+    stats: &HierarchyStats,
+    feed: Feed,
+    policy: &PolicySpec,
+) -> Result<HierarchyStats, String> {
+    match stats.check() {
+        Ok(()) => Ok(*stats),
+        Err(violation) => Err(format!("{feed:?} under {policy:?}: {violation}")),
     }
-    let Ok(stats) = Hierarchy::pipelined(
-        cfg,
-        feed.cores(),
-        || policy_llc(feed, g, cfg, policy, None),
-        |recorder| feed.drive(g, None, recorder),
-    );
-    checked_stats(&stats, || format!("{feed:?} under {policy:?}"))
 }
 
 /// What a cell's private levels are fed: everything its post-L2 stream
 /// depends on besides the graph and the L1/L2 geometry. The LLC never
 /// feeds back into the private levels, so every cell is a recording of
-/// its feed ([`Feed::record`]) plus an LLC that replays it, and cells
-/// whose graph, feed and L1/L2 agree share one recording, whatever their
-/// LLCs.
+/// its feed plus an LLC that takes the recorded stream, and cells whose
+/// graph, feed and L1/L2 agree share one recording ([`run_group`]),
+/// whatever their LLCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Feed {
     /// A kernel's single-core trace: the plain (app, graph, policy) cells.
@@ -342,16 +410,6 @@ impl Feed {
             Feed::Parallel { cores } => cores,
             _ => 1,
         }
-    }
-
-    /// Records this feed's post-L2 stream on `g` under `cfg`'s L1 and L2:
-    /// the kernel and private-level half of a cell. `ctx` dedupes the
-    /// prefetcher's matrix build. The stream does not depend on the LLC's
-    /// configuration or policy, so one recording serves every LLC that
-    /// replays it.
-    pub fn record(self, g: &Graph, cfg: &HierarchyConfig, ctx: Option<&MatrixCtx>) -> LlcStream {
-        let Ok(stream) = Hierarchy::record_llc(cfg, self.cores(), |r| self.drive(g, ctx, r));
-        stream
     }
 
     /// The memory layout of this feed's kernel on `g`.
@@ -476,51 +534,18 @@ impl Feed {
     }
 }
 
-/// Replays `stream`, `feed`'s recording on `g` under `cfg`'s L1 and L2,
-/// into `policy`'s LLC under `cfg` ([`policy_llc`], or Belady's MIN built
-/// from the stream; `ctx` dedupes matrix builds): exactly what
-/// [`simulate`] returns for the same feed.
-///
-/// # Panics
-///
-/// Panics like [`policy_llc`], on a multi-bank LLC under Belady, and if
-/// the stats break a conservation law of [`HierarchyStats::check`] — a
-/// simulator bug, reported loudly rather than written into a result table.
-pub fn replay(
-    feed: Feed,
-    g: &Graph,
-    cfg: &HierarchyConfig,
-    policy: &PolicySpec,
-    ctx: Option<&MatrixCtx>,
-    stream: &LlcStream,
-) -> HierarchyStats {
-    let stats = match policy {
-        PolicySpec::Belady => Llc::belady_from_stream(cfg, stream),
-        _ => policy_llc(feed, g, cfg, policy, ctx).replay(stream),
-    };
-    checked_stats(&stats, || format!("{feed:?} under {policy:?}"))
-}
-
-/// Returns `stats` after asserting [`HierarchyStats::check`]; `what` names
-/// the run in the panic message.
-fn checked_stats(stats: &HierarchyStats, what: impl FnOnce() -> String) -> HierarchyStats {
-    if let Err(violation) = stats.check() {
-        panic!("{}: {violation}", what());
-    }
-    *stats
-}
-
 /// Builds the LLC `policy` runs in under `cfg` for `feed` on `g` (P-OPT's
 /// reserved ways included), ready for a post-L2 stream — the single
-/// construction path of [`simulate`]'s LLC thread and of [`replay`].
+/// construction path of a group's LLC thread ([`group_llcs`]).
 /// T-OPT, GRASP and P-OPT read the feed's own layout; P-OPT's matrices
-/// are [`Feed::popt_bindings`].
+/// are the feed's P-OPT bindings: one set per pass over its irregular
+/// data.
 ///
 /// # Panics
 ///
 /// Panics on [`PolicySpec::Belady`]: the oracle is built *from* a recorded
 /// LLC stream, so it cannot be constructed ahead of event delivery (use
-/// [`simulate`] or [`replay`]). Panics on T-OPT or GRASP under
+/// [`simulate`] or [`group_llcs`]). Panics on T-OPT or GRASP under
 /// [`Feed::Tiled`], [`Feed::Pb`] or [`Feed::Phi`], which run no kernel
 /// traversal for them to read.
 pub fn policy_llc(
@@ -891,14 +916,19 @@ mod tests {
         let popt = PolicySpec::popt_default();
         let plain = simulate(App::Pagerank, &g, &cfg, &popt);
         let feed = Feed::Kernel(App::Pagerank);
-        let stream = feed.record(&g, &cfg, None);
-        let cached = replay(feed, &g, &cfg, &popt, Some(&ctx), &stream);
-        assert_eq!(plain, cached);
+        let cached_run = || {
+            let run = std::thread::scope(|scope| {
+                let llc_thread = LlcThread::spawn(scope);
+                run_group(&llc_thread, feed, &g, &cfg, &[(&cfg, &popt)], Some(&ctx))
+            });
+            let [member] = <[MemberRun; 1]>::try_from(run.members).unwrap();
+            member_stats(member, feed, &popt)
+        };
+        assert_eq!(plain, cached_run());
         let first = cache.counters();
         assert!(first.matrix_builds > 0);
         // Second cached run: pure hits, same result.
-        let again = replay(feed, &g, &cfg, &popt, Some(&ctx), &stream);
-        assert_eq!(plain, again);
+        assert_eq!(plain, cached_run());
         let second = cache.counters();
         assert_eq!(second.matrix_builds, first.matrix_builds, "no rebuild");
         assert!(second.matrix_hits > first.matrix_hits);

@@ -21,6 +21,7 @@ use crate::Scale;
 use popt_harness::{ArtifactCache, CellOutcome, Manifest};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Parsed `sweep` invocation.
 #[derive(Debug, Clone)]
@@ -74,6 +75,9 @@ pub struct SweepSummary {
     pub counters: popt_harness::CacheCounters,
     /// LLC streams recorded, and replayed by every executed cell.
     pub streams: StreamCounters,
+    /// Time the executed stream groups spent recording, summed over
+    /// groups.
+    pub record_time: Duration,
 }
 
 impl SweepSummary {
@@ -95,7 +99,7 @@ impl SweepSummary {
             self.shared,
             failed,
             self.counters.to_json(),
-            self.streams.to_json(),
+            self.streams.to_json(self.record_time),
         )
     }
 }
@@ -182,6 +186,7 @@ pub fn run_sweep(opts: &SweepOptions) -> std::io::Result<SweepSummary> {
         failed,
         counters: cache.counters(),
         streams: session.stream_counters(),
+        record_time: session.record_time(),
     };
     let report = session.finish()?;
     report.write(&opts.out)?;
@@ -231,12 +236,13 @@ mod tests {
                 live: 0,
                 peak_live: 1,
             },
+            record_time: Duration::from_micros(250_500),
         };
         assert_eq!(
             s.to_json(Scale::Tiny, 2),
             "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":9,\"executed\":3,\"resumed\":2,\"shared\":4,\"failed\":[],\
              \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2},\
-             \"streams\":{\"recorded\":1,\"replayed\":3,\"peak_live\":1}}\n"
+             \"streams\":{\"recorded\":1,\"replayed\":3,\"peak_live\":1,\"record_seconds\":0.250500}}\n"
         );
         s.failed = vec!["fig2".to_string(), "fig7".to_string()];
         assert!(s

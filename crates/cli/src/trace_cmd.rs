@@ -9,17 +9,17 @@
 //!
 //! `record` executes one kernel over one suite graph and writes the
 //! compressed event stream; `replay` decodes that file once into an L1/L2
-//! recorder ([`Hierarchy::record_llc`] — the kernel never re-executes)
-//! and replays the recorded post-L2 stream into each policy's LLC; `info`
+//! recorder (the kernel never re-executes) whose post-L2 stream every
+//! policy's LLC takes as it is recorded ([`Hierarchy::group`]); `info`
 //! prints the footer index without decoding chunk payloads, and
 //! `--verify` additionally decodes every chunk against its checksum.
 
-use crate::runner::{replay, Feed, PolicySpec};
+use crate::runner::{group_llcs, member_stats, Feed, PolicySpec};
 use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
 use popt_kernels::App;
-use popt_sim::{Hierarchy, HierarchyConfig, LlcStream, PolicyKind};
+use popt_sim::{GroupRun, Hierarchy, HierarchyConfig, PolicyKind};
 use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, ReplayStats, TraceFileError};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -207,7 +207,8 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
     // the *event stream* comes exclusively from the file.
     let g = wl.materialize();
     let cfg = wl.scale.config();
-    let (stream, stats) = record_file(&file, wl.app, &g, &cfg)?;
+    let llcs: Vec<_> = specs.iter().map(|spec| (&cfg, spec)).collect();
+    let (run, stats) = group_file(&file, wl.app, &g, &cfg, &llcs)?;
     println!(
         "replayed {} events ({} chunks, one decode pass) into {} policies:",
         stats.events,
@@ -218,8 +219,8 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
         "{:<12} {:>12} {:>12} {:>8}",
         "policy", "llc_hits", "llc_misses", "miss%"
     );
-    for spec in &specs {
-        let s = replay(Feed::Kernel(wl.app), &g, &cfg, spec, None, &stream);
+    for (spec, member) in specs.iter().zip(run.members) {
+        let s = member_stats(member, Feed::Kernel(wl.app), spec);
         let total = s.llc.hits + s.llc.misses;
         let pct = if total == 0 {
             0.0
@@ -237,23 +238,26 @@ fn replay_main(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes a trace file once into a recorder of the post-L2 stream under
-/// `cfg`'s L1 and L2.
-fn record_file(
+/// Decodes a trace file once into a recorder under `cfg`'s L1 and L2,
+/// whose post-L2 stream every LLC of `llcs` takes as it is recorded: a
+/// [`Hierarchy::group`] of `app`'s kernel feed's [`group_llcs`].
+fn group_file(
     file: &std::path::Path,
     app: App,
     g: &Graph,
     cfg: &HierarchyConfig,
-) -> Result<(LlcStream, ReplayStats), String> {
+    llcs: &[(&HierarchyConfig, &PolicySpec)],
+) -> Result<(GroupRun, ReplayStats), String> {
     let reader = std::fs::File::open(file).map_err(|e| format!("{}: {e}", file.display()))?;
     let mut stats = ReplayStats::default();
-    let stream = Hierarchy::record_llc(cfg, 1, |recorder| {
+    let members = group_llcs(Feed::Kernel(app), g, llcs, None);
+    let run = Hierarchy::group(cfg, 1, members, |recorder| {
         recorder.set_address_space(&app.plan(g).space);
         stats = replay_any(std::io::BufReader::new(reader), recorder)?;
         Ok(())
     })
     .map_err(|e: TraceFileError| format!("{}: {e}", file.display()))?;
-    Ok((stream, stats))
+    Ok((run, stats))
 }
 
 fn info_main(args: Vec<String>) -> Result<(), String> {
@@ -402,15 +406,16 @@ mod tests {
         // Belady too.
         let g = suite_graph(SuiteGraph::Urand, Scale::Tiny.suite());
         let cfg = Scale::Tiny.config();
-        let (stream, stats) = record_file(&out, App::Pagerank, &g, &cfg).unwrap();
+        let specs = [PolicySpec::Baseline(PolicyKind::Lru), PolicySpec::Belady];
+        let llcs: Vec<_> = specs.iter().map(|spec| (&cfg, spec)).collect();
+        let (run, stats) = group_file(&out, App::Pagerank, &g, &cfg, &llcs).unwrap();
         assert_eq!(
             stats.chunks_decoded,
             trace_info(&out).unwrap().chunks.len() as u64
         );
-        for spec in [PolicySpec::Baseline(PolicyKind::Lru), PolicySpec::Belady] {
-            let direct = crate::runner::simulate(App::Pagerank, &g, &cfg, &spec);
-            let feed = Feed::Kernel(App::Pagerank);
-            let replayed = replay(feed, &g, &cfg, &spec, None, &stream);
+        for (spec, member) in specs.iter().zip(run.members) {
+            let direct = crate::runner::simulate(App::Pagerank, &g, &cfg, spec);
+            let replayed = member_stats(member, Feed::Kernel(App::Pagerank), spec);
             assert_eq!(replayed, direct, "replay is bit-identical to execution");
         }
     }

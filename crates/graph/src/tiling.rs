@@ -1,4 +1,4 @@
-//! CSR-segmenting: the 1-D tiling optimization of Zhang et al. [57],
+//! CSR-segmenting: the 1-D tiling optimization of Zhang et al. \[57\],
 //! reproduced for the Figure 13 interaction study.
 //!
 //! Tiling splits the *source* vertex range into `k` contiguous segments and

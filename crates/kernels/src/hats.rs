@@ -1,4 +1,4 @@
-//! HATS-BDFS traversal scheduling (Mukkara et al. [40]) — the Figure 12b
+//! HATS-BDFS traversal scheduling (Mukkara et al. \[40\]) — the Figure 12b
 //! comparator.
 //!
 //! HATS reorders the *visit order* of the outer loop at run time with a

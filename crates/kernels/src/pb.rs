@@ -1,5 +1,5 @@
-//! Propagation Blocking (Beamer et al. [10]) and the PHI in-cache update
-//! aggregation model (Mukkara et al. [41]) — the Figure 14 study.
+//! Propagation Blocking (Beamer et al. \[10\]) and the PHI in-cache update
+//! aggregation model (Mukkara et al. \[41\]) — the Figure 14 study.
 //!
 //! Both optimize the *scatter* (push) phase of PageRank-style kernels:
 //!

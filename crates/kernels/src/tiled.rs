@@ -1,5 +1,5 @@
 //! CSR-segmented (1-D tiled) pull PageRank — the Figure 13 interaction
-//! study (Zhang et al. [57]).
+//! study (Zhang et al. \[57\]).
 //!
 //! The kernel runs once per tile; within tile `t` every irregular
 //! `srcData` access falls in the tile's source range, shrinking the

@@ -5,7 +5,10 @@ use crate::{
     NucaConfig, ReplacementPolicy, SetAssocCache,
 };
 use popt_trace::{AccessKind, AddressSpace, RegionClass, SiteId, TraceEvent, TraceSink};
-use std::sync::mpsc::{self, SyncSender};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::time::{Duration, Instant};
 
 impl BankMapping {
     /// Renumbers `line` into a bank-local dense line index, so consecutive
@@ -26,12 +29,18 @@ impl BankMapping {
 /// refuses NUCA configurations with more banks.
 const MAX_BANKS: usize = 16;
 
-/// Ops per chunk a recording hands to its sink (64 KiB of 16-byte ops).
-pub(crate) const LLC_CHUNK: usize = 4096;
+/// Ops in a recording's first chunk. Each later chunk doubles the one
+/// before it up to [`LLC_CHUNK`], so a group's LLC thread starts on a
+/// short stream early, and a long stream's handoffs stay few.
+const FIRST_CHUNK: usize = 512;
 
-/// Chunks [`Hierarchy::pipelined`]'s channel holds between its two
-/// threads: the handoff stays within `PIPELINE_DEPTH * LLC_CHUNK` ops
-/// (512 KiB) however long the run.
+/// Ops per chunk once a recording's chunks have grown (64 KiB of 16-byte
+/// ops).
+const LLC_CHUNK: usize = 4096;
+
+/// Chunks [`Hierarchy::group`]'s channel holds between its two threads:
+/// the handoff stays within `PIPELINE_DEPTH * LLC_CHUNK` ops (512 KiB)
+/// however long the run.
 const PIPELINE_DEPTH: usize = 8;
 
 /// One request the private levels send below L2.
@@ -118,7 +127,156 @@ impl LlcStream {
     }
 }
 
-/// One message from [`Hierarchy::pipelined`]'s recorder to its LLC thread.
+/// One LLC of a [`Hierarchy::group`] run.
+#[derive(Debug)]
+pub enum GroupLlc<B> {
+    /// An LLC that `B` builds on the group's LLC thread and that takes
+    /// each chunk of the stream as it arrives.
+    Live(B),
+    /// Belady's MIN under this configuration ([`Llc::belady_from_stream`]):
+    /// its oracle needs the whole demand stream, so the group keeps every
+    /// chunk and replays them into it once the recording ends.
+    Belady(HierarchyConfig),
+}
+
+/// What one LLC of a [`Hierarchy::group`] run came to.
+#[derive(Debug)]
+pub struct MemberRun {
+    /// The run's stats under this LLC, or the payload of the panic that
+    /// building or applying it raised.
+    pub stats: std::thread::Result<HierarchyStats>,
+    /// Time the LLC thread spent building this LLC and applying the
+    /// stream to it.
+    pub busy: Duration,
+}
+
+/// What a [`Hierarchy::group`] run came to.
+#[derive(Debug)]
+pub struct GroupRun {
+    /// One entry per LLC, in the order they were given.
+    pub members: Vec<MemberRun>,
+    /// Time the calling thread spent driving the feed through the private
+    /// levels, less the time it waited for room in the LLC thread's
+    /// channel.
+    pub record: Duration,
+}
+
+/// One LLC on a group's LLC thread, with the time spent on it so far.
+struct Member {
+    state: MemberState,
+    busy: Duration,
+}
+
+enum MemberState {
+    /// Built, taking chunks.
+    Live(Llc),
+    /// Waiting for the whole stream.
+    Belady(HierarchyConfig),
+    /// Its build or a chunk panicked with this payload.
+    Failed(Box<dyn Any + Send>),
+}
+
+impl Member {
+    /// Builds `llc`, timing the build and catching its panic.
+    fn build<B: FnOnce() -> Llc>(llc: GroupLlc<B>) -> Self {
+        let started = Instant::now();
+        let state = match llc {
+            GroupLlc::Live(build) => match catch_unwind(AssertUnwindSafe(build)) {
+                Ok(llc) => MemberState::Live(llc),
+                Err(payload) => MemberState::Failed(payload),
+            },
+            GroupLlc::Belady(cfg) => MemberState::Belady(cfg),
+        };
+        Member {
+            state,
+            busy: started.elapsed(),
+        }
+    }
+
+    /// Applies the next chunk of the stream to a live LLC; a panic fails
+    /// this member alone.
+    fn apply(&mut self, ops: &[LlcOp]) {
+        let MemberState::Live(llc) = &mut self.state else {
+            return;
+        };
+        let started = Instant::now();
+        let applied = catch_unwind(AssertUnwindSafe(|| {
+            ops.iter().for_each(|&op| llc.push(op));
+        }));
+        self.busy += started.elapsed();
+        if let Err(payload) = applied {
+            self.state = MemberState::Failed(payload);
+        }
+    }
+
+    /// The member's stats over the whole `stream` (whose chunks are kept
+    /// only when the group has a Belady member).
+    fn finish(self, stream: &LlcStream) -> MemberRun {
+        let started = Instant::now();
+        let stats = match self.state {
+            MemberState::Live(llc) => Ok(llc.stats(stream.private)),
+            MemberState::Belady(cfg) => {
+                catch_unwind(AssertUnwindSafe(|| Llc::belady_from_stream(&cfg, stream)))
+            }
+            MemberState::Failed(payload) => Err(payload),
+        };
+        MemberRun {
+            stats,
+            busy: self.busy + started.elapsed(),
+        }
+    }
+}
+
+/// The body of a group's LLC thread: builds every member, applies each
+/// chunk to the live ones as it arrives (keeping it when a Belady member
+/// waits for the whole stream), and finishes them all once the recorder
+/// hangs up.
+fn serve_group<B: FnOnce() -> Llc>(
+    llcs: Vec<GroupLlc<B>>,
+    handoffs: Receiver<Handoff>,
+) -> Vec<MemberRun> {
+    let mut members: Vec<Member> = llcs.into_iter().map(Member::build).collect();
+    let keep = members
+        .iter()
+        .any(|m| matches!(m.state, MemberState::Belady(_)));
+    let mut stream = LlcStream::default();
+    for handoff in handoffs {
+        match handoff {
+            Handoff::Chunk(ops) => {
+                members.iter_mut().for_each(|m| m.apply(&ops));
+                if keep {
+                    stream.chunks.push(ops);
+                }
+            }
+            Handoff::Done(private) => stream.private = private,
+        }
+    }
+    members.into_iter().map(|m| m.finish(&stream)).collect()
+}
+
+/// A scoped thread that runs the LLC side of one [`Hierarchy::group_on`]
+/// run after another. It ends once its handle is dropped and its last
+/// group is done.
+pub struct LlcThread<'scope> {
+    jobs: mpsc::Sender<Box<dyn FnOnce() + Send + 'scope>>,
+}
+
+impl<'scope> LlcThread<'scope> {
+    /// Starts the thread in `scope`.
+    pub fn spawn<'env>(scope: &'scope std::thread::Scope<'scope, 'env>) -> Self {
+        let (jobs, queue) = mpsc::channel::<Box<dyn FnOnce() + Send + 'scope>>();
+        scope.spawn(move || queue.into_iter().for_each(|job| job()));
+        LlcThread { jobs }
+    }
+}
+
+impl std::fmt::Debug for LlcThread<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LlcThread").finish_non_exhaustive()
+    }
+}
+
+/// One message from [`Hierarchy::group`]'s recorder to its LLC thread.
 enum Handoff {
     /// The next chunk of the post-L2 stream.
     Chunk(Vec<LlcOp>),
@@ -130,8 +288,9 @@ enum Handoff {
 enum ChunkSink {
     /// Kept in order, for an [`LlcStream`].
     Keep(Vec<Vec<LlcOp>>),
-    /// Sent to a pipelined run's LLC thread.
-    Send(SyncSender<Handoff>),
+    /// Sent to a group's LLC thread, with the time the sends have waited
+    /// for room in its channel.
+    Send(SyncSender<Handoff>, Duration),
 }
 
 impl ChunkSink {
@@ -139,43 +298,56 @@ impl ChunkSink {
     fn deliver(&mut self, chunk: Vec<LlcOp>) {
         match self {
             ChunkSink::Keep(chunks) => chunks.push(chunk),
-            // A send fails only once the LLC thread has died of a panic,
-            // which `pipelined` re-raises after the drive returns.
-            ChunkSink::Send(sender) => {
-                let _ = sender.send(Handoff::Chunk(chunk));
-            }
+            ChunkSink::Send(..) => self.send(Handoff::Chunk(chunk)),
+        }
+    }
+
+    /// Sends `handoff` to the LLC thread of a `Send` sink, timing any
+    /// wait for room.
+    fn send(&mut self, handoff: Handoff) {
+        let ChunkSink::Send(sender, stalled) = self else {
+            return;
+        };
+        // The LLC thread catches its members' panics and receives until
+        // the recorder hangs up, so a send cannot fail.
+        if let Err(TrySendError::Full(handoff)) = sender.try_send(handoff) {
+            let started = Instant::now();
+            let _ = sender.send(handoff);
+            *stalled += started.elapsed();
         }
     }
 }
 
 /// The sink below a [`Recorder`]'s private levels: it fills a chunk of
-/// requests and hands each full one on.
+/// requests and hands each full one on. Chunks start at 512 ops and
+/// double up to 4096.
 pub struct ChunkRecorder {
     chunk: Vec<LlcOp>,
+    limit: usize,
     sink: ChunkSink,
 }
 
 impl ChunkRecorder {
     fn new(sink: ChunkSink) -> Self {
         ChunkRecorder {
-            chunk: Vec::with_capacity(LLC_CHUNK),
+            chunk: Vec::with_capacity(FIRST_CHUNK),
+            limit: FIRST_CHUNK,
             sink,
         }
     }
 
-    /// Delivers the last, partial chunk and closes the sink: returns the
-    /// kept chunks, or sends `private` to the LLC thread.
-    fn finish(mut self, private: PrivateStats) -> Vec<Vec<LlcOp>> {
+    /// Delivers the last, partial chunk and closes the sink, sending
+    /// `private` to a `Send` sink's LLC thread. Returns the kept chunks
+    /// and the time the sends waited for room.
+    fn finish(mut self, private: PrivateStats) -> (Vec<Vec<LlcOp>>, Duration) {
         if !self.chunk.is_empty() {
             let tail = std::mem::take(&mut self.chunk);
             self.sink.deliver(tail);
         }
+        self.sink.send(Handoff::Done(private));
         match self.sink {
-            ChunkSink::Keep(chunks) => chunks,
-            ChunkSink::Send(sender) => {
-                let _ = sender.send(Handoff::Done(private));
-                Vec::new()
-            }
+            ChunkSink::Keep(chunks) => (chunks, Duration::ZERO),
+            ChunkSink::Send(_, stalled) => (Vec::new(), stalled),
         }
     }
 }
@@ -184,8 +356,9 @@ impl LlcSink for ChunkRecorder {
     #[inline(always)]
     fn push(&mut self, op: LlcOp) {
         self.chunk.push(op);
-        if self.chunk.len() == LLC_CHUNK {
-            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(LLC_CHUNK));
+        if self.chunk.len() == self.limit {
+            self.limit = (2 * self.limit).min(LLC_CHUNK);
+            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.limit));
             self.sink.deliver(full);
         }
     }
@@ -248,7 +421,7 @@ pub struct PrivateLevels<S> {
 pub type Hierarchy = PrivateLevels<Llc>;
 
 /// Private levels recording the post-L2 stream, with no LLC below them:
-/// what [`Hierarchy::record_llc`] and [`Hierarchy::pipelined`] drive.
+/// what [`Hierarchy::record_llc`] and [`Hierarchy::group`] drive.
 pub type Recorder = PrivateLevels<ChunkRecorder>;
 
 impl<S> std::fmt::Debug for PrivateLevels<S> {
@@ -314,62 +487,90 @@ impl Hierarchy {
     ) -> Result<LlcStream, E> {
         let mut recorder = Recorder::recording(cfg, num_cores, ChunkSink::Keep(Vec::new()));
         drive(&mut recorder)?;
-        Ok(recorder.finish())
+        Ok(recorder.finish().0)
     }
 
-    /// One run on two threads, with the stats of running `drive`'s events
-    /// through `num_cores` cores' L1 and L2 of `cfg` above `build_llc`'s
-    /// LLC. The calling thread runs `drive` into the recorder of
-    /// [`record_llc`](Hierarchy::record_llc). A scoped second thread calls
-    /// `build_llc` (the policies are built where they run) and applies
-    /// each 4096-op chunk as it arrives over a bounded channel, so the LLC
-    /// keeps pace with the kernel and the handoff never holds more than a
-    /// few hundred KiB.
+    /// One run of `drive`'s events through `num_cores` cores' L1 and L2
+    /// of `cfg` above each LLC of `llcs` at once, on two threads. The
+    /// calling thread runs `drive` into the recorder of
+    /// [`record_llc`](Hierarchy::record_llc). An [`LlcThread`] started for
+    /// this call builds every [`GroupLlc::Live`] LLC (the policies are
+    /// built where they run) and applies each chunk to all of them as it
+    /// arrives over a bounded channel, so the LLCs keep pace with the kernel and the
+    /// handoff never holds more than a few hundred KiB. Only a
+    /// [`GroupLlc::Belady`] member makes the thread keep the whole stream,
+    /// which it replays into the oracle once the recording ends.
+    ///
+    /// A panic while building or applying one LLC fails that member
+    /// alone: its [`MemberRun::stats`] carries the payload, and the other
+    /// members still see the whole stream.
     ///
     /// # Errors
     ///
     /// Returns `drive`'s error. Its recorder is dropped first, which ends
-    /// the LLC thread.
+    /// the LLC side.
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero. Re-raises, with its original
-    /// payload, a panic on the LLC thread (a policy assert, say) once
-    /// `drive` has returned; a panic in `drive` ends the LLC thread and
-    /// propagates.
-    pub fn pipelined<E>(
+    /// Panics if `num_cores` is zero. A panic in `drive` ends the LLC
+    /// side and propagates.
+    pub fn group<B: FnOnce() -> Llc + Send, E>(
         cfg: &HierarchyConfig,
         num_cores: usize,
-        build_llc: impl FnOnce() -> Llc + Send,
+        llcs: Vec<GroupLlc<B>>,
         drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
-    ) -> Result<HierarchyStats, E> {
-        let (sender, handoffs) = mpsc::sync_channel(PIPELINE_DEPTH);
+    ) -> Result<GroupRun, E> {
         std::thread::scope(|scope| {
-            let llc = scope.spawn(move || {
-                let mut llc = build_llc();
-                let mut private = PrivateStats::default();
-                for handoff in handoffs {
-                    match handoff {
-                        Handoff::Chunk(ops) => ops.into_iter().for_each(|op| llc.push(op)),
-                        Handoff::Done(stats) => private = stats,
-                    }
-                }
-                llc.stats(private)
-            });
-            let mut recorder = Recorder::recording(cfg, num_cores, ChunkSink::Send(sender));
-            let driven = drive(&mut recorder);
-            // Either way the recorder's sender goes, closing the channel:
-            // the LLC thread drains it and returns.
-            if driven.is_ok() {
-                recorder.finish();
-            } else {
-                drop(recorder);
-            }
-            match llc.join() {
-                Ok(stats) => driven.map(|()| stats),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+            Self::group_on(&LlcThread::spawn(scope), cfg, num_cores, llcs, drive)
         })
+    }
+
+    /// [`group`](Hierarchy::group) with its LLCs on `llc_thread`, which
+    /// serves one group after another: a caller running many groups
+    /// starts one thread, not one per group.
+    ///
+    /// # Errors
+    ///
+    /// Returns `drive`'s error.
+    ///
+    /// # Panics
+    ///
+    /// Like [`group`](Hierarchy::group).
+    pub fn group_on<'scope, B: FnOnce() -> Llc + Send + 'scope, E>(
+        llc_thread: &LlcThread<'scope>,
+        cfg: &HierarchyConfig,
+        num_cores: usize,
+        llcs: Vec<GroupLlc<B>>,
+        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
+    ) -> Result<GroupRun, E> {
+        let (sender, handoffs) = mpsc::sync_channel(PIPELINE_DEPTH);
+        let (reply, replied) = mpsc::sync_channel(1);
+        // The thread runs every job it is given, so the reply comes.
+        let _ = llc_thread.jobs.send(Box::new(move || {
+            let served = catch_unwind(AssertUnwindSafe(|| serve_group(llcs, handoffs)));
+            let _ = reply.send(served);
+        }));
+        let started = Instant::now();
+        let sink = ChunkSink::Send(sender, Duration::ZERO);
+        let mut recorder = Recorder::recording(cfg, num_cores, sink);
+        let driven = drive(&mut recorder);
+        // Either way the recorder's sender goes, closing the channel: the
+        // LLC thread drains it and replies.
+        let stalled = if driven.is_ok() {
+            recorder.finish().1
+        } else {
+            drop(recorder);
+            Duration::ZERO
+        };
+        let record = started.elapsed().saturating_sub(stalled);
+        // Every member's panic is caught in `serve_group`, so a payload
+        // here is a bug of the LLC side's own.
+        let members = match replied.recv() {
+            Ok(Ok(members)) => members,
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(gone) => resume_unwind(Box::new(gone)),
+        };
+        driven.map(|()| GroupRun { members, record })
     }
 
     /// Aggregated statistics. Private-level stats are summed across cores.
@@ -386,13 +587,12 @@ impl Recorder {
 
     /// Ends the recording: delivers its last chunk and closes its sink.
     /// Returns the stream of a [`ChunkSink::Keep`] recording (a `Send`
-    /// recording's chunks are gone, so its stream is empty).
-    fn finish(self) -> LlcStream {
+    /// recording's chunks are gone, so its stream is empty) and the time
+    /// a `Send` recording waited for room in its channel.
+    fn finish(self) -> (LlcStream, Duration) {
         let private = self.private_stats();
-        LlcStream {
-            chunks: self.below.finish(private),
-            private,
-        }
+        let (chunks, stalled) = self.below.finish(private);
+        (LlcStream { chunks, private }, stalled)
     }
 }
 
@@ -783,6 +983,7 @@ mod tests {
     use crate::policies::Belady;
     use crate::{NucaConfig, PolicyKind};
     use popt_trace::RegionClass;
+    use std::convert::Infallible;
 
     fn lru_hierarchy(cfg: &HierarchyConfig) -> Hierarchy {
         Hierarchy::new(cfg, |sets, ways| PolicyKind::Lru.build(sets, ways))
@@ -1018,7 +1219,7 @@ mod tests {
             );
             let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
             assert_eq!(replay, live, "{kind:?}");
-            let piped = Hierarchy::pipelined(
+            let piped = pipelined(
                 &cfg,
                 2,
                 || Llc::new(&cfg, |s, w| kind.build(s, w)),
@@ -1076,6 +1277,22 @@ mod tests {
         }
     }
 
+    /// A one-LLC [`Hierarchy::group`] run: the stats of `drive`'s events
+    /// through `num_cores` cores' L1 and L2 of `cfg` above `build_llc`'s
+    /// LLC, re-raising the LLC's panic with its own payload.
+    fn pipelined<E>(
+        cfg: &HierarchyConfig,
+        num_cores: usize,
+        build_llc: impl FnOnce() -> Llc + Send,
+        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
+    ) -> Result<HierarchyStats, E> {
+        let run = Hierarchy::group(cfg, num_cores, vec![GroupLlc::Live(build_llc)], drive)?;
+        let [member] = <[MemberRun; 1]>::try_from(run.members).unwrap();
+        Ok(member
+            .stats
+            .unwrap_or_else(|payload| resume_unwind(payload)))
+    }
+
     /// Sends exactly `ops` requests below L2: control events, and reads of
     /// distinct lines, each missing both private levels.
     fn exact_ops<S: LlcSink>(h: &mut PrivateLevels<S>, ops: usize) -> Result<(), String> {
@@ -1089,26 +1306,46 @@ mod tests {
         Ok(())
     }
 
+    /// The chunk lengths a recording of `ops` requests hands on: the
+    /// first chunk holds [`FIRST_CHUNK`] ops, each next one twice the one
+    /// before up to [`LLC_CHUNK`], and the last holds what is left.
+    fn chunk_lens(mut ops: usize) -> Vec<usize> {
+        let (mut lens, mut limit) = (Vec::new(), FIRST_CHUNK);
+        while ops > 0 {
+            lens.push(limit.min(ops));
+            ops -= limit.min(ops);
+            limit = (2 * limit).min(LLC_CHUNK);
+        }
+        lens
+    }
+
     #[test]
     fn pipelined_runs_match_live_runs_at_every_chunk_edge() {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
+        // The edges of the first, growing chunks and of the full-size ones.
+        let grown = FIRST_CHUNK + 2 * FIRST_CHUNK + 4 * FIRST_CHUNK;
+        assert_eq!(2 * 4 * FIRST_CHUNK, LLC_CHUNK, "three chunks grow");
         for ops in [
             0,
-            LLC_CHUNK - 1,
-            LLC_CHUNK,
-            LLC_CHUNK + 1,
-            3 * LLC_CHUNK + 7,
+            FIRST_CHUNK - 1,
+            FIRST_CHUNK,
+            FIRST_CHUNK + 1,
+            grown - 1,
+            grown,
+            grown + LLC_CHUNK,
+            grown + LLC_CHUNK + 1,
+            grown + 3 * LLC_CHUNK + 7,
         ] {
             let stream = Hierarchy::record_llc(&cfg, 1, |h| exact_ops(h, ops)).unwrap();
             let lens: Vec<usize> = stream.chunks.iter().map(Vec::len).collect();
+            assert_eq!(lens, chunk_lens(ops), "{ops} ops");
             assert_eq!(lens.iter().sum::<usize>(), ops, "{ops} ops");
-            assert_eq!(lens.len(), ops.div_ceil(LLC_CHUNK), "{ops} ops: {lens:?}");
             assert!(lens.iter().all(|&n| n > 0), "{ops} ops: {lens:?}");
             for kind in [PolicyKind::Lru, PolicyKind::Drrip] {
                 let mut live = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
                 exact_ops(&mut live, ops).unwrap();
-                let piped = Hierarchy::pipelined(
+                let piped = pipelined(
                     &cfg,
                     1,
                     || Llc::new(&cfg, |s, w| kind.build(s, w)),
@@ -1165,7 +1402,7 @@ mod tests {
         // keeps sending long after the LLC thread has died.
         let outcome = settles(|| {
             let cfg = HierarchyConfig::small_test();
-            Hierarchy::pipelined(
+            pipelined(
                 &cfg,
                 1,
                 || Llc::new(&cfg, |_, _| Box::new(RogueVictim)),
@@ -1185,7 +1422,7 @@ mod tests {
     fn a_failed_drive_returns_its_error() {
         let outcome = settles(|| {
             let cfg = HierarchyConfig::small_test();
-            Hierarchy::pipelined(
+            pipelined(
                 &cfg,
                 1,
                 || lru_llc(&cfg),
@@ -1199,10 +1436,51 @@ mod tests {
     }
 
     #[test]
+    fn one_llc_thread_serves_groups_after_failed_and_panicking_drives() {
+        // A session worker's LLC thread outlives each group it serves,
+        // including one whose drive failed and one whose drive panicked.
+        let outcome = settles(|| {
+            let cfg = HierarchyConfig::small_test();
+            let ops = 3 * LLC_CHUNK + 5;
+            std::thread::scope(|scope| {
+                let llc_thread = LlcThread::spawn(scope);
+                let group = |drive: &dyn Fn(&mut Recorder) -> Result<(), String>| {
+                    let llcs = vec![GroupLlc::Live(|| lru_llc(&cfg))];
+                    Hierarchy::group_on(&llc_thread, &cfg, 1, llcs, drive)
+                };
+                let failed = group(&|h| {
+                    exact_ops(h, ops)?;
+                    Err("trace ended early".to_string())
+                });
+                let panicked = catch_unwind(AssertUnwindSafe(|| {
+                    group(&|h| {
+                        exact_ops(h, ops)?;
+                        panic!("kernel bug")
+                    })
+                }));
+                let run = group(&|h| exact_ops(h, ops)).unwrap();
+                let stats = run.members.into_iter().map(|m| m.stats.ok());
+                (failed.err(), panicked.is_err(), stats.collect::<Vec<_>>())
+            })
+        });
+        let cfg = HierarchyConfig::small_test();
+        let mut live = lru_hierarchy(&cfg);
+        exact_ops(&mut live, 3 * LLC_CHUNK + 5).unwrap();
+        assert_eq!(
+            outcome,
+            Ok((
+                Some("trace ended early".to_string()),
+                true,
+                vec![Some(live.stats())]
+            ))
+        );
+    }
+
+    #[test]
     fn a_panicking_drive_propagates_its_panic() {
         let outcome = settles(|| {
             let cfg = HierarchyConfig::small_test();
-            Hierarchy::pipelined(
+            pipelined(
                 &cfg,
                 1,
                 || lru_llc(&cfg),
@@ -1213,6 +1491,60 @@ mod tests {
             )
         });
         assert_eq!(outcome, Err(Some("kernel bug".to_string())));
+    }
+
+    #[test]
+    fn a_group_serves_every_llc_and_fails_a_panicking_one_alone() {
+        // One recording feeds LRU, a rogue policy, Belady and DRRIP at
+        // once: the rogue LLC's panic fails it alone, and every other
+        // member reports the stats of its own live run.
+        let cfg = HierarchyConfig::small_test();
+        fn drive<S: LlcSink>(h: &mut PrivateLevels<S>) -> Result<(), Infallible> {
+            for i in 0..30_000u32 {
+                let addr = 0x40_0000 + (u64::from(i).wrapping_mul(0x9e37_79b9) % 5000) * 64;
+                h.event(if i % 3 == 0 {
+                    TraceEvent::write(addr, i % 5)
+                } else {
+                    TraceEvent::read(addr, i % 5)
+                });
+            }
+            Ok(())
+        }
+        // `None` builds the rogue LLC.
+        let cfg = &cfg;
+        let live = |kind: Option<PolicyKind>| {
+            GroupLlc::Live(move || match kind {
+                Some(kind) => Llc::new(cfg, |s, w| kind.build(s, w)),
+                None => Llc::new(cfg, |_, _| Box::new(RogueVictim)),
+            })
+        };
+        let llcs = vec![
+            live(Some(PolicyKind::Lru)),
+            live(None),
+            GroupLlc::Belady(cfg.clone()),
+            live(Some(PolicyKind::Drrip)),
+        ];
+        let Ok(run) = Hierarchy::group(cfg, 1, llcs, drive);
+        let [lru, rogue, belady, drrip] = <[MemberRun; 4]>::try_from(run.members).unwrap();
+        for (member, kind) in [(lru, PolicyKind::Lru), (drrip, PolicyKind::Drrip)] {
+            let mut rerun = Hierarchy::new(cfg, |s, w| kind.build(s, w));
+            let Ok(()) = drive(&mut rerun);
+            assert_eq!(member.stats.ok(), Some(rerun.stats()), "{kind:?}");
+        }
+        let Ok(stream) = Hierarchy::record_llc(cfg, 1, drive);
+        assert_eq!(
+            belady.stats.ok(),
+            Some(Llc::belady_from_stream(cfg, &stream))
+        );
+        let payload = rogue.stats.expect_err("a rogue victim must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains("beyond data ways")),
+            "{message:?}"
+        );
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! |--------|--------|-----------------|
 //! | LRU | [`policies::Lru`] | baseline of Figs 2/4/10 |
 //! | Bit-PLRU | [`policies::BitPlru`] | L1/L2 policy (Table I) |
-//! | SRRIP / BRRIP / DRRIP | [`policies::Drrip`] | Jaleel et al. [30] |
-//! | SHiP-PC / SHiP-Mem | [`policies::Ship`] | Wu et al. [53] |
-//! | Hawkeye | [`policies::Hawkeye`] | Jain & Lin [28] |
-//! | SDBP | [`policies::Sdbp`] | Khan et al. [32] (related work) |
-//! | Leeway | [`policies::Leeway`] | Faldu & Grot [21] (related work) |
+//! | SRRIP / BRRIP / DRRIP | [`policies::Drrip`] | Jaleel et al. \[30\] |
+//! | SHiP-PC / SHiP-Mem | [`policies::Ship`] | Wu et al. \[53\] |
+//! | Hawkeye | [`policies::Hawkeye`] | Jain & Lin \[28\] |
+//! | SDBP | [`policies::Sdbp`] | Khan et al. \[32\] (related work) |
+//! | Leeway | [`policies::Leeway`] | Faldu & Grot \[21\] (related work) |
 //! | Belady's MIN | [`policies::Belady`] | the unconstrained oracle |
-//! | GRASP | [`policies::Grasp`] | Faldu et al. [20] |
+//! | GRASP | [`policies::Grasp`] | Faldu et al. \[20\] |
 //!
 //! The graph-aware T-OPT and P-OPT policies live in `popt-core` and plug
 //! into the same [`ReplacementPolicy`] trait.
@@ -47,7 +47,8 @@ mod timing;
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{
-    ChunkRecorder, Hierarchy, Llc, LlcOp, LlcSink, LlcStream, PrivateLevels, Recorder,
+    ChunkRecorder, GroupLlc, GroupRun, Hierarchy, Llc, LlcOp, LlcSink, LlcStream, LlcThread,
+    MemberRun, PrivateLevels, Recorder,
 };
 pub use nuca::{BankMapping, NucaConfig};
 pub use policies::PolicyKind;

@@ -6,8 +6,9 @@
 //! instruction count must therefore be the same whichever LLC policy runs
 //! below them, and so must the coherence invalidations of a multi-core
 //! run. Every cell that records one post-L2 stream and replays it into
-//! LLCs alone relies on this: Belady's two passes, the sweep's row engine
-//! and the pipelined cell. The multi-core, prefetching and
+//! LLCs alone relies on this: Belady's two passes and every stream group,
+//! a sweep's row of cells and `simulate`'s group of one alike. The
+//! multi-core, prefetching and
 //! context-switching run below covers what the custom-family experiments
 //! add to the plain kernels.
 
