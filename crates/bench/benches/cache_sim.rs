@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use popt_bench::bench_graph;
 use popt_core::{Popt, PoptConfig, Quantization, RerefMatrix, StreamBinding, Topt};
 use popt_kernels::App;
-use popt_sim::{Hierarchy, HierarchyConfig, Llc, PolicyKind};
+use popt_sim::{GroupLlc, Hierarchy, HierarchyConfig, Llc, LlcThread, PolicyKind};
 use popt_trace::TraceSink;
 use std::sync::Arc;
 
@@ -78,15 +78,18 @@ fn policy_throughput(c: &mut Criterion) {
     });
 
     // Belady's MIN: the recording pass, the oracle build and the LLC-only
-    // replay, as every OPT cell runs them.
+    // replay, as every OPT cell runs them (a group with a Belady member).
     group.bench_function("OPT", |b| {
         b.iter(|| {
-            let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
-                h.set_address_space(&plan.space);
-                app.trace(&g, &plan, h);
-                Ok::<(), std::convert::Infallible>(())
+            let belady = vec![GroupLlc::<fn() -> Llc>::Belady(cfg.clone())];
+            let Ok(run) = std::thread::scope(|scope| {
+                Hierarchy::group(&LlcThread::spawn(scope), &cfg, 1, belady, |h| {
+                    h.set_address_space(&plan.space);
+                    app.trace(&g, &plan, h);
+                    Ok::<(), std::convert::Infallible>(())
+                })
             });
-            Llc::belady_from_stream(&cfg, &stream).llc.misses
+            run.members[0].stats.as_ref().map(|s| s.llc.misses).ok()
         })
     });
 

@@ -1,7 +1,6 @@
 //! Record-once / replay-many economics: kernel re-execution versus
-//! `POPTTRC2` decode versus an LLC-only replay of the recorded post-L2
-//! stream for driving a simulation cell, plus raw codec encode/decode
-//! throughput.
+//! `POPTTRC2` decode for driving a simulation cell, plus raw codec
+//! encode/decode throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use popt_bench::bench_graph;
@@ -22,9 +21,8 @@ fn recorded_pagerank() -> (popt_graph::Graph, popt_kernels::TracePlan, Vec<u8>, 
     (g, plan, buf, summary.events)
 }
 
-/// Why sweep cells run their kernels and share post-L2 streams: what does
-/// a pagerank *cell* cost when its events come from kernel re-execution,
-/// from trace replay, or (LLC only) from a recorded stream?
+/// Why sweep cells run their kernels: what does a pagerank *cell* cost
+/// when its events come from kernel re-execution or from trace replay?
 fn cell_drive(c: &mut Criterion) {
     let (g, plan, trace, events) = recorded_pagerank();
     let cfg = HierarchyConfig::small_test();
@@ -50,15 +48,6 @@ fn cell_drive(c: &mut Criterion) {
             replay_any(&trace[..], &mut h).expect("pristine trace");
             h.stats()
         })
-    });
-    // What the LLC half of a cell costs once its stream is recorded.
-    let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
-        h.set_address_space(&plan.space);
-        App::Pagerank.trace(&g, &plan, h);
-        Ok::<(), std::convert::Infallible>(())
-    });
-    group.bench_function("llc_stream_replay", |b| {
-        b.iter(|| policy_llc(feed, &g, &cfg, &lru, None).replay(&stream))
     });
     group.finish();
 }

@@ -6,7 +6,8 @@
 //! whose post-L2 stream the policy's LLC replays on a second thread as it
 //! is recorded; `--policy opt` builds Belady's oracle from the whole
 //! recorded stream. A numeric flag whose value does not parse or is out
-//! of range prints the usage and exits nonzero.
+//! of range (`--llc` above 1 GiB, `--ways` or `--cores` above 64) prints
+//! the usage and exits nonzero.
 //!
 //! ```text
 //! tracesim <trace.trc> [--policy NAME] [--llc BYTES] [--ways N] [--cores N]
@@ -15,7 +16,8 @@
 use popt_cli::numeric_flag;
 use popt_cli::trace_cmd::parse_policy_kind;
 use popt_sim::{
-    CacheConfig, GroupLlc, Hierarchy, HierarchyConfig, Llc, MemberRun, PolicyKind, Recorder,
+    CacheConfig, GroupLlc, Hierarchy, HierarchyConfig, Llc, LlcThread, MemberRun, PolicyKind,
+    Recorder,
 };
 use popt_trace::LINE_SIZE;
 use std::process::ExitCode;
@@ -28,24 +30,27 @@ fn fail(msg: &str) -> ExitCode {
         .collect();
     eprintln!("{msg}");
     eprintln!(
-        "usage: tracesim <trace.trc> [--policy {}|opt] [--llc BYTES] [--ways 1..=64] [--cores N]",
+        "usage: tracesim <trace.trc> [--policy {}|opt] [--llc BYTES] [--ways 1..=64] [--cores 1..=64]",
         policies.join("|")
     );
     ExitCode::FAILURE
 }
 
 /// The `--llc`, `--ways` and `--cores` values, checked so that neither
-/// `CacheConfig::new` nor the recorder can panic on them.
+/// `CacheConfig::new` nor the recorder can panic on them, and bounded so
+/// that the caches they size fit in memory.
 fn geometry(args: &[String]) -> Result<(usize, usize, usize), String> {
     // Bit-PLRU caps associativity at 64 ways.
     let ways = numeric_flag(args, "--ways", 16, 1..=64)?;
-    let llc_bytes = numeric_flag(args, "--llc", 256 * 1024, 1..)?;
+    // 1 GiB is 32 times the paper's 32 MB LLC.
+    let llc_bytes = numeric_flag(args, "--llc", 256 * 1024, 1..=1 << 30)?;
     if !(llc_bytes as u64).is_multiple_of(ways as u64 * LINE_SIZE) {
         return Err(format!(
             "bad --llc value {llc_bytes}: must be a multiple of ways x {LINE_SIZE} bytes"
         ));
     }
-    let cores = numeric_flag(args, "--cores", 1, 1..)?;
+    // Each core gets its own L1 and L2.
+    let cores = numeric_flag(args, "--cores", 1, 1..=64)?;
     Ok((llc_bytes, ways, cores))
 }
 
@@ -101,7 +106,10 @@ fn main() -> ExitCode {
         }
         None => GroupLlc::Belady(cfg.clone()),
     };
-    let run = match Hierarchy::group(&cfg, cores, vec![llc], replay) {
+    let run = std::thread::scope(|scope| {
+        Hierarchy::group(&LlcThread::spawn(scope), &cfg, cores, vec![llc], replay)
+    });
+    let run = match run {
         Ok(run) => run,
         Err(e) => {
             eprintln!("replay failed: {e}");

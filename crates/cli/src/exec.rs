@@ -100,10 +100,6 @@ pub struct StreamCounters {
     pub recorded: u64,
     /// LLC replays run, one per executed cell.
     pub replayed: u64,
-    /// Recordings in flight right now.
-    pub live: u64,
-    /// The most recordings in flight at once.
-    pub peak_live: u64,
 }
 
 impl StreamCounters {
@@ -111,10 +107,9 @@ impl StreamCounters {
     /// time spent recording, in seconds.
     pub fn to_json(&self, record: Duration) -> String {
         format!(
-            "{{\"recorded\":{},\"replayed\":{},\"peak_live\":{},\"record_seconds\":{:.6}}}",
+            "{{\"recorded\":{},\"replayed\":{},\"record_seconds\":{:.6}}}",
             self.recorded,
             self.replayed,
-            self.peak_live,
             record.as_secs_f64()
         )
     }
@@ -440,17 +435,11 @@ impl Session {
             let c = &mut lock(&self.streams).counters;
             c.recorded += 1;
             c.replayed += llcs.len() as u64;
-            c.live += 1;
-            c.peak_live = c.peak_live.max(c.live);
         }
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_group(llc_thread, first.feed, &first.graph, &first.cfg, &llcs, ctx)
         }));
-        {
-            let log = &mut *lock(&self.streams);
-            log.counters.live -= 1;
-            log.record += run.as_ref().map_or(Duration::ZERO, |run| run.record);
-        }
+        lock(&self.streams).record += run.as_ref().map_or(Duration::ZERO, |run| run.record);
         let members: Vec<(Result<HierarchyStats, String>, Duration)> = match run {
             Ok(run) => run
                 .members
@@ -650,8 +639,6 @@ mod tests {
             StreamCounters {
                 recorded: 1,
                 replayed: 6,
-                live: 0,
-                peak_live: 1,
             }
         );
         for (spec, stats) in row().iter().zip(&out) {
@@ -695,11 +682,6 @@ mod tests {
         let counters = session.stream_counters();
         assert_eq!(counters.recorded, suite.len() as u64, "one per graph");
         assert_eq!(counters.replayed, expected.len() as u64);
-        assert!(
-            (1..=2).contains(&counters.peak_live),
-            "two workers hold at most two streams: {counters:?}"
-        );
-        assert_eq!(counters.live, 0, "every stream is freed after the batch");
     }
 
     #[test]
@@ -750,8 +732,8 @@ mod tests {
         }
         let counters = session.stream_counters();
         assert_eq!(
-            (counters.recorded, counters.replayed, counters.live),
-            (feeds.len() as u64, out.len() as u64, 0)
+            (counters.recorded, counters.replayed),
+            (feeds.len() as u64, out.len() as u64)
         );
     }
 
@@ -795,7 +777,6 @@ mod tests {
         assert!(run.is_err(), "the faulted cells fail the batch");
         let counters = faulted.stream_counters();
         assert_eq!((counters.recorded, counters.replayed), (1, 3));
-        assert_eq!(counters.live, 0, "faulted cells released their claims");
         drop(faulted);
 
         // Resuming: the three journaled urand cells release their claims
@@ -804,10 +785,7 @@ mod tests {
         let out = resumed.run(batch(&resumed));
         assert_eq!(resumed.count(CellOutcome::Resumed), 3);
         let counters = resumed.stream_counters();
-        assert_eq!(
-            (counters.recorded, counters.replayed, counters.live),
-            (2, 2, 0)
-        );
+        assert_eq!((counters.recorded, counters.replayed), (2, 2));
         let mut expected: Vec<HierarchyStats> = specs[..4]
             .iter()
             .map(|spec| direct(SuiteGraph::Urand, spec))
@@ -1241,10 +1219,7 @@ mod tests {
         );
         assert!(msg.contains("iso/topt-twin: shares the key"), "got: {msg}");
         let counters = session.stream_counters();
-        assert_eq!(
-            (counters.recorded, counters.replayed, counters.live),
-            (1, 2, 0)
-        );
+        assert_eq!((counters.recorded, counters.replayed), (1, 2));
         assert_eq!(session.count(CellOutcome::Failed), 2);
         assert_eq!(session.count(CellOutcome::Executed), 1);
         let journal = Manifest::open(&path).unwrap();

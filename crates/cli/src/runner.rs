@@ -282,7 +282,7 @@ pub fn simulate(
 
 /// Runs `feed` on `g` once through `cfg`'s L1 and L2 and, at the same
 /// time, through the LLC of every `(cfg, policy)` of `llcs` (their L1 and
-/// L2 are `cfg`'s): a [`Hierarchy::group_on`] of [`group_llcs`] whose
+/// L2 are `cfg`'s): a [`Hierarchy::group`] of [`group_llcs`] whose
 /// LLCs run on `llc_thread`. The members' stats are unchecked.
 pub fn run_group<'s>(
     llc_thread: &LlcThread<'s>,
@@ -294,7 +294,7 @@ pub fn run_group<'s>(
 ) -> GroupRun {
     let members = group_llcs(feed, g, llcs, ctx);
     let drive = |recorder: &mut Recorder| feed.drive(g, ctx, recorder);
-    let Ok(run) = Hierarchy::group_on(llc_thread, cfg, feed.cores(), members, drive);
+    let Ok(run) = Hierarchy::group(llc_thread, cfg, feed.cores(), members, drive);
     run
 }
 

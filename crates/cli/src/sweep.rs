@@ -233,8 +233,6 @@ mod tests {
             streams: StreamCounters {
                 recorded: 1,
                 replayed: 3,
-                live: 0,
-                peak_live: 1,
             },
             record_time: Duration::from_micros(250_500),
         };
@@ -242,7 +240,7 @@ mod tests {
             s.to_json(Scale::Tiny, 2),
             "{\"scale\":\"tiny\",\"jobs\":2,\"cells\":9,\"executed\":3,\"resumed\":2,\"shared\":4,\"failed\":[],\
              \"cache\":{\"graph_hits\":4,\"graph_builds\":1,\"matrix_hits\":6,\"matrix_builds\":2},\
-             \"streams\":{\"recorded\":1,\"replayed\":3,\"peak_live\":1,\"record_seconds\":0.250500}}\n"
+             \"streams\":{\"recorded\":1,\"replayed\":3,\"record_seconds\":0.250500}}\n"
         );
         s.failed = vec!["fig2".to_string(), "fig7".to_string()];
         assert!(s

@@ -19,7 +19,7 @@ use crate::Scale;
 use popt_graph::suite::{suite_graph, SuiteGraph};
 use popt_graph::Graph;
 use popt_kernels::App;
-use popt_sim::{GroupRun, Hierarchy, HierarchyConfig, PolicyKind};
+use popt_sim::{GroupRun, Hierarchy, HierarchyConfig, LlcThread, PolicyKind, Recorder};
 use popt_tracestore::{replay_any, trace_info, verify, ChunkWriter, ReplayStats, TraceFileError};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -251,10 +251,13 @@ fn group_file(
     let reader = std::fs::File::open(file).map_err(|e| format!("{}: {e}", file.display()))?;
     let mut stats = ReplayStats::default();
     let members = group_llcs(Feed::Kernel(app), g, llcs, None);
-    let run = Hierarchy::group(cfg, 1, members, |recorder| {
+    let drive = |recorder: &mut Recorder| {
         recorder.set_address_space(&app.plan(g).space);
         stats = replay_any(std::io::BufReader::new(reader), recorder)?;
         Ok(())
+    };
+    let run = std::thread::scope(|scope| {
+        Hierarchy::group(&LlcThread::spawn(scope), cfg, 1, members, drive)
     })
     .map_err(|e: TraceFileError| format!("{}: {e}", file.display()))?;
     Ok((run, stats))

@@ -88,6 +88,11 @@ fn tracesim_rejects_bad_llc_and_accepts_every_policy_spelling() {
     assert_usage_failure(&tracesim(&[&trc, "--llc", "1000"]));
     assert_usage_failure(&tracesim(&[&trc, "--ways", "0"]));
     assert_usage_failure(&tracesim(&[&trc, "--cores", "-1"]));
+    // Each core gets its own L1 and L2, so an unbounded `--cores` or
+    // `--llc` would exhaust memory instead of printing the usage.
+    assert_usage_failure(&tracesim(&[&trc, "--cores", "0"]));
+    assert_usage_failure(&tracesim(&[&trc, "--cores", "65"]));
+    assert_usage_failure(&tracesim(&[&trc, "--llc", "2147483648"]));
     assert_usage_failure(&tracesim(&[&trc, "--policy", "nope"]));
     for policy in ["bit-plru", "SHiP-PC", "drrip", "opt"] {
         assert_ok(&tracesim(&[&trc, "--policy", policy]));

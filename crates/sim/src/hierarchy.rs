@@ -96,46 +96,17 @@ struct PrivateStats {
     coherence_invalidations: u64,
 }
 
-/// The post-L2 request stream of one run, in order — demand accesses
-/// (line, site, kind, class), writebacks below L2, prefetch fills and LLC
-/// control events — plus that run's private-level statistics.
-///
-/// The private levels never see the LLC, so this stream is the same
-/// whatever the LLC's policy, size, associativity, reserved ways or
-/// banking. [`Hierarchy::record_llc`] records one; [`Llc::replay`] drives
-/// it into an LLC alone, which then reports the stats a live run under
-/// its own configuration and policy would.
-#[derive(Debug, Clone, Default)]
-pub struct LlcStream {
-    /// The ops in order, in the recorder's chunks.
-    chunks: Vec<Vec<LlcOp>>,
-    private: PrivateStats,
-}
-
-impl LlcStream {
-    /// The demand-access lines in order: the stream
-    /// [`Belady::from_trace`] is built from.
-    fn demand_lines(&self) -> Vec<u64> {
-        self.chunks
-            .iter()
-            .flatten()
-            .filter_map(|op| match *op {
-                LlcOp::Access { line, .. } => Some(line),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// One LLC of a [`Hierarchy::group`] run.
 #[derive(Debug)]
 pub enum GroupLlc<B> {
     /// An LLC that `B` builds on the group's LLC thread and that takes
     /// each chunk of the stream as it arrives.
     Live(B),
-    /// Belady's MIN under this configuration ([`Llc::belady_from_stream`]):
-    /// its oracle needs the whole demand stream, so the group keeps every
-    /// chunk and replays them into it once the recording ends.
+    /// Belady's MIN under this configuration, which must have a single
+    /// LLC bank: its oracle needs the whole demand stream, so the group
+    /// keeps every chunk and replays them into it once the recording
+    /// ends. The stats are exactly those of re-running the recorded
+    /// events under the oracle.
     Belady(HierarchyConfig),
 }
 
@@ -209,14 +180,15 @@ impl Member {
         }
     }
 
-    /// The member's stats over the whole `stream` (whose chunks are kept
-    /// only when the group has a Belady member).
-    fn finish(self, stream: &LlcStream) -> MemberRun {
+    /// The member's stats over the whole stream, whose private-level
+    /// stats are `private` and whose chunks are `kept` (only when the
+    /// group has a Belady member).
+    fn finish(self, kept: &[Vec<LlcOp>], private: PrivateStats) -> MemberRun {
         let started = Instant::now();
         let stats = match self.state {
-            MemberState::Live(llc) => Ok(llc.stats(stream.private)),
+            MemberState::Live(llc) => Ok(llc.stats(private)),
             MemberState::Belady(cfg) => {
-                catch_unwind(AssertUnwindSafe(|| Llc::belady_from_stream(&cfg, stream)))
+                catch_unwind(AssertUnwindSafe(|| Self::belady(&cfg, kept, private)))
             }
             MemberState::Failed(payload) => Err(payload),
         };
@@ -224,6 +196,31 @@ impl Member {
             stats,
             busy: self.busy + started.elapsed(),
         }
+    }
+
+    /// Belady's MIN under `cfg` over the whole stream: builds the oracle
+    /// from the stream's demand lines and applies the stream to an LLC
+    /// alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LLC has more than one bank: the oracle needs one
+    /// globally ordered LLC stream.
+    fn belady(cfg: &HierarchyConfig, kept: &[Vec<LlcOp>], private: PrivateStats) -> HierarchyStats {
+        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
+        let lines: Vec<u64> = kept
+            .iter()
+            .flatten()
+            .filter_map(|op| match *op {
+                LlcOp::Access { line, .. } => Some(line),
+                _ => None,
+            })
+            .collect();
+        let mut llc = Llc::new(cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines))
+        });
+        kept.iter().flatten().for_each(|&op| llc.push(op));
+        llc.stats(private)
     }
 }
 
@@ -239,23 +236,26 @@ fn serve_group<B: FnOnce() -> Llc>(
     let keep = members
         .iter()
         .any(|m| matches!(m.state, MemberState::Belady(_)));
-    let mut stream = LlcStream::default();
+    let (mut kept, mut private) = (Vec::new(), PrivateStats::default());
     for handoff in handoffs {
         match handoff {
             Handoff::Chunk(ops) => {
                 members.iter_mut().for_each(|m| m.apply(&ops));
                 if keep {
-                    stream.chunks.push(ops);
+                    kept.push(ops);
                 }
             }
-            Handoff::Done(private) => stream.private = private,
+            Handoff::Done(stats) => private = stats,
         }
     }
-    members.into_iter().map(|m| m.finish(&stream)).collect()
+    members
+        .into_iter()
+        .map(|m| m.finish(&kept, private))
+        .collect()
 }
 
-/// A scoped thread that runs the LLC side of one [`Hierarchy::group_on`]
-/// run after another. It ends once its handle is dropped and its last
+/// A scoped thread that runs the LLC side of one [`Hierarchy::group`] run
+/// after another. It ends once its handle is dropped and its last
 /// group is done.
 pub struct LlcThread<'scope> {
     jobs: mpsc::Sender<Box<dyn FnOnce() + Send + 'scope>>,
@@ -284,71 +284,48 @@ enum Handoff {
     Done(PrivateStats),
 }
 
-/// Where a recording's chunks go.
-enum ChunkSink {
-    /// Kept in order, for an [`LlcStream`].
-    Keep(Vec<Vec<LlcOp>>),
-    /// Sent to a group's LLC thread, with the time the sends have waited
-    /// for room in its channel.
-    Send(SyncSender<Handoff>, Duration),
-}
-
-impl ChunkSink {
-    #[inline(never)]
-    fn deliver(&mut self, chunk: Vec<LlcOp>) {
-        match self {
-            ChunkSink::Keep(chunks) => chunks.push(chunk),
-            ChunkSink::Send(..) => self.send(Handoff::Chunk(chunk)),
-        }
-    }
-
-    /// Sends `handoff` to the LLC thread of a `Send` sink, timing any
-    /// wait for room.
-    fn send(&mut self, handoff: Handoff) {
-        let ChunkSink::Send(sender, stalled) = self else {
-            return;
-        };
-        // The LLC thread catches its members' panics and receives until
-        // the recorder hangs up, so a send cannot fail.
-        if let Err(TrySendError::Full(handoff)) = sender.try_send(handoff) {
-            let started = Instant::now();
-            let _ = sender.send(handoff);
-            *stalled += started.elapsed();
-        }
-    }
-}
-
 /// The sink below a [`Recorder`]'s private levels: it fills a chunk of
-/// requests and hands each full one on. Chunks start at 512 ops and
-/// double up to 4096.
+/// requests and sends each full one to a group's LLC thread. Chunks
+/// start at 512 ops and double up to 4096.
 pub struct ChunkRecorder {
     chunk: Vec<LlcOp>,
     limit: usize,
-    sink: ChunkSink,
+    sender: SyncSender<Handoff>,
+    /// Time the sends have waited for room in the channel.
+    stalled: Duration,
 }
 
 impl ChunkRecorder {
-    fn new(sink: ChunkSink) -> Self {
+    fn new(sender: SyncSender<Handoff>) -> Self {
         ChunkRecorder {
             chunk: Vec::with_capacity(FIRST_CHUNK),
             limit: FIRST_CHUNK,
-            sink,
+            sender,
+            stalled: Duration::ZERO,
         }
     }
 
-    /// Delivers the last, partial chunk and closes the sink, sending
-    /// `private` to a `Send` sink's LLC thread. Returns the kept chunks
-    /// and the time the sends waited for room.
-    fn finish(mut self, private: PrivateStats) -> (Vec<Vec<LlcOp>>, Duration) {
+    /// Sends `handoff` to the LLC thread, timing any wait for room.
+    #[inline(never)]
+    fn send(&mut self, handoff: Handoff) {
+        // The LLC thread catches its members' panics and receives until
+        // the recorder hangs up, so a send cannot fail.
+        if let Err(TrySendError::Full(handoff)) = self.sender.try_send(handoff) {
+            let started = Instant::now();
+            let _ = self.sender.send(handoff);
+            self.stalled += started.elapsed();
+        }
+    }
+
+    /// Sends the last, partial chunk and then `private`. Returns the time
+    /// the sends waited for room.
+    fn finish(mut self, private: PrivateStats) -> Duration {
         if !self.chunk.is_empty() {
             let tail = std::mem::take(&mut self.chunk);
-            self.sink.deliver(tail);
+            self.send(Handoff::Chunk(tail));
         }
-        self.sink.send(Handoff::Done(private));
-        match self.sink {
-            ChunkSink::Keep(chunks) => (chunks, Duration::ZERO),
-            ChunkSink::Send(_, stalled) => (Vec::new(), stalled),
-        }
+        self.send(Handoff::Done(private));
+        self.stalled
     }
 }
 
@@ -359,7 +336,7 @@ impl LlcSink for ChunkRecorder {
         if self.chunk.len() == self.limit {
             self.limit = (2 * self.limit).min(LLC_CHUNK);
             let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.limit));
-            self.sink.deliver(full);
+            self.send(Handoff::Chunk(full));
         }
     }
 }
@@ -421,7 +398,7 @@ pub struct PrivateLevels<S> {
 pub type Hierarchy = PrivateLevels<Llc>;
 
 /// Private levels recording the post-L2 stream, with no LLC below them:
-/// what [`Hierarchy::record_llc`] and [`Hierarchy::group`] drive.
+/// what [`Hierarchy::group`] drives.
 pub type Recorder = PrivateLevels<ChunkRecorder>;
 
 impl<S> std::fmt::Debug for PrivateLevels<S> {
@@ -467,39 +444,19 @@ impl Hierarchy {
         PrivateLevels::over(cfg, num_cores, llc)
     }
 
-    /// Records the post-L2 request stream of one run under `cfg`'s L1 and
-    /// L2. `drive` feeds the run's events to `num_cores` cores' private
-    /// levels, which have no LLC below them, so the stream serves any LLC
-    /// configuration and policy: [`Llc::replay`] and
-    /// [`Llc::belady_from_stream`] consume it.
-    ///
-    /// # Errors
-    ///
-    /// Returns `drive`'s error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` is zero.
-    pub fn record_llc<E>(
-        cfg: &HierarchyConfig,
-        num_cores: usize,
-        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
-    ) -> Result<LlcStream, E> {
-        let mut recorder = Recorder::recording(cfg, num_cores, ChunkSink::Keep(Vec::new()));
-        drive(&mut recorder)?;
-        Ok(recorder.finish().0)
-    }
-
     /// One run of `drive`'s events through `num_cores` cores' L1 and L2
     /// of `cfg` above each LLC of `llcs` at once, on two threads. The
-    /// calling thread runs `drive` into the recorder of
-    /// [`record_llc`](Hierarchy::record_llc). An [`LlcThread`] started for
-    /// this call builds every [`GroupLlc::Live`] LLC (the policies are
-    /// built where they run) and applies each chunk to all of them as it
-    /// arrives over a bounded channel, so the LLCs keep pace with the kernel and the
+    /// calling thread runs `drive` into a [`Recorder`], whose private
+    /// levels have no LLC below them, so their post-L2 stream serves any
+    /// LLC configuration and policy. `llc_thread` builds every
+    /// [`GroupLlc::Live`] LLC (the policies are built where they run) and
+    /// applies each chunk of the stream to all of them as it arrives over
+    /// a bounded channel, so the LLCs keep pace with the kernel and the
     /// handoff never holds more than a few hundred KiB. Only a
     /// [`GroupLlc::Belady`] member makes the thread keep the whole stream,
-    /// which it replays into the oracle once the recording ends.
+    /// which it replays into the oracle once the recording ends. The
+    /// thread serves one group after another, so a caller running many
+    /// groups starts one thread, not one per group.
     ///
     /// A panic while building or applying one LLC fails that member
     /// alone: its [`MemberRun::stats`] carries the payload, and the other
@@ -514,29 +471,7 @@ impl Hierarchy {
     ///
     /// Panics if `num_cores` is zero. A panic in `drive` ends the LLC
     /// side and propagates.
-    pub fn group<B: FnOnce() -> Llc + Send, E>(
-        cfg: &HierarchyConfig,
-        num_cores: usize,
-        llcs: Vec<GroupLlc<B>>,
-        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
-    ) -> Result<GroupRun, E> {
-        std::thread::scope(|scope| {
-            Self::group_on(&LlcThread::spawn(scope), cfg, num_cores, llcs, drive)
-        })
-    }
-
-    /// [`group`](Hierarchy::group) with its LLCs on `llc_thread`, which
-    /// serves one group after another: a caller running many groups
-    /// starts one thread, not one per group.
-    ///
-    /// # Errors
-    ///
-    /// Returns `drive`'s error.
-    ///
-    /// # Panics
-    ///
-    /// Like [`group`](Hierarchy::group).
-    pub fn group_on<'scope, B: FnOnce() -> Llc + Send + 'scope, E>(
+    pub fn group<'scope, B: FnOnce() -> Llc + Send + 'scope, E>(
         llc_thread: &LlcThread<'scope>,
         cfg: &HierarchyConfig,
         num_cores: usize,
@@ -551,13 +486,12 @@ impl Hierarchy {
             let _ = reply.send(served);
         }));
         let started = Instant::now();
-        let sink = ChunkSink::Send(sender, Duration::ZERO);
-        let mut recorder = Recorder::recording(cfg, num_cores, sink);
+        let mut recorder = Recorder::recording(cfg, num_cores, sender);
         let driven = drive(&mut recorder);
         // Either way the recorder's sender goes, closing the channel: the
         // LLC thread drains it and replies.
         let stalled = if driven.is_ok() {
-            recorder.finish().1
+            recorder.finish()
         } else {
             drop(recorder);
             Duration::ZERO
@@ -580,19 +514,17 @@ impl Hierarchy {
 }
 
 impl Recorder {
-    /// `num_cores` private levels under `cfg` recording into `sink`.
-    fn recording(cfg: &HierarchyConfig, num_cores: usize, sink: ChunkSink) -> Self {
-        PrivateLevels::over(cfg, num_cores, ChunkRecorder::new(sink))
+    /// `num_cores` private levels under `cfg` sending their chunks to
+    /// `sender`.
+    fn recording(cfg: &HierarchyConfig, num_cores: usize, sender: SyncSender<Handoff>) -> Self {
+        PrivateLevels::over(cfg, num_cores, ChunkRecorder::new(sender))
     }
 
-    /// Ends the recording: delivers its last chunk and closes its sink.
-    /// Returns the stream of a [`ChunkSink::Keep`] recording (a `Send`
-    /// recording's chunks are gone, so its stream is empty) and the time
-    /// a `Send` recording waited for room in its channel.
-    fn finish(self) -> (LlcStream, Duration) {
+    /// Ends the recording: sends its last chunk and its private-level
+    /// stats. Returns the time the sends waited for room in the channel.
+    fn finish(self) -> Duration {
         let private = self.private_stats();
-        let (chunks, stalled) = self.below.finish(private);
-        (LlcStream { chunks, private }, stalled)
+        self.below.finish(private)
     }
 }
 
@@ -785,7 +717,8 @@ impl<S: LlcSink> TraceSink for PrivateLevels<S> {
 
 /// The shared LLC of Table I: NUCA banks, each with its own instance of a
 /// pluggable policy, behind [`PrivateLevels`] in a live [`Hierarchy`] or
-/// alone, replaying an [`LlcStream`] with no L1 or L2.
+/// alone on a [`Hierarchy::group`]'s LLC thread, taking a recorded
+/// post-L2 stream with no L1 or L2.
 pub struct Llc {
     banks: Vec<SetAssocCache>,
     nuca: NucaConfig,
@@ -838,36 +771,6 @@ impl Llc {
             prefetch_fills: 0,
             dram_writebacks: 0,
         }
-    }
-
-    /// Applies a recorded run's requests and returns that run's stats
-    /// under this LLC: the stream's private-level stats plus this LLC's.
-    /// On a fresh LLC they equal those of running the recorded events
-    /// through a live hierarchy with this LLC, whatever its configuration
-    /// and policy.
-    pub fn replay(mut self, stream: &LlcStream) -> HierarchyStats {
-        for &op in stream.chunks.iter().flatten() {
-            self.push(op);
-        }
-        self.stats(stream.private)
-    }
-
-    /// Belady's MIN under `cfg` from a recorded stream: builds the oracle
-    /// from the stream's demand lines and [`replay`](Llc::replay)s the
-    /// stream into an LLC alone. Returns exactly the stats of re-running
-    /// the recorded events under the oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LLC has more than one bank: the oracle needs one
-    /// globally ordered LLC stream.
-    pub fn belady_from_stream(cfg: &HierarchyConfig, stream: &LlcStream) -> HierarchyStats {
-        assert_eq!(cfg.nuca.num_banks(), 1, "Belady needs a single-bank LLC");
-        let lines = stream.demand_lines();
-        Llc::new(cfg, |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &lines))
-        })
-        .replay(stream)
     }
 
     /// The bank serving `line` and its bank-local line. The bank is below
@@ -1048,13 +951,64 @@ mod tests {
         events.iter().for_each(|&e| h.event(e));
     }
 
-    /// Records `drive`'s post-L2 stream under `cfg`.
-    fn record_run(cfg: &HierarchyConfig, drive: impl FnOnce(&mut Recorder)) -> LlcStream {
-        let Ok(stream) = Hierarchy::record_llc(cfg, 1, |h| {
-            drive(h);
-            Ok::<(), std::convert::Infallible>(())
-        });
-        stream
+    /// A sink that collects every request below L2 in order.
+    impl LlcSink for Vec<LlcOp> {
+        fn push(&mut self, op: LlcOp) {
+            Vec::push(self, op);
+        }
+    }
+
+    /// The demand-access lines that `drive`'s events send below one
+    /// core's L2 of `cfg`, in order: what a Belady oracle is built from.
+    fn demand_lines(
+        cfg: &HierarchyConfig,
+        drive: impl FnOnce(&mut PrivateLevels<Vec<LlcOp>>),
+    ) -> Vec<u64> {
+        let mut h = PrivateLevels::over(cfg, 1, Vec::new());
+        drive(&mut h);
+        h.below
+            .into_iter()
+            .filter_map(|op| match op {
+                LlcOp::Access { line, .. } => Some(line),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A [`Hierarchy::group`] run on an [`LlcThread`] of its own.
+    fn run_group<B: FnOnce() -> Llc + Send, E>(
+        cfg: &HierarchyConfig,
+        num_cores: usize,
+        llcs: Vec<GroupLlc<B>>,
+        drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
+    ) -> Result<GroupRun, E> {
+        std::thread::scope(|scope| {
+            Hierarchy::group(&LlcThread::spawn(scope), cfg, num_cores, llcs, drive)
+        })
+    }
+
+    /// A member's stats, re-raising the panic that failed it.
+    fn member_stats(member: MemberRun) -> HierarchyStats {
+        member
+            .stats
+            .unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// The message of a panic's payload.
+    fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+    }
+
+    /// A member's LLC builder, boxed so that members built by different
+    /// closures share one type.
+    type BoxedLlc<'a> = Box<dyn FnOnce() -> Llc + Send + 'a>;
+
+    /// A group member running `kind` under `cfg`.
+    fn policy_member(cfg: &HierarchyConfig, kind: PolicyKind) -> GroupLlc<BoxedLlc<'_>> {
+        GroupLlc::Live(Box::new(move || Llc::new(cfg, |s, w| kind.build(s, w))))
     }
 
     #[test]
@@ -1076,32 +1030,51 @@ mod tests {
                 events.push(TraceEvent::CurrentVertex(i / 64));
             }
         }
-        let stream = record_run(&cfg, |h| feed(h, &events));
+        let lines = demand_lines(&cfg, |h| feed(h, &events));
         let mut live_lru = lru_hierarchy(&cfg);
         feed(&mut live_lru, &events);
         let lru = live_lru.stats();
-        let lines = stream.demand_lines();
         assert_eq!(lines.len() as u64, lru.llc.demand_accesses());
         assert!(
             lru.llc.writebacks > 1000 && lru.dram_writebacks > 100,
             "not dirty-heavy: {lru:?}"
         );
 
-        // Replaying only the LLC gives exactly the stats of re-running the
-        // events, under the oracle and under a learned policy alike; the
-        // private levels report pass 1's stats.
+        // One group runs the recording into the oracle and a learned
+        // policy as they arrive, into the group's own Belady member once
+        // it ends, and into an oracle built from one line too few.
         let bank = cfg.llc_bank();
         let oracle = |sets: usize, ways: usize| -> Box<dyn ReplacementPolicy> {
             assert_eq!((sets, ways), (bank.num_sets(), bank.ways()));
             Box::new(Belady::from_trace(sets, ways, &lines))
         };
         let drrip = |s, w| PolicyKind::Drrip.build(s, w);
+        let short = |sets, ways| -> Box<dyn ReplacementPolicy> {
+            Box::new(Belady::from_trace(sets, ways, &lines[..lines.len() - 1]))
+        };
+        let cfg = &cfg;
+        let llcs: Vec<GroupLlc<BoxedLlc<'_>>> = vec![
+            GroupLlc::Live(Box::new(|| Llc::new(cfg, oracle))),
+            GroupLlc::Live(Box::new(|| Llc::new(cfg, drrip))),
+            GroupLlc::Belady(cfg.clone()),
+            GroupLlc::Live(Box::new(|| Llc::new(cfg, short))),
+        ];
+        let Ok(run) = run_group(cfg, 1, llcs, |h| {
+            feed(h, &events);
+            Ok::<(), Infallible>(())
+        });
+        let [oracle_run, drrip_run, belady_run, short_run] =
+            <[MemberRun; 4]>::try_from(run.members).unwrap();
+
+        // Each LLC gives exactly the stats of re-running the events under
+        // it, the oracle and a learned policy alike; the private levels
+        // report the LRU run's stats.
         let makes: [&dyn Fn(usize, usize) -> Box<dyn ReplacementPolicy>; 2] = [&oracle, &drrip];
-        for make in makes {
-            let mut rerun = Hierarchy::new(&cfg, make);
+        for (member, make) in [oracle_run, drrip_run].into_iter().zip(makes) {
+            let mut rerun = Hierarchy::new(cfg, make);
             feed(&mut rerun, &events);
-            let (rerun, replay) = (rerun.stats(), Llc::new(&cfg, make).replay(&stream));
-            assert_eq!(replay, rerun);
+            let replay = member_stats(member);
+            assert_eq!(replay, rerun.stats());
             assert_eq!(
                 (replay.l1, replay.l2, replay.instructions),
                 (lru.l1, lru.l2, lru.instructions)
@@ -1109,10 +1082,9 @@ mod tests {
             assert_eq!(replay.check(), Ok(()));
         }
 
-        // Belady from the recorded stream agrees, and OPT never loses to
-        // LRU.
-        let two_pass = Llc::belady_from_stream(&cfg, &stream);
-        let mut rerun = Hierarchy::new(&cfg, oracle);
+        // The Belady member agrees, and OPT never loses to LRU.
+        let two_pass = member_stats(belady_run);
+        let mut rerun = Hierarchy::new(cfg, oracle);
         feed(&mut rerun, &events);
         assert_eq!(two_pass, rerun.stats());
         let opt_misses = two_pass.llc.misses;
@@ -1122,19 +1094,12 @@ mod tests {
             lru.llc.misses
         );
 
-        // An oracle built from a shorter stream than the one replayed
-        // into it still refuses to run past its trace.
-        let short = Llc::new(&cfg, |sets, ways| {
-            Box::new(Belady::from_trace(sets, ways, &lines[..lines.len() - 1]))
-        });
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            short.replay(&stream);
-        }))
-        .expect_err("replaying past the oracle's trace must panic");
-        let message = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| panic.downcast_ref::<&str>().copied());
+        // An oracle built from a shorter stream than the one applied to
+        // it still refuses to run past its trace.
+        let panic = short_run
+            .stats
+            .expect_err("replaying past the oracle's trace must panic");
+        let message = panic_text(panic.as_ref());
         assert!(
             message.is_some_and(|m| m.contains("replayed past its recorded trace")),
             "{message:?}"
@@ -1170,12 +1135,19 @@ mod tests {
     fn replay_carries_prefetches_and_context_switches() {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        let stream = record_run(&cfg, prefetching_drive);
         let mut rerun = Hierarchy::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w));
         prefetching_drive(&mut rerun);
-        let replay = Llc::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w)).replay(&stream);
+        let piped = pipelined(
+            &cfg,
+            1,
+            || Llc::new(&cfg, |s, w| PolicyKind::Srrip.build(s, w)),
+            |h| {
+                prefetching_drive(h);
+                Ok::<(), Infallible>(())
+            },
+        );
         assert!(rerun.stats().prefetch_fills > 0);
-        assert_eq!(replay, rerun.stats());
+        assert_eq!(piped, Ok(rerun.stats()));
     }
 
     /// Two cores sharing a small footprint, so writes invalidate the other
@@ -1201,15 +1173,20 @@ mod tests {
     #[test]
     fn two_core_recordings_replay_to_the_live_stats() {
         // Nothing flows up from the LLC, so the two cores' recorded stream
-        // (coherence, prefetches and a context switch included) replays
-        // into any LLC as the live two-core run of that LLC.
+        // (coherence, prefetches and a context switch included) gives any
+        // LLC of one group the live two-core run of that LLC.
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        let Ok(stream) = Hierarchy::record_llc(&cfg, 2, |h| {
+        let kinds = [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye];
+        let llcs = kinds
+            .iter()
+            .map(|&kind| policy_member(&cfg, kind))
+            .collect();
+        let Ok(run) = run_group(&cfg, 2, llcs, |h| {
             two_core_drive(h);
-            Ok::<(), std::convert::Infallible>(())
+            Ok::<(), Infallible>(())
         });
-        for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
+        for (member, kind) in run.members.into_iter().zip(kinds) {
             let mut live = Hierarchy::with_cores(&cfg, 2, |s, w| kind.build(s, w));
             two_core_drive(&mut live);
             let live = live.stats();
@@ -1217,25 +1194,14 @@ mod tests {
                 live.coherence_invalidations > 0 && live.prefetch_fills > 0,
                 "{live:?}"
             );
-            let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
-            assert_eq!(replay, live, "{kind:?}");
-            let piped = pipelined(
-                &cfg,
-                2,
-                || Llc::new(&cfg, |s, w| kind.build(s, w)),
-                |h| {
-                    two_core_drive(h);
-                    Ok::<(), std::convert::Infallible>(())
-                },
-            );
-            assert_eq!(piped, Ok(live), "{kind:?}");
+            assert_eq!(member_stats(member), live, "{kind:?}");
         }
     }
 
     #[test]
     fn one_recording_serves_every_llc_configuration() {
-        // The recording has no LLC at all; the replays below vary the
-        // LLC's size, associativity, reserved ways and banking.
+        // The recording has no LLC at all; the group's members vary the
+        // LLC's size, associativity, reserved ways, banking and policy.
         let recorded = HierarchyConfig::small_test();
         fn drive<S: LlcSink>(h: &mut PrivateLevels<S>) {
             h.event(TraceEvent::IterationBegin);
@@ -1248,7 +1214,6 @@ mod tests {
                 });
             }
         }
-        let stream = record_run(&recorded, drive);
         let mut banked = HierarchyConfig::scaled_with_llc(64 * 1024, 8);
         banked.nuca = NucaConfig::uniform(4);
         let llcs = [
@@ -1257,23 +1222,54 @@ mod tests {
             HierarchyConfig::scaled_with_llc(32 * 1024, 16).with_reserved_ways(3),
             banked,
         ];
-        for llc in llcs {
-            let cfg = HierarchyConfig {
+        let cfgs: Vec<HierarchyConfig> = llcs
+            .into_iter()
+            .map(|llc| HierarchyConfig {
                 l1: recorded.l1,
                 l2: recorded.l2,
                 ..llc
+            })
+            .collect();
+        // Every (geometry, policy) pair, then Belady on each single-bank
+        // geometry (`None`).
+        let kinds = [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye];
+        let pairs: Vec<(&HierarchyConfig, Option<PolicyKind>)> = cfgs
+            .iter()
+            .flat_map(|cfg| kinds.iter().map(move |&kind| (cfg, Some(kind))))
+            .chain(
+                cfgs.iter()
+                    .filter(|cfg| cfg.nuca.num_banks() == 1)
+                    .map(|cfg| (cfg, None)),
+            )
+            .collect();
+        let members = pairs
+            .iter()
+            .map(|&(cfg, kind)| match kind {
+                Some(kind) => policy_member(cfg, kind),
+                None => GroupLlc::Belady(cfg.clone()),
+            })
+            .collect();
+        let Ok(run) = run_group(&recorded, 1, members, |h| {
+            drive(h);
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(run.members.len(), 4 * 3 + 3);
+        for (member, (cfg, kind)) in run.members.into_iter().zip(pairs) {
+            let mut rerun = match kind {
+                Some(kind) => Hierarchy::new(cfg, |s, w| kind.build(s, w)),
+                None => {
+                    let lines = demand_lines(cfg, drive);
+                    Hierarchy::new(cfg, |sets, ways| {
+                        Box::new(Belady::from_trace(sets, ways, &lines))
+                    })
+                }
             };
-            for kind in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Hawkeye] {
-                let mut rerun = Hierarchy::new(&cfg, |s, w| kind.build(s, w));
-                drive(&mut rerun);
-                let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
-                assert_eq!(replay, rerun.stats(), "{kind:?} under {cfg:?}");
-            }
-            if cfg.nuca.num_banks() == 1 {
-                let own = Llc::belady_from_stream(&cfg, &record_run(&cfg, drive));
-                let shared = Llc::belady_from_stream(&cfg, &stream);
-                assert_eq!(shared, own, "OPT under {cfg:?}");
-            }
+            drive(&mut rerun);
+            assert_eq!(
+                member_stats(member),
+                rerun.stats(),
+                "{kind:?} under {cfg:?}"
+            );
         }
     }
 
@@ -1286,11 +1282,9 @@ mod tests {
         build_llc: impl FnOnce() -> Llc + Send,
         drive: impl FnOnce(&mut Recorder) -> Result<(), E>,
     ) -> Result<HierarchyStats, E> {
-        let run = Hierarchy::group(cfg, num_cores, vec![GroupLlc::Live(build_llc)], drive)?;
+        let run = run_group(cfg, num_cores, vec![GroupLlc::Live(build_llc)], drive)?;
         let [member] = <[MemberRun; 1]>::try_from(run.members).unwrap();
-        Ok(member
-            .stats
-            .unwrap_or_else(|payload| resume_unwind(payload)))
+        Ok(member_stats(member))
     }
 
     /// Sends exactly `ops` requests below L2: control events, and reads of
@@ -1304,6 +1298,23 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// The lengths of the chunks a recording of `ops` requests from
+    /// [`exact_ops`] under `cfg` sends to its LLC thread.
+    fn sent_chunk_lens(cfg: &HierarchyConfig, ops: usize) -> Vec<usize> {
+        // Room for every chunk and the closing stats, so no send waits.
+        let (sender, handoffs) = mpsc::sync_channel(ops + 2);
+        let mut recorder = Recorder::recording(cfg, 1, sender);
+        exact_ops(&mut recorder, ops).unwrap();
+        recorder.finish();
+        handoffs
+            .into_iter()
+            .filter_map(|handoff| match handoff {
+                Handoff::Chunk(chunk) => Some(chunk.len()),
+                Handoff::Done(_) => None,
+            })
+            .collect()
     }
 
     /// The chunk lengths a recording of `ops` requests hands on: the
@@ -1337,8 +1348,7 @@ mod tests {
             grown + LLC_CHUNK + 1,
             grown + 3 * LLC_CHUNK + 7,
         ] {
-            let stream = Hierarchy::record_llc(&cfg, 1, |h| exact_ops(h, ops)).unwrap();
-            let lens: Vec<usize> = stream.chunks.iter().map(Vec::len).collect();
+            let lens = sent_chunk_lens(&cfg, ops);
             assert_eq!(lens, chunk_lens(ops), "{ops} ops");
             assert_eq!(lens.iter().sum::<usize>(), ops, "{ops} ops");
             assert!(lens.iter().all(|&n| n > 0), "{ops} ops: {lens:?}");
@@ -1351,9 +1361,7 @@ mod tests {
                     || Llc::new(&cfg, |s, w| kind.build(s, w)),
                     |h| exact_ops(h, ops),
                 );
-                let replay = Llc::new(&cfg, |s, w| kind.build(s, w)).replay(&stream);
                 assert_eq!(piped, Ok(live.stats()), "{kind:?}, {ops} ops");
-                assert_eq!(replay, live.stats(), "{kind:?}, {ops} ops");
             }
         }
     }
@@ -1446,7 +1454,7 @@ mod tests {
                 let llc_thread = LlcThread::spawn(scope);
                 let group = |drive: &dyn Fn(&mut Recorder) -> Result<(), String>| {
                     let llcs = vec![GroupLlc::Live(|| lru_llc(&cfg))];
-                    Hierarchy::group_on(&llc_thread, &cfg, 1, llcs, drive)
+                    Hierarchy::group(&llc_thread, &cfg, 1, llcs, drive)
                 };
                 let failed = group(&|h| {
                     exact_ops(h, ops)?;
@@ -1524,23 +1532,23 @@ mod tests {
             GroupLlc::Belady(cfg.clone()),
             live(Some(PolicyKind::Drrip)),
         ];
-        let Ok(run) = Hierarchy::group(cfg, 1, llcs, drive);
+        let Ok(run) = run_group(cfg, 1, llcs, drive);
         let [lru, rogue, belady, drrip] = <[MemberRun; 4]>::try_from(run.members).unwrap();
         for (member, kind) in [(lru, PolicyKind::Lru), (drrip, PolicyKind::Drrip)] {
             let mut rerun = Hierarchy::new(cfg, |s, w| kind.build(s, w));
             let Ok(()) = drive(&mut rerun);
             assert_eq!(member.stats.ok(), Some(rerun.stats()), "{kind:?}");
         }
-        let Ok(stream) = Hierarchy::record_llc(cfg, 1, drive);
-        assert_eq!(
-            belady.stats.ok(),
-            Some(Llc::belady_from_stream(cfg, &stream))
-        );
+        let lines = demand_lines(cfg, |h| {
+            let Ok(()) = drive(h);
+        });
+        let mut rerun = Hierarchy::new(cfg, |sets, ways| {
+            Box::new(Belady::from_trace(sets, ways, &lines))
+        });
+        let Ok(()) = drive(&mut rerun);
+        assert_eq!(belady.stats.ok(), Some(rerun.stats()));
         let payload = rogue.stats.expect_err("a rogue victim must panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied());
+        let message = panic_text(payload.as_ref());
         assert!(
             message.is_some_and(|m| m.contains("beyond data ways")),
             "{message:?}"
@@ -1552,7 +1560,11 @@ mod tests {
     fn belady_refuses_a_banked_llc() {
         let mut cfg = HierarchyConfig::small_test();
         cfg.nuca = NucaConfig::uniform(2);
-        Llc::belady_from_stream(&cfg, &LlcStream::default());
+        let llcs = vec![GroupLlc::<fn() -> Llc>::Belady(cfg.clone())];
+        let Ok(run) = run_group(&cfg, 1, llcs, |_| Ok::<(), Infallible>(()));
+        for member in run.members {
+            member_stats(member);
+        }
     }
 
     #[test]

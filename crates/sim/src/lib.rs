@@ -47,8 +47,8 @@ mod timing;
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{
-    ChunkRecorder, GroupLlc, GroupRun, Hierarchy, Llc, LlcOp, LlcSink, LlcStream, LlcThread,
-    MemberRun, PrivateLevels, Recorder,
+    ChunkRecorder, GroupLlc, GroupRun, Hierarchy, Llc, LlcOp, LlcSink, LlcThread, MemberRun,
+    PrivateLevels, Recorder,
 };
 pub use nuca::{BankMapping, NucaConfig};
 pub use policies::PolicyKind;

@@ -9,7 +9,7 @@
 
 use p_opt::graph::suite::{suite_graph, SuiteGraph, SuiteScale};
 use p_opt::prelude::*;
-use p_opt::sim::Llc;
+use p_opt::sim::{GroupLlc, Llc, LlcThread};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,14 +64,18 @@ fn main() {
         ));
     }
 
-    // Belady's MIN: record the LLC stream once, then replay it into the
-    // oracle's LLC.
-    let Ok(stream) = Hierarchy::record_llc(&cfg, 1, |h| {
-        h.set_address_space(&plan.space);
-        app.trace(&g, &plan, h);
-        Ok::<(), std::convert::Infallible>(())
+    // Belady's MIN: a group whose one member keeps the recorded LLC
+    // stream and replays it into the oracle's LLC once the kernel ends.
+    let belady = vec![GroupLlc::<fn() -> Llc>::Belady(cfg.clone())];
+    let Ok(run) = std::thread::scope(|scope| {
+        Hierarchy::group(&LlcThread::spawn(scope), &cfg, 1, belady, |h| {
+            h.set_address_space(&plan.space);
+            app.trace(&g, &plan, h);
+            Ok::<(), std::convert::Infallible>(())
+        })
     });
-    let s = Llc::belady_from_stream(&cfg, &stream);
+    let s = run.members.into_iter().next().expect("one member").stats;
+    let s = s.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     results.push((
         "OPT (MIN)".to_string(),
         s.llc.misses,
